@@ -11,7 +11,6 @@ identical bytes. Exit codes: 0 success, 1 numerical failure, 2 config error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -23,7 +22,7 @@ import numpy as np
 from . import dynamics, rigidity, steady
 from .errors import ConfigError, GravlasovError
 from .kernel import ModelParams, check_casimir, make_polytrope
-from .radial import RadialGrid, SpeedGrid, bump_density
+from .radial import RadialGrid, SpeedGrid, bump_density, write_csv
 from .steady import SolveTargets
 
 COMMANDS = ("check-casimir", "solve", "verify", "kj", "scan", "equimeasure",
@@ -65,7 +64,6 @@ _KEY_TYPES = {
     "blowup.u_scale": "float",
     "blowup.amplitude": "float",
     "output.directory": "str",
-    "output.formats": "str",
 }
 
 _DEFAULTS = {
@@ -89,7 +87,6 @@ _DEFAULTS = {
     "blowup.u_scale": 1.5,
     "blowup.amplitude": 1.0,
     "output.directory": "out",
-    "output.formats": "json,csv",
 }
 
 
@@ -216,38 +213,12 @@ def _jsonable(obj):
     return obj
 
 
-def worker_limit() -> int:
-    """Parallelism cap from VG_THREADS (execution is sequential, so the
-    effective worker count is min(cap, 1))."""
-    raw = os.environ.get("VG_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"VG_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError("VG_THREADS must be at least 1")
-    return min(cap, 1)
-
-
 def _write_summary(outdir, config: RunConfig, payload: dict) -> None:
     os.makedirs(outdir, exist_ok=True)
-    doc = {"config": config.serializable(), "results": _jsonable(payload),
-           "workers": worker_limit()}
+    doc = {"config": config.serializable(), "results": _jsonable(payload)}
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_csv(path, header, rows) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
-                             for v in row])
 
 
 def _diag_rows(records):
@@ -260,14 +231,21 @@ _DIAG_HEADER = ["t", "hc", "m1", "ekin", "epot", "virial", "rho_center", "dist_r
 
 # --- command implementations -------------------------------------------------------
 
+def _check_shot(psi0, mu) -> None:
+    """Reject shooting parameters outside psi0 <= 0 (0: trivial) and mu < 0."""
+    if not psi0 <= 0:
+        raise ConfigError(f"psi0 must be <= 0, got {psi0}")
+    if not mu < 0:
+        raise ConfigError(f"mu must be negative, got {mu}")
+
+
 def _solve_state(config: RunConfig):
     spec = config.casimir()
     params = config.params()
     grid = config.grid()
     m_speed = config["grid.m"]
     if "solve.psi0" in config.values and "solve.mu" in config.values:
-        if not config["solve.mu"] < 0:
-            raise ConfigError("solve.mu must be negative")
+        _check_shot(config["solve.psi0"], config["solve.mu"])
         return steady.integrate_state(spec, params, config["solve.psi0"],
                                       config["solve.mu"], grid, m_speed=m_speed)
     config.require("targets.m1", "targets.mj")
@@ -331,21 +309,23 @@ def _cmd_scan(config: RunConfig, outdir: str) -> dict:
         raise ConfigError("scan.param must be 'mu' or 'psi0'")
     fixed_psi0 = config.get("solve.psi0", -1.0)
     fixed_mu = config.get("solve.mu", -1.0)
-    spec, params, grid = config.casimir(), config.params(), config.grid()
     values = np.linspace(config["scan.from"], config["scan.to"],
                          config["scan.steps"])
+    shots = [(val if param == "psi0" else fixed_psi0,
+              val if param == "mu" else fixed_mu) for val in values]
+    for psi0, mu in shots:
+        _check_shot(psi0, mu)
+    spec, params, grid = config.casimir(), config.params(), config.grid()
     rows = []
-    for val in values:
-        psi0 = val if param == "psi0" else fixed_psi0
-        mu = val if param == "mu" else fixed_mu
+    for val, (psi0, mu) in zip(values, shots):
         try:
             shot = steady.integrate_state(spec, params, psi0, mu, grid, fast=True)
             rows.append((float(val), shot.lam, shot.m1, shot.mj, shot.r_support, ""))
         except GravlasovError as exc:
             rows.append((float(val), math.nan, math.nan, math.nan, math.nan,
                          type(exc).__name__))
-    _write_csv(os.path.join(outdir, "scan.csv"),
-               [param, "lambda", "m1", "mj", "r_support", "error"], rows)
+    write_csv(os.path.join(outdir, "scan.csv"),
+              [param, "lambda", "m1", "mj", "r_support", "error"], rows)
     return {"rows": len(rows), "param": param,
             "failures": sum(1 for r in rows if r[-1])}
 
@@ -363,10 +343,9 @@ def _cmd_equimeasure(config: RunConfig, outdir: str) -> dict:
     doubled = rigidity._resample(f, 1.0, 1.0, 2.0)
     rep_d = rigidity.equimeasure_compare(f, dilated, levels)
     rep_2 = rigidity.equimeasure_compare(f, doubled, levels)
-    _write_csv(os.path.join(outdir, "equimeasure.csv"),
-               ["level", "dist_state", "dist_dilated", "dist_doubled"],
-               [(float(l), float(a), float(b), float(c)) for l, a, b, c in
-                zip(levels, rep_d.dist_f, rep_d.dist_g, rep_2.dist_g)])
+    write_csv(os.path.join(outdir, "equimeasure.csv"),
+              ["level", "dist_state", "dist_dilated", "dist_doubled"],
+              zip(levels, rep_d.dist_f, rep_d.dist_g, rep_2.dist_g))
     scale = float(rep_d.dist_f[0])
     return {"dilate_discrepancy": rep_d.max_discrepancy,
             "dilate_rel_discrepancy": rep_d.max_discrepancy / scale,
@@ -388,8 +367,8 @@ def _cmd_froots(config: RunConfig, outdir: str) -> dict:
 def _cmd_bootstrap(config: RunConfig, outdir: str) -> dict:
     p = config.get("bootstrap.p", config["casimir.p"])
     res = rigidity.bootstrap_exponents(p, config["bootstrap.q0"])
-    _write_csv(os.path.join(outdir, "bootstrap.csv"), ["k", "q_k"],
-               list(enumerate(res.sequence)))
+    write_csv(os.path.join(outdir, "bootstrap.csv"), ["k", "q_k"],
+              enumerate(res.sequence))
     return {"p": res.p, "q0": res.q0, "sequence": list(res.sequence),
             "success_index": res.success_index, "boundary_hit": res.boundary_hit}
 
@@ -405,8 +384,8 @@ def _cmd_evolve(config: RunConfig, outdir: str) -> dict:
     ens = dynamics.sample_state(state, n, seed)
     records, final = dynamics.evolve(ens, t_end, dt, spec=state.spec,
                                      reference=state)
-    _write_csv(os.path.join(outdir, "diagnostics.csv"), _DIAG_HEADER,
-               _diag_rows(records))
+    write_csv(os.path.join(outdir, "diagnostics.csv"), _DIAG_HEADER,
+              _diag_rows(records))
     if config["dynamics.snapshot"]:
         dynamics.ensemble_to_csv(os.path.join(outdir, "ensemble.csv"), final)
     hc0 = records[0].hc
@@ -432,8 +411,8 @@ def _cmd_stability(config: RunConfig, outdir: str) -> dict:
         dt=config.get("dynamics.dt"),
         seed=config["dynamics.seed"])
     for delta, records in runs.items():
-        _write_csv(os.path.join(outdir, f"diagnostics_delta_{delta:g}.csv"),
-                   _DIAG_HEADER, _diag_rows(records))
+        write_csv(os.path.join(outdir, f"diagnostics_delta_{delta:g}.csv"),
+                  _DIAG_HEADER, _diag_rows(records))
     return {"mode": report.mode, "deltas": list(report.deltas),
             "max_dist_rho": list(report.max_dist_rho),
             "final_dist_rho": list(report.final_dist_rho),
@@ -459,8 +438,8 @@ def _cmd_blowup(config: RunConfig, outdir: str) -> dict:
         t_end=config.get("dynamics.t_end", 5.0),
         dt=config.get("dynamics.dt"),
         seed=config["dynamics.seed"])
-    _write_csv(os.path.join(outdir, "diagnostics.csv"), _DIAG_HEADER,
-               _diag_rows(report.records))
+    write_csv(os.path.join(outdir, "diagnostics.csv"), _DIAG_HEADER,
+              _diag_rows(report.records))
     return {"verdict": report.verdict,
             "concentration_time": report.concentration_time,
             "growth_factor": report.growth_factor,
@@ -489,7 +468,6 @@ _HANDLERS = {
 def dispatch(config: RunConfig) -> int:
     """Run one command; returns the exit status (artifacts land on disk)."""
     outdir = config["output.directory"]
-    worker_limit()   # validate the parallelism cap before doing any work
     try:
         payload = _HANDLERS[config.command](config, outdir)
     except ConfigError:

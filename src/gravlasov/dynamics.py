@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import NumericsError, PreconditionError
 from .kernel import CasimirSpec, ModelParams, kinetic_weight
-from .radial import PhaseDensity, RadialField, RadialGrid, functionals, _phase_integral
+from .radial import (PhaseDensity, RadialField, RadialGrid, _phase_integral,
+                     functionals, read_csv, write_csv)
 from .steady import GroundState
 
 __all__ = [
@@ -238,20 +239,6 @@ def _shell_potential_energy(ens: ParticleEnsemble) -> float:
     return float(np.sum(w_sorted[good] * m_half[good] / r_sorted[good]) / (4.0 * np.pi))
 
 
-def _shell_phi_at_particles(ens: ParticleEnsemble) -> np.ndarray:
-    """phi at each particle radius for the unsoftened shell system."""
-    order, r_sorted, w_sorted, cumw, m_half = _sorted_shell_data(ens)
-    below = m_half
-    with np.errstate(divide="ignore"):
-        inv_r = np.where(r_sorted > 0, 1.0 / r_sorted, 0.0)
-    suffix = np.cumsum((w_sorted * inv_r)[::-1])[::-1]
-    suffix = np.concatenate((suffix[1:], [0.0]))
-    phi_sorted = -(below * inv_r + suffix) / (4.0 * np.pi)
-    phi = np.empty(ens.n)
-    phi[order] = phi_sorted
-    return phi
-
-
 def _drift_velocity(ens: ParticleEnsemble, velocities: np.ndarray) -> np.ndarray:
     if ens.params.is_classical:
         return velocities
@@ -300,23 +287,20 @@ def _force_grid(ens: ParticleEnsemble) -> RadialGrid:
     return RadialGrid(r_max=r_max, n=129)
 
 
+_ENSEMBLE_HEADER = ["x", "y", "z", "vx", "vy", "vz", "w", "f"]
+
+
 def ensemble_to_csv(path, ens: ParticleEnsemble) -> None:
     """Snapshot the ensemble as plain CSV: x,y,z,vx,vy,vz,w,f per particle."""
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "vx", "vy", "vz", "w", "f"])
-        for i in range(ens.n):
-            row = (*ens.positions[i], *ens.velocities[i],
-                   ens.weights[i], ens.f_values[i])
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv(path, _ENSEMBLE_HEADER,
+              ((*ens.positions[i], *ens.velocities[i], ens.weights[i],
+                ens.f_values[i]) for i in range(ens.n)))
 
 
 def ensemble_from_csv(path, params: ModelParams,
                       eps_soft: float = 0.0) -> ParticleEnsemble:
     """Load a snapshot written by ensemble_to_csv."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
+    data = read_csv(path, _ENSEMBLE_HEADER)
     return ParticleEnsemble(positions=data[:, 0:3].copy(),
                             velocities=data[:, 3:6].copy(),
                             weights=data[:, 6].copy(),
@@ -459,7 +443,6 @@ class StabilityReport:
     max_dist_rho: tuple       # max over time of the binned-rho L1 distance
     final_dist_rho: tuple
     max_hc_dev: tuple         # max |hc(t) - hc(reference)|
-    max_virial: tuple
     noise_floor: float        # the delta = 0 baseline max distance
     stable: bool
     distance_proxy: str = ("binned-rho L1 distance, energy deviation and "
@@ -517,13 +500,11 @@ def stability_experiment(state: GroundState, deltas: Sequence[float], mode: str,
     max_d = tuple(max(series(d, "ej_dist_to_ref")) for d in deltas)
     fin_d = tuple(series(d, "ej_dist_to_ref")[-1] for d in deltas)
     max_h = tuple(max(abs(h - state.hc) for h in series(d, "hc")) for d in deltas)
-    max_v = tuple(max(abs(v) for v in series(d, "virial")) for d in deltas)
     monotone = all(max_d[i] <= max_d[i + 1] * 1.25 for i in range(len(max_d) - 1))
     stable = monotone and (len(max_d) == 0 or noise_floor <= max_d[0])
     return StabilityReport(mode=mode, deltas=deltas, max_dist_rho=max_d,
                            final_dist_rho=fin_d, max_hc_dev=max_h,
-                           max_virial=max_v, noise_floor=noise_floor,
-                           stable=stable), runs
+                           noise_floor=noise_floor, stable=stable), runs
 
 
 @dataclass(frozen=True)

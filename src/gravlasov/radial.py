@@ -10,6 +10,7 @@ phi = -(1/(4 pi |x|)) * rho in convolution form.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -25,12 +26,15 @@ __all__ = [
     "RadialField",
     "PhaseDensity",
     "density_moment",
+    "poisson_operator",
     "poisson_solve",
     "gradient_energy",
     "functionals",
     "distribution_function",
     "ej_distance",
     "bump_density",
+    "write_csv",
+    "read_csv",
     "write_radial_field",
     "read_radial_field",
     "write_phase_density",
@@ -54,8 +58,13 @@ class RadialGrid:
         nodes = self.nodes
         if nodes[0] != 0.0 or abs(nodes[-1] - self.r_max) > 1e-12 * self.r_max:
             raise ValueError("nodes must start at 0 and end at r_max")
-        if np.any(np.diff(nodes) <= 0):
+        spacing = np.diff(nodes)
+        if np.any(spacing <= 0):
             raise ValueError("nodes must be strictly increasing")
+        # h, finite differences and the shooting step assume equal spacing;
+        # the tolerance admits nodes read back from a 17-digit CSV
+        if np.any(np.abs(spacing - self.h) > 1e-8 * self.h):
+            raise ValueError("nodes must be uniformly spaced")
 
     @property
     def h(self) -> float:
@@ -116,8 +125,8 @@ class PhaseDensity:
             raise ValueError("phase density must vanish at r_max and u_max")
 
     @classmethod
-    def from_callable(cls, grid_r: RadialGrid, grid_u: SpeedGrid, fn: Callable,
-                      keep_profile: bool = True) -> "PhaseDensity":
+    def from_callable(cls, grid_r: RadialGrid, grid_u: SpeedGrid,
+                      fn: Callable) -> "PhaseDensity":
         rr, uu = np.meshgrid(grid_r.nodes, grid_u.nodes, indexing="ij")
         v = np.asarray(fn(rr, uu), dtype=float)
         v = np.maximum(v, 0.0)
@@ -126,8 +135,7 @@ class PhaseDensity:
             raise ValueError("callable does not vanish at the grid boundary")
         v[-1, :] = 0.0
         v[:, -1] = 0.0
-        return cls(grid_r=grid_r, grid_u=grid_u, values=v,
-                   profile=fn if keep_profile else None)
+        return cls(grid_r=grid_r, grid_u=grid_u, values=v, profile=fn)
 
     def same_grids(self, other: "PhaseDensity") -> bool:
         return (np.array_equal(self.grid_r.nodes, other.grid_r.nodes)
@@ -159,27 +167,35 @@ def density_moment(f: PhaseDensity) -> RadialField:
     return RadialField(grid=f.grid_r, values=rho)
 
 
+def poisson_operator(grid: RadialGrid, source: np.ndarray) -> np.ndarray:
+    """Potential of an arbitrary (possibly signed) radial source, unchecked.
+
+    phi'(r) = m(r)/r^2 with m(r) the enclosed-mass integral of s^2 source, and
+    the boundary value phi(r_max) = -m(r_max)/r_max matches the exterior vacuum
+    solution -m/r exactly for compactly supported sources.
+    """
+    r = grid.nodes
+    m = cumulative_simpson(r * r * source, x=r, initial=0.0)
+    dphi = np.zeros_like(m)
+    dphi[1:] = m[1:] / (r[1:] ** 2)
+    # integrate phi' inward from the vacuum match at r_max
+    tail = cumulative_simpson(dphi, x=r, initial=0.0)
+    return (-m[-1] / r[-1]) - (tail[-1] - tail)
+
+
 def poisson_solve(rho: RadialField) -> RadialField:
     """Solve (r^2 phi')' = r^2 rho with phi -> 0 at infinity.
 
-    phi'(r) = m(r)/r^2 with m(r) the enclosed-mass integral of s^2 rho, and the
-    boundary value phi(r_max) = -m(r_max)/r_max matches the exterior vacuum
-    solution -m/r exactly for compactly supported densities.
+    Applies poisson_operator to a nonnegative density whose support stays
+    inside the grid, and checks that the potential is negative and increasing.
     """
-    r = rho.grid.nodes
     vals = np.asarray(rho.values, dtype=float)
     if np.any(vals < 0):
         raise ValueError("density must be nonnegative")
     if vals[-1] != 0.0 or vals[-2] != 0.0:
         raise BoundaryConditionError("density support touches r_max; enlarge the grid")
 
-    m = cumulative_simpson(r * r * vals, x=r, initial=0.0)
-    dphi = np.zeros_like(m)
-    dphi[1:] = m[1:] / (r[1:] ** 2)
-    # integrate phi' inward from the vacuum match at r_max
-    tail = cumulative_simpson(dphi, x=r, initial=0.0)
-    phi = (-m[-1] / r[-1]) - (tail[-1] - tail)
-
+    phi = poisson_operator(rho.grid, vals)
     if np.any(np.diff(phi) < -1e-12 * max(abs(phi[0]), 1.0)):
         raise RuntimeError("poisson_solve produced a decreasing potential")
     if np.any(phi > 1e-12 * max(abs(phi[0]), 1.0)):
@@ -284,43 +300,49 @@ def bump_density(grid_r: RadialGrid, grid_u: SpeedGrid, r_scale: float,
 
 # --- CSV serialization (17 significant digits, plot-ready) ---
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def write_csv(path, header, rows) -> None:
+    """Write a header and then each row, floats with 17 significant digits.
+
+    Rows are consumed one at a time, so a generator streams a large table
+    without holding it in memory. The parent directory is created if needed.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def read_csv(path, header) -> np.ndarray:
+    """Numeric table of a CSV with the given header, one row per line."""
+    with open(path, newline="") as fh:
+        found = next(csv.reader(fh), None)
+        if found != list(header):
+            raise ValueError(f"unexpected header in {path}: {found}")
+        return np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, len(header))
 
 
 def write_radial_field(path, field_: RadialField) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "value"])
-        for r, v in zip(field_.grid.nodes, field_.values):
-            w.writerow([_fmt(r), _fmt(v)])
+    write_csv(path, ["r", "value"], zip(field_.grid.nodes, field_.values))
 
 
 def read_radial_field(path) -> RadialField:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["r", "value"]:
-        raise ValueError(f"unexpected header in {path}: {rows[0]}")
-    data = np.array([[float(a), float(b)] for a, b in rows[1:]])
+    data = read_csv(path, ["r", "value"])
     grid = RadialGrid(r_max=float(data[-1, 0]), n=len(data), nodes=data[:, 0])
     return RadialField(grid=grid, values=data[:, 1])
 
 
 def write_phase_density(path, f: PhaseDensity) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "u", "f"])
-        for i, r in enumerate(f.grid_r.nodes):
-            for jdx, u in enumerate(f.grid_u.nodes):
-                w.writerow([_fmt(r), _fmt(u), _fmt(f.values[i, jdx])])
+    # row-wise tolist: Python floats format faster, without a full-table copy
+    u_nodes = f.grid_u.nodes.tolist()
+    write_csv(path, ["r", "u", "f"],
+              ((r, u, v) for r, row in zip(f.grid_r.nodes.tolist(), f.values)
+               for u, v in zip(u_nodes, row.tolist())))
 
 
 def read_phase_density(path) -> PhaseDensity:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["r", "u", "f"]:
-        raise ValueError(f"unexpected header in {path}: {rows[0]}")
-    data = np.array([[float(a), float(b), float(c)] for a, b, c in rows[1:]])
+    data = read_csv(path, ["r", "u", "f"])
     r_nodes = np.unique(data[:, 0])
     u_nodes = np.unique(data[:, 1])
     grid_r = RadialGrid(r_max=float(r_nodes[-1]), n=len(r_nodes), nodes=r_nodes)

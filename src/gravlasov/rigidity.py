@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .errors import ResolutionError, SupportExceedsGridError
+from .errors import GravlasovError, ResolutionError, SupportExceedsGridError
 from .kernel import (
     CasimirSpec,
     FunctionalReport,
@@ -39,7 +39,8 @@ from .radial import (
     functionals,
     _phase_integral,
 )
-from .steady import GroundState, SolveTargets, integrate_state, solve_targets
+from .steady import (GroundState, SolveTargets, _velocity_moment,
+                     integrate_state, solve_targets)
 
 __all__ = [
     "ScalingReport",
@@ -194,7 +195,7 @@ def estimate_kj(spec: CasimirSpec, params: ModelParams,
                     st = integrate_state(spec, params, psi0, mu,
                                          RadialGrid(r_max=24.0, n=513),
                                          m_speed=257)
-                except Exception:
+                except GravlasovError:
                     continue
                 evals += 1
                 consider(interpolation_quotient(st.f, spec, params),
@@ -388,17 +389,8 @@ def f_function(params: ModelParams, a: float, spec: CasimirSpec, s: float) -> fl
                          "probe the classical limit with large c instead")
     if not (a > 0 and s > 0):
         raise ValueError("a and s must be positive")
-    c = params.c
-
-    def integrand(t):
-        q = a * t * t           # sqrt-absorbing substitution at the q = 0 end
-        x = s * q / c ** 2
-        g = float(np.asarray(spec.g_inv(max(a - q, 0.0)), dtype=float))
-        # y^2 - 1 evaluated as x(2 + x) to avoid cancellation at large c
-        return (1.0 / s) * (1.0 + x) * math.sqrt(x * (2.0 + x)) * g * 2.0 * a * t
-
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=200)
-    return c * val
+    # the density moment at depth a with |mu| = s carries the factor 4 pi s^2
+    return _velocity_moment(spec, params, -s, a) / (4.0 * math.pi * s * s)
 
 
 def f_roots(params: ModelParams, a: float, spec: CasimirSpec, mu0: float,

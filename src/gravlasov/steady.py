@@ -31,8 +31,8 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad, quad_vec, simpson
@@ -41,6 +41,7 @@ from scipy.optimize import brentq
 
 from .errors import (
     FixedPointDivergenceError,
+    GravlasovError,
     NonNegativeLambdaError,
     NumericsError,
     ResolutionError,
@@ -59,6 +60,7 @@ from .radial import (
     RadialField,
     RadialGrid,
     SpeedGrid,
+    poisson_operator,
     read_radial_field,
     write_phase_density,
     write_radial_field,
@@ -92,7 +94,7 @@ def _kind_factor(spec: CasimirSpec, params: ModelParams, mu_abs: float,
 
     kinds: "rho" (plain density), "kin" (kinetic weight), "cas" (j(Q)),
     "jpq" (j'(Q) Q, using j'(G(s)) = s), "vir" (u^2/sqrt(1+u^2/c^2)),
-    "mom" (|v|), "ineg" (c^2 (1 - 1/sqrt(1+u^2/c^2))).
+    "ineg" (c^2 (1 - 1/sqrt(1+u^2/c^2))).
     """
     if kind == "rho":
         return g_s
@@ -100,26 +102,20 @@ def _kind_factor(spec: CasimirSpec, params: ModelParams, mu_abs: float,
         return np.asarray(spec.j(g_s), dtype=float)
     if kind == "jpq":
         return s * g_s
+    if kind == "kin":
+        return mu_abs * q * g_s
     if params.is_classical:
-        if kind == "kin":
-            return mu_abs * q * g_s
         if kind == "vir":
             return 2.0 * mu_abs * q * g_s
-        if kind == "mom":
-            return np.sqrt(2.0 * mu_abs * q) * g_s
         if kind == "ineg":
             return mu_abs * q * g_s
     else:
         c = params.c
         x = mu_abs * q / c ** 2
         y = 1.0 + x
-        if kind == "kin":
-            return mu_abs * q * g_s
         if kind == "vir":
             # y^2 - 1 as x(2 + x): cancellation-free in the large-c regime
             return c ** 2 * x * (2.0 + x) / y * g_s
-        if kind == "mom":
-            return c * np.sqrt(x * (2.0 + x)) * g_s
         if kind == "ineg":
             return c ** 2 * x / y * g_s
     raise ValueError(f"unknown moment kind {kind!r}")
@@ -134,21 +130,25 @@ def _q_weight(params: ModelParams, mu_abs: float, q):
     return mu_abs * c * (1.0 + x) * np.sqrt(x * (2.0 + x))
 
 
+def _moment_integrand(spec: CasimirSpec, params: ModelParams, mu_abs: float,
+                      a_depth, t, kind: str):
+    """Integrand in t of the moment at depth A after the substitution q = A t^2."""
+    q = a_depth * t * t
+    s = a_depth - q
+    g_s = np.asarray(spec.g_inv(np.maximum(s, 0.0)), dtype=float)
+    return (_kind_factor(spec, params, mu_abs, q, s, g_s, kind)
+            * _q_weight(params, mu_abs, q) * 2.0 * a_depth * t)
+
+
 def _velocity_moment(spec: CasimirSpec, params: ModelParams, mu: float,
                      a_depth: float, kind: str = "rho") -> float:
     """4 pi int_0^A K(q) G(A-q) w(q) dq by scalar adaptive quadrature."""
     if a_depth <= 0.0:
         return 0.0
     mu_abs = abs(mu)
-
-    def integrand(t):
-        q = a_depth * t * t
-        s = a_depth - q
-        g_s = np.asarray(spec.g_inv(np.maximum(s, 0.0)), dtype=float)
-        return float(_kind_factor(spec, params, mu_abs, q, s, g_s, kind)
-                     * _q_weight(params, mu_abs, q) * 2.0 * a_depth * t)
-
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=200)
+    val, _ = quad(
+        lambda t: float(_moment_integrand(spec, params, mu_abs, a_depth, t, kind)),
+        0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=200)
     return 4.0 * np.pi * val
 
 
@@ -166,15 +166,9 @@ def _moment_profile(spec: CasimirSpec, params: ModelParams, mu: float,
         return out
     am = a[mask]
     mu_abs = abs(mu)
-
-    def integrand(t):
-        q = am * t * t
-        s = am - q
-        g_s = np.asarray(spec.g_inv(np.maximum(s, 0.0)), dtype=float)
-        return (_kind_factor(spec, params, mu_abs, q, s, g_s, kind)
-                * _q_weight(params, mu_abs, q) * 2.0 * am * t)
-
-    val, _ = quad_vec(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11, norm="max")
+    val, _ = quad_vec(
+        lambda t: _moment_integrand(spec, params, mu_abs, am, t, kind),
+        0.0, 1.0, epsabs=1e-14, epsrel=1e-11, norm="max")
     out[mask] = 4.0 * np.pi * np.maximum(val, 0.0)
     return out
 
@@ -266,10 +260,8 @@ class GroundState:
     # auxiliary moments used by the identity verifiers
     jpq: float = 0.0        # int j'(Q) Q
     vir_kin: float = 0.0    # int u^2/sqrt(1+u^2/c^2) Q   (u^2 Q classically)
-    mom1: float = 0.0       # int |v| Q
     ineg: float = 0.0       # int c^2 (1 - 1/sqrt(1+u^2/c^2)) Q
     phi_q: float = 0.0      # int phi Q dx dv = int phi rho dx
-    w_profile: np.ndarray = field(default=None, repr=False)  # enclosed int s^2 rho
 
 
 @dataclass(frozen=True)
@@ -298,6 +290,11 @@ def _radial_total(r: np.ndarray, dens: np.ndarray, k: int, r_supp: float,
     return float(4.0 * np.pi * (core + sliver))
 
 
+# moment kind -> the GroundState field holding its radial total
+_TOTALS = {"rho": "m1", "kin": "ekin", "cas": "mj", "jpq": "jpq",
+           "vir": "vir_kin", "ineg": "ineg"}
+
+
 def _finalize_state(spec, params, lam, mu, grid: RadialGrid, psi: np.ndarray,
                     w: np.ndarray, r_supp: float, m_speed: int) -> GroundState:
     """Tabulate profiles and functionals for a solved (psi, w) pair."""
@@ -310,25 +307,14 @@ def _finalize_state(spec, params, lam, mu, grid: RadialGrid, psi: np.ndarray,
     a_depth = np.zeros_like(r)
     a_depth[: k + 1] = np.maximum(-psi[: k + 1], 0.0) / mu_abs
 
-    kinds = ("rho", "kin", "cas", "jpq", "vir", "mom", "ineg")
-    prof = {kd: _moment_profile(spec, params, mu, a_depth[: k + 1], kd) for kd in kinds}
+    prof = {kd: _moment_profile(spec, params, mu, a_depth[: k + 1], kd)
+            for kd in _TOTALS}
     rho = np.zeros_like(r)
     rho[: k + 1] = prof["rho"]
 
     beta = _edge_exponent(spec)
-    m1 = _radial_total(r, rho, k, r_supp, beta)
-    mj = _radial_total(r, np.concatenate([prof["cas"], np.zeros(len(r) - k - 1)]),
-                       k, r_supp, beta)
-    ekin = _radial_total(r, np.concatenate([prof["kin"], np.zeros(len(r) - k - 1)]),
-                         k, r_supp, beta)
-    jpq = _radial_total(r, np.concatenate([prof["jpq"], np.zeros(len(r) - k - 1)]),
-                        k, r_supp, beta)
-    vir_kin = _radial_total(r, np.concatenate([prof["vir"], np.zeros(len(r) - k - 1)]),
-                            k, r_supp, beta)
-    mom1 = _radial_total(r, np.concatenate([prof["mom"], np.zeros(len(r) - k - 1)]),
-                         k, r_supp, beta)
-    ineg = _radial_total(r, np.concatenate([prof["ineg"], np.zeros(len(r) - k - 1)]),
-                         k, r_supp, beta)
+    totals = {name: _radial_total(r, prof[kd], k, r_supp, beta)
+              for kd, name in _TOTALS.items()}
 
     phi = psi + lam
     w_r = float(w[-1])  # exterior enclosed mass is constant
@@ -338,7 +324,7 @@ def _finalize_state(spec, params, lam, mu, grid: RadialGrid, psi: np.ndarray,
     core = simpson(integ, x=r[: k + 1])
     sliver = (r_supp - r[k]) * 0.5 * ((w[k] / r[k]) ** 2 + (w_r / r_supp) ** 2)
     epot = float(2.0 * np.pi * (core + sliver + w_r ** 2 / r_supp))
-    hc = ekin - epot
+    hc = totals["ekin"] - epot
 
     phi_rho = r * r * phi * rho
     phi_q = float(4.0 * np.pi * (simpson(phi_rho[: k + 1], x=r[: k + 1])
@@ -366,9 +352,7 @@ def _finalize_state(spec, params, lam, mu, grid: RadialGrid, psi: np.ndarray,
         params=params, spec=spec, lam=float(lam), mu=float(mu), psi0=psi0,
         a=psi0 / mu, phi=RadialField(grid=grid, values=phi),
         rho=RadialField(grid=grid, values=rho), r_support=float(r_supp),
-        m1=m1, mj=mj, ekin=ekin, epot=epot, hc=hc, f=f, u_bound=u_bound,
-        jpq=jpq, vir_kin=vir_kin, mom1=mom1, ineg=ineg, phi_q=phi_q,
-        w_profile=w,
+        epot=epot, hc=hc, f=f, u_bound=u_bound, phi_q=phi_q, **totals,
     )
 
 
@@ -380,19 +364,18 @@ def _trivial_state(spec, params, grid: RadialGrid, mu: float, m_speed: int) -> G
                        phi=RadialField(grid=grid, values=zeros),
                        rho=RadialField(grid=grid, values=zeros.copy()),
                        r_support=0.0, m1=0.0, mj=0.0, ekin=0.0, epot=0.0, hc=0.0,
-                       f=f, u_bound=0.0, trivial=True, w_profile=zeros.copy())
+                       f=f, u_bound=0.0, trivial=True)
 
 
 # --- shooting solver ----------------------------------------------------------
 
-class _FastMasses:
+class _FastMasses(NamedTuple):
     """Cheap (m1, mj) of a shot, used inside the target root find."""
 
-    __slots__ = ("m1", "mj", "lam", "r_support", "psi0", "mu")
-
-    def __init__(self, m1, mj, lam, r_support, psi0, mu):
-        self.m1, self.mj, self.lam = m1, mj, lam
-        self.r_support, self.psi0, self.mu = r_support, psi0, mu
+    m1: float
+    mj: float
+    lam: float
+    r_support: float
 
 
 def _shoot(spec, params, psi0, mu, grid: RadialGrid, table: _MomentTable):
@@ -514,32 +497,16 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
         beta = _edge_exponent(spec)
         m1 = _radial_total(r, rho, k, r_supp, beta)
         mj = _radial_total(r, cas, k, r_supp, beta)
-        return _FastMasses(m1=m1, mj=mj, lam=lam, r_support=r_supp,
-                           psi0=psi0, mu=mu)
+        return _FastMasses(m1=m1, mj=mj, lam=lam, r_support=r_supp)
 
     return _finalize_state(spec, params, lam, mu, grid, psi, w, r_supp, m_speed)
 
 
 # --- fixed-point solver (independent oracle) ----------------------------------
 
-def _poisson_linear(grid: RadialGrid, source: np.ndarray) -> np.ndarray:
-    """The enclosed-mass Poisson operator applied to an arbitrary source.
-
-    Same discretization as radial.poisson_solve, without the sign and
-    support checks (the Newton correction equation needs signed sources).
-    """
-    r = grid.nodes
-    m = cumulative_simpson(r * r * source, x=r, initial=0.0)
-    g = np.zeros_like(m)
-    g[1:] = m[1:] / (r[1:] ** 2)
-    t = cumulative_simpson(g, x=r, initial=0.0)
-    return (-m[-1] / r[-1]) - (t[-1] - t)
-
-
 def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
                       mu: float, grid: RadialGrid, max_iter: int = 60,
-                      tol: float = 1e-10, damping: float = 0.5,
-                      m_speed: int = 257) -> GroundState:
+                      tol: float = 1e-10, m_speed: int = 257) -> GroundState:
     """Solve the self-consistency equation phi = poisson(rho(phi)) at fixed
     (lambda, mu), independently of the shooting integration.
 
@@ -549,9 +516,8 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
     converges (it is the separatrix between decay to vacuum and mass
     runaway). The update therefore solves the linearized self-consistency
     equation (I - K rho'(phi)) delta = -(phi - K rho(phi)) by GMRES on the
-    same discrete Poisson operator K, with backtracking damping on the
-    residual norm; ``damping`` is the backtracking factor. tol bounds the
-    final sup-norm Picard residual |phi - poisson(rho(phi))|.
+    same discrete Poisson operator K, with step halving on the residual norm.
+    tol bounds the final sup-norm Picard residual |phi - poisson(rho(phi))|.
     """
     from scipy.sparse.linalg import LinearOperator, gmres
 
@@ -573,7 +539,7 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
         if rho[n // 2] > 0:
             raise SupportExceedsGridError(
                 "iterated density reached r_max/2; enlarge the grid")
-        return phi_vec - _poisson_linear(grid, rho), a_depth
+        return phi_vec - poisson_operator(grid, rho), a_depth
 
     def newton(phi):
         resid_vec, a_depth = picard_residual(phi)
@@ -584,7 +550,7 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
             drho_dphi = -table.derivative(a_depth, "rho") / mu_abs  # <= 0
 
             def matvec(v):
-                return v - _poisson_linear(grid, drho_dphi * v)
+                return v - poisson_operator(grid, drho_dphi * v)
 
             op = LinearOperator((n, n), matvec=matvec)
             delta, info = gmres(op, -resid_vec, rtol=1e-12, atol=0.0, maxiter=400)
@@ -596,7 +562,7 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
                 try:
                     rv_try, ad_try = picard_residual(phi + alpha * delta)
                 except SupportExceedsGridError:
-                    alpha *= damping
+                    alpha *= 0.5
                     continue
                 if not np.all(np.isfinite(rv_try)):
                     raise NumericsError(
@@ -604,7 +570,7 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
                 if float(np.max(np.abs(rv_try))) < resid:
                     accepted = (phi + alpha * delta, rv_try, ad_try)
                     break
-                alpha *= damping
+                alpha *= 0.5
             if accepted is None:
                 raise FixedPointDivergenceError(
                     f"no descent step found (residual stuck at {resid:.3e})")
@@ -683,7 +649,7 @@ def solve_targets(spec: CasimirSpec, params: ModelParams, targets: SolveTargets,
             try:
                 shot = integrate_state(spec, params, -math.exp(x), -math.exp(y),
                                        scan_grid, fast=True)
-            except Exception:
+            except GravlasovError:
                 continue
             if shot.r_support > 0.22 * grid.r_max:  # keep a buffer below r_max/4
                 continue
@@ -699,7 +665,7 @@ def solve_targets(spec: CasimirSpec, params: ModelParams, targets: SolveTargets,
     x, y = best[1], best[2]
     try:
         f_val = residual(x, y, grid)
-    except Exception as exc:
+    except GravlasovError as exc:
         raise TargetsUnreachableError(f"shooting failed at the scan optimum: {exc}")
     for _ in range(max_iter):
         err = float(np.max(np.abs(np.exp(f_val) - 1.0)))
@@ -711,14 +677,14 @@ def solve_targets(spec: CasimirSpec, params: ModelParams, targets: SolveTargets,
             jac[:, 0] = (residual(x + eps, y, grid) - f_val) / eps
             jac[:, 1] = (residual(x, y + eps, grid) - f_val) / eps
             step = np.linalg.solve(jac, -f_val)
-        except Exception as exc:
+        except (GravlasovError, np.linalg.LinAlgError) as exc:
             raise TargetsUnreachableError(f"Jacobian evaluation failed: {exc}")
         norm0 = float(np.linalg.norm(f_val))
         alpha, accepted = 1.0, None
         for _ in range(10):
             try:
                 f_try = residual(x + alpha * step[0], y + alpha * step[1], grid)
-            except Exception:
+            except GravlasovError:
                 f_try = None
             if f_try is not None and float(np.linalg.norm(f_try)) < norm0:
                 accepted = (alpha, f_try)
@@ -829,7 +795,6 @@ def _c_token(params: ModelParams):
 
 def state_to_dir(state: GroundState, outdir) -> None:
     """Write state.json plus CSV profiles (phi, rho, f) under outdir."""
-    os.makedirs(os.path.join(outdir, "profiles"), exist_ok=True)
     write_radial_field(os.path.join(outdir, "profiles", "phi.csv"), state.phi)
     write_radial_field(os.path.join(outdir, "profiles", "rho.csv"), state.rho)
     write_phase_density(os.path.join(outdir, "profiles", "f.csv"), state.f)

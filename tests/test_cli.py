@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 
 import pytest
 
@@ -155,21 +156,45 @@ def test_dispatch_summary_embeds_config(tmp_path):
     assert doc["config"]["command"] == "bootstrap"
     assert doc["config"]["bootstrap.q0"] == 1.3
     assert doc["config"]["model.c"] == "inf"
-    assert doc["workers"] == 1
-
-
-def test_worker_cap_env(tmp_path, monkeypatch):
-    out = str(tmp_path / "wcap")
-    monkeypatch.setenv("VG_THREADS", "4")
-    assert run(["bootstrap", "--p", "2", "--out", out]) == 0
-    assert read_summary(out)["workers"] == 1  # cap, not a mandate
-    monkeypatch.setenv("VG_THREADS", "zero")
-    assert run(["bootstrap", "--p", "2", "--out", out]) == 2
-    monkeypatch.setenv("VG_THREADS", "0")
-    assert run(["bootstrap", "--p", "2", "--out", out]) == 2
 
 
 def test_negative_targets_rejected(tmp_path):
     code = run(["solve", "--c", "1", "--p", "2", "--m1", "-1", "--mj", "1",
                 "--n", "257", "--out", str(tmp_path / "neg")])
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--psi0", "0.5", "--mu", "-1"],
+    ["scan", "--param", "psi0", "--from", "-1", "--to", "0.5", "--steps", "4",
+     "--mu", "-1"],
+])
+def test_out_of_range_psi0_is_config_error(tmp_path, capsys, args):
+    assert run(args + ["--n", "257", "--out", str(tmp_path / "o")]) == 2
+    assert "psi0" in capsys.readouterr().err
+
+
+def _output_bytes(outdir):
+    files = {}
+    for root, _, names in os.walk(outdir):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, outdir)] = fh.read()
+    return files
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--psi0", "-1", "--mu", "-1", "--n", "257"],
+    ["evolve", "--psi0", "-1", "--mu", "-1", "--n", "257",
+     "--n-particles", "2000", "--t-end", "0.2", "--dt", "0.02",
+     "--snapshot", "1"],
+])
+def test_outputs_repeat_byte_for_byte(tmp_path, args):
+    out = str(tmp_path / "rep")
+    assert run(args + ["--out", out]) == 0
+    first = _output_bytes(out)
+    shutil.rmtree(out)
+    assert run(args + ["--out", out]) == 0
+    assert _output_bytes(out) == first
+    assert "summary.json" in first and len(first) > 1

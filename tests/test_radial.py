@@ -34,6 +34,13 @@ def test_grid_invariants():
     assert np.all(np.diff(g.nodes) > 0)
     with pytest.raises(ValueError):
         RadialGrid(r_max=-1.0, n=5)
+    with pytest.raises(ValueError, match="uniform"):
+        RadialGrid(r_max=2.0, n=5, nodes=2.0 * np.linspace(0.0, 1.0, 5) ** 2)
+    # nodes printed with 17 significant digits read back as a uniform grid
+    fine = RadialGrid(r_max=20.0, n=4096)
+    printed = np.array([float(f"{x:.17g}") for x in fine.nodes])
+    assert np.array_equal(RadialGrid(r_max=20.0, n=4096, nodes=printed).nodes,
+                          fine.nodes)
 
 
 def test_phase_density_validation(grids):

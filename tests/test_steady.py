@@ -196,6 +196,16 @@ def test_solve_targets_unreachable(spec_p2):
         solve_targets(spec_p2, CL, SolveTargets(1.0, 0.2, 1e-6), tiny)
 
 
+def test_solve_targets_propagates_defects(spec_p2, grid_20, monkeypatch):
+    # only library failures count as unreachable shots; a defect surfaces
+    def broken(*args, **kwargs):
+        raise TypeError("defect")
+
+    monkeypatch.setattr("gravlasov.steady.integrate_state", broken)
+    with pytest.raises(TypeError):
+        solve_targets(spec_p2, REL, SolveTargets(12.5, 1.9, 1e-6), grid_20)
+
+
 def test_state_serialization_roundtrip(tmp_path, state_p2_rel):
     st = state_p2_rel
     outdir = tmp_path / "state"
