@@ -418,7 +418,8 @@ def f_roots(params: ModelParams, a: float, spec: CasimirSpec, mu0: float,
                           s_grid[i], s_grid[i + 1], xtol=1e-14, rtol=1e-12)
             if not math.isclose(root, mu0_abs, rel_tol=1e-8):
                 roots.append(float(root))
-    roots = sorted(set(round(r, 14) for r in roots))
+    # 12 significant digits: what brentq's rtol=1e-12 determines
+    roots = sorted(set(float(f"{r:.12g}") for r in roots))
     # collapse near-duplicates; convexity should leave at most two
     merged = []
     for root in roots:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gravlasov.errors import PreconditionError
+from gravlasov.errors import NumericsError, PreconditionError
 from gravlasov.kernel import ModelParams, kinetic_weight
 from gravlasov.radial import RadialGrid, SpeedGrid, bump_density, functionals
 from gravlasov.dynamics import (ParticleEnsemble, blowup_experiment,
@@ -102,6 +102,47 @@ def test_field_two_shells():
     assert a0 == pytest.approx(1.5 / (4 * math.pi), rel=1e-12)
 
 
+def stable_sort_accelerations(ens):
+    """The shell force written out with a stable sort: tied radii in index order."""
+    r = np.linalg.norm(ens.positions, axis=1)
+    order = np.argsort(r, kind="stable")
+    w = ens.weights[order]
+    m_half = np.cumsum(w) - 0.5 * w
+    soft_r3 = (r[order] ** 2 + ens.eps_soft ** 2) ** 1.5
+    pull = np.where(soft_r3 > 0, m_half / (4.0 * np.pi * soft_r3), 0.0)
+    accel = np.empty((ens.n, 3))
+    accel[order] = -pull[:, None] * ens.positions[order]
+    return accel
+
+
+def test_tied_radii_keep_index_order():
+    rng = np.random.default_rng(11)
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    random = rng.normal(size=(200, 3))
+    positions = np.vstack([axes, random, np.repeat(random[:3], 4, axis=0)])
+    n = len(positions)
+    perm = rng.permutation(n)
+    ens = ParticleEnsemble(positions=positions[perm], velocities=np.zeros((n, 3)),
+                           weights=rng.uniform(0.5, 1.5, n), f_values=np.ones(n),
+                           params=REL, eps_soft=0.05)
+    r = ens.radii()
+    assert len(np.unique(r)) < n - 10    # ties at radius 1 and at 3 random radii
+    expected = stable_sort_accelerations(ens)
+    table = field_from_particles(ens, RadialGrid(r_max=8.0, n=129))
+    assert np.array_equal(table.accelerations, expected)
+    # a step too short to move anything: push's force acts on the tied radii
+    out, accel = push(ens, 1e-300)
+    assert np.array_equal(out.positions, ens.positions)
+    assert np.array_equal(accel, expected)
+
+
+def test_push_force_matches_field_table(state_p2_rel):
+    ens = sample_state(state_p2_rel, 5000, seed=3)
+    out, accel = push(ens, 0.01)
+    grid = RadialGrid(r_max=1.5 * float(np.max(out.radii())), n=129)
+    assert np.array_equal(accel, field_from_particles(out, grid).accelerations)
+
+
 def test_field_no_particles():
     ens = ParticleEnsemble(positions=np.zeros((0, 3)), velocities=np.zeros((0, 3)),
                            weights=np.zeros(0), f_values=np.zeros(0), params=CL)
@@ -179,6 +220,16 @@ def test_push_relativistic_speed_bound(state_p2_rel):
         drift = ens.velocities / np.sqrt(
             1.0 + np.sum(ens.velocities ** 2, axis=1, keepdims=True))
         assert np.max(np.linalg.norm(drift, axis=1)) < 1.0
+
+
+def test_push_speed_bound_is_numerics_error():
+    # at |v| = 1e9 c the drift speed |v| / sqrt(1 + |v|^2/c^2) rounds to c
+    ens = ParticleEnsemble(positions=np.array([[1.0, 0.0, 0.0]]),
+                           velocities=np.array([[0.0, 1e9, 0.0]]),
+                           weights=np.array([1.0]), f_values=np.array([1.0]),
+                           params=REL)
+    with pytest.raises(NumericsError, match=r"dt=0\.01.*max\|v\|=1\.000e\+09"):
+        push(ens, 0.01, external=lambda pos: np.zeros_like(pos))
 
 
 def test_push_rejects_zero_dt(state_p2_rel):

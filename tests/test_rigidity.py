@@ -233,6 +233,21 @@ def test_f_roots_classical_limit_single(spec_p2):
     assert roots == [pytest.approx(0.5, rel=1e-10)]
 
 
+def test_f_roots_ignore_ulp_changes_in_f(spec_p2, monkeypatch):
+    from gravlasov import rigidity
+    from gravlasov.kernel import make_polytrope
+    spec_p3 = make_polytrope(3.0)
+    cases = [(REL, 1.0, spec_p2), (ModelParams(c=3.0), 2.0, spec_p3),
+             (ModelParams(c=3.0), 0.5, spec_p3)]
+    before = [f_roots(params, a, spec, -0.5) for params, a, spec in cases]
+    exact = rigidity.f_function
+    monkeypatch.setattr(rigidity, "f_function",
+                        lambda *args: exact(*args) * (1.0 + 4e-16))
+    after = [f_roots(params, a, spec, -0.5) for params, a, spec in cases]
+    assert after == before
+    assert all(len(roots) == 2 for roots in before)
+
+
 # --- equimeasurability ---------------------------------------------------------------
 
 def test_equimeasure_self(bump):
