@@ -90,6 +90,25 @@ _DEFAULTS = {
 }
 
 
+# value ranges checked before any command runs: key -> (test, requirement)
+_VALUE_CHECKS = {
+    "casimir.p": (lambda v: v > 1.5, "must exceed 3/2"),
+    "bootstrap.p": (lambda v: v > 1.5, "must exceed 3/2"),
+    "bootstrap.q0": (lambda v: 1.0 < v < 1.5, "must lie in (1, 3/2)"),
+    "grid.m": (lambda v: v >= 2, "must be at least 2"),
+    "grid.u_max": (lambda v: v > 0, "must be positive"),
+    "kj.budget": (lambda v: v >= 1, "must be at least 1"),
+    "kj.family": (lambda v: v in ("default", "gaussian", "box", "ground"),
+                  "must be one of default, gaussian, box, ground"),
+    "froots.a": (lambda v: v > 0, "must be positive"),
+    "froots.mu0": (lambda v: v != 0, "must be nonzero"),
+    "equimeasure.lam": (lambda v: v > 0, "must be positive"),
+    "dynamics.mode": (lambda v: v in ("amplitude", "dilation", "kick"),
+                      "must be one of amplitude, dilation, kick"),
+    "scan.steps": (lambda v: v >= 1, "must be at least 1"),
+}
+
+
 def _parse_value(key: str, raw: str):
     kind = _KEY_TYPES[key]
     try:
@@ -112,6 +131,9 @@ class RunConfig:
     def __init__(self, command: str, values: dict):
         self.command = command
         self.values = values
+        for key, (test, requirement) in _VALUE_CHECKS.items():
+            if key in values and not test(values[key]):
+                raise ConfigError(f"{key} {requirement}, got {values[key]!r}")
 
     def __getitem__(self, key):
         return self.values[key]
@@ -136,10 +158,7 @@ class RunConfig:
         if kind != "polytrope":
             raise ConfigError(f"unsupported casimir.kind {kind!r} "
                               "(only 'polytrope' is built in)")
-        p = self.values["casimir.p"]
-        if not p > 1.5:
-            raise ConfigError(f"casimir.p must exceed 3/2, got {p}")
-        return make_polytrope(p)
+        return make_polytrope(self.values["casimir.p"])
 
     def grid(self) -> RadialGrid:
         r_max, n = self.values["grid.r_max"], self.values["grid.n"]

@@ -39,8 +39,8 @@ from .radial import (
     functionals,
     _phase_integral,
 )
-from .steady import (GroundState, SolveTargets, _velocity_moment,
-                     integrate_state, solve_targets)
+from .steady import (GroundState, SolveTargets, _monomial_exponents,
+                     _velocity_moment, integrate_state, solve_targets)
 
 __all__ = [
     "ScalingReport",
@@ -91,15 +91,15 @@ def interpolation_quotient(f: PhaseDensity, spec: CasimirSpec,
         raise ValueError("quotient undefined for the zero density")
     u = f.grid_u.nodes
     p = spec.p
+    e1, ej = _monomial_exponents(p)
     grad_sq = 2.0 * rep.epot
     if form == "momentum":
         mom = _phase_integral(f, f.values * u[None, :])
-        return (mom * rep.m1 ** ((2 * p - 3) / (3 * (p - 1)))
-                * rep.mj ** (1 / (3 * (p - 1)))) / grad_sq
+        return (mom * rep.m1 ** e1 * rep.mj ** ej) / grad_sq
     if form == "energy":
         mom2 = _phase_integral(f, f.values * (u * u)[None, :])
         return (math.sqrt(mom2) * rep.m1 ** ((7 * p - 9) / (6 * (p - 1)))
-                * rep.mj ** (1 / (3 * (p - 1)))) / grad_sq
+                * rep.mj ** ej) / grad_sq
     raise ValueError(f"unknown quotient form {form!r}")
 
 
@@ -222,8 +222,8 @@ def threshold_check(m1: float, mj: float, spec: CasimirSpec,
                     params: ModelParams, kj: Optional[KjEstimate] = None) -> ThresholdVerdict:
     """Compare the mass monomial S = m1^((2p-3)/(3(p-1))) mj^(1/(3(p-1)))
     with 2c times the estimated interpolation constant."""
-    p = spec.p
-    s_val = m1 ** ((2 * p - 3) / (3 * (p - 1))) * mj ** (1 / (3 * (p - 1)))
+    e1, ej = _monomial_exponents(spec.p)
+    s_val = m1 ** e1 * mj ** ej
     if params.is_classical:
         return ThresholdVerdict(s_value=s_val, bound=math.inf,
                                 subcritical_wrt_estimate=True,

@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -84,6 +83,8 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_FIXED_POINT_MAX_ITER = 60
+_NEWTON_MAX_ITER = 40
 
 
 # --- velocity-space moments -------------------------------------------------
@@ -266,7 +267,7 @@ class GroundState:
 
 @dataclass(frozen=True)
 class SolveTargets:
-    """Mass targets (m1, mj) for the two-parameter root find."""
+    """Masses (m1, mj) and relative tol for solve_targets (scaling start, Newton polish)."""
 
     m1_target: float
     mj_target: float
@@ -315,8 +316,9 @@ def _finalize_state(spec, params, lam, mu, grid: RadialGrid, psi: np.ndarray,
     beta = _edge_exponent(spec)
     totals = {name: _radial_total(r, prof[kd], k, r_supp, beta)
               for kd, name in _TOTALS.items()}
-
     phi = psi + lam
+    phi_q = _radial_total(r, phi * rho, k, r_supp, beta)
+
     w_r = float(w[-1])  # exterior enclosed mass is constant
     # field energy: 2 pi ( int_0^R (w/r)^2 / ... dr + exact vacuum tail w_R^2/R )
     integ = np.zeros(k + 1)
@@ -326,23 +328,17 @@ def _finalize_state(spec, params, lam, mu, grid: RadialGrid, psi: np.ndarray,
     epot = float(2.0 * np.pi * (core + sliver + w_r ** 2 / r_supp))
     hc = totals["ekin"] - epot
 
-    phi_rho = r * r * phi * rho
-    phi_q = float(4.0 * np.pi * (simpson(phi_rho[: k + 1], x=r[: k + 1])
-                                 + r[k] ** 2 * phi[k] * rho[k]
-                                 * (r_supp - r[k]) / (beta + 1.0)))
-
     psi0 = float(psi[0])
     u_bound = float(kinetic_weight_inverse(params, -psi0))
     grid_u = SpeedGrid(u_max=1.2 * u_bound, m=m_speed)
 
     psi_spline = CubicSpline(r, psi)
-    b_ext = w_r
 
     def profile(rr, uu):
         rr = np.asarray(rr, dtype=float)
         uu = np.asarray(uu, dtype=float)
         psi_r = np.where(rr < r_supp, psi_spline(np.minimum(rr, r_supp)),
-                         -lam - b_ext / np.maximum(rr, r_supp))
+                         -lam - w_r / np.maximum(rr, r_supp))
         arg = (-psi_r - kinetic_weight(params, uu)) / mu_abs
         return np.asarray(spec.g_inv(np.maximum(arg, 0.0)), dtype=float)
 
@@ -489,14 +485,10 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
             "enlarge the grid")
 
     if fast:
-        r = grid.nodes
-        k = int(np.searchsorted(r, r_supp) - 1)
+        k = int(np.searchsorted(grid.nodes, r_supp) - 1)
         a_depth = np.maximum(-psi[: k + 1], 0.0) / abs(mu)
-        rho = table(a_depth, "rho")
-        cas = table(a_depth, "cas")
-        beta = _edge_exponent(spec)
-        m1 = _radial_total(r, rho, k, r_supp, beta)
-        mj = _radial_total(r, cas, k, r_supp, beta)
+        m1, mj = (_radial_total(grid.nodes, table(a_depth, kind), k, r_supp,
+                                _edge_exponent(spec)) for kind in ("rho", "cas"))
         return _FastMasses(m1=m1, mj=mj, lam=lam, r_support=r_supp)
 
     return _finalize_state(spec, params, lam, mu, grid, psi, w, r_supp, m_speed)
@@ -505,8 +497,8 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
 # --- fixed-point solver (independent oracle) ----------------------------------
 
 def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
-                      mu: float, grid: RadialGrid, max_iter: int = 60,
-                      tol: float = 1e-10, m_speed: int = 257) -> GroundState:
+                      mu: float, grid: RadialGrid, tol: float = 1e-10,
+                      m_speed: int = 257) -> GroundState:
     """Solve the self-consistency equation phi = poisson(rho(phi)) at fixed
     (lambda, mu), independently of the shooting integration.
 
@@ -544,7 +536,7 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
     def newton(phi):
         resid_vec, a_depth = picard_residual(phi)
         resid = float(np.max(np.abs(resid_vec)))
-        for _ in range(max_iter):
+        for _ in range(_FIXED_POINT_MAX_ITER):
             if resid < tol:
                 return phi
             drho_dphi = -table.derivative(a_depth, "rho") / mu_abs  # <= 0
@@ -577,7 +569,7 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
             phi, resid_vec, a_depth = accepted
             resid = float(np.max(np.abs(resid_vec)))
         raise FixedPointDivergenceError(
-            f"no convergence after {max_iter} iterations (residual {resid:.3e})")
+            f"no convergence after {_FIXED_POINT_MAX_ITER} iterations (residual {resid:.3e})")
 
     # seed ladder: Gaussian wells of varying depth and width; the shallow ones
     # fall into the trivial root's basin, so start from the moderate-depth seeds
@@ -615,94 +607,105 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
 
 # --- target solver -------------------------------------------------------------
 
+def _monomial_exponents(p: float) -> tuple:
+    """Exponents (e1, ej) of the threshold monomial S = m1^e1 mj^ej."""
+    return (2 * p - 3) / (3 * (p - 1)), 1 / (3 * (p - 1))
+
+
 def solve_targets(spec: CasimirSpec, params: ModelParams, targets: SolveTargets,
-                  grid: RadialGrid, m_speed: int = 257, kj_estimate=None,
-                  max_iter: int = 40) -> GroundState:
+                  grid: RadialGrid, m_speed: int = 257) -> GroundState:
     """Find (psi0, mu) so the state carries the requested (m1, mj) masses.
 
-    Damped Newton on log-parameters with a finite-difference Jacobian,
-    initialised by a coarse logarithmic scan. If a threshold estimate is
-    supplied and the targets sit above it, a warning is issued (the estimate
-    is an upper bound, so no hard error is justified).
+    Start: for a pure-power weight mu only rescales r. At fixed psi0, m1 and
+    the support radius R grow like |mu|^(1/(2(p-1))) while the threshold
+    monomial S stays fixed, so log S depends on x = log|psi0| alone. Stepping
+    x up from -3.5 brackets its first root (the shallow branch, where S turns
+    over at finite c), brentq refines it, and y = log|mu| follows from the m1
+    law. These shots use a grid of at most 513 nodes and y = y0 + (p+1)/2 x,
+    along which the classical psi0 scaling keeps R fixed; the first shot sets
+    y0 so that R = r_max/8, and a support too large or too small is retried
+    with R halved or doubled.
+
+    Polish: a damped Newton on (x, y) with a finite-difference Jacobian on
+    the requested grid removes the start's discretisation error; for weights
+    that are not a pure power (p1 < p2) the law is approximate and Newton
+    does the rest.
     """
-    if kj_estimate is not None and not params.is_classical:
-        p = spec.p
-        s_val = (targets.m1_target ** ((2 * p - 3) / (3 * (p - 1)))
-                 * targets.mj_target ** (1 / (3 * (p - 1))))
-        if s_val >= 2.0 * params.c * kj_estimate.best_quotient:
-            warnings.warn("targets exceed 2c x estimated interpolation constant; "
-                          "the constrained infimum may be -infinity", stacklevel=2)
-
+    e1, ej = _monomial_exponents(spec.p)
+    rate, slope = 0.5 / (spec.p - 1.0), 0.5 * (spec.p + 1.0)  # dlog R/dy, dy/dx
     scan_grid = RadialGrid(r_max=grid.r_max, n=min(grid.n, 513))
-    log_m1t = math.log(targets.m1_target)
-    log_mjt = math.log(targets.mj_target)
+    log_s_target = e1 * math.log(targets.m1_target) + ej * math.log(targets.mj_target)
+    shots = {}  # memoized, so that log S is a pure function of x
+    y0 = 0.0
 
-    def residual(x, y, use_grid):
-        shot = integrate_state(spec, params, -math.exp(x), -math.exp(y),
-                               use_grid, fast=True)
-        return np.array([math.log(shot.m1) - log_m1t,
-                         math.log(shot.mj) - log_mjt])
+    def log_s(x):
+        if x not in shots:
+            y = y0 + slope * x
+            for _ in range(6):
+                try:
+                    shots[x] = y, integrate_state(spec, params, -math.exp(x),
+                                                  -math.exp(y), scan_grid, fast=True)
+                    break
+                except SupportExceedsGridError:
+                    y -= math.log(2.0) / rate
+                except ResolutionError:
+                    y += math.log(2.0) / rate
+            else:
+                raise TargetsUnreachableError(
+                    f"no shot at psi0 = {-math.exp(x):.6g} fits the grid")
+        shot = shots[x][1]
+        return e1 * math.log(shot.m1) + ej * math.log(shot.mj) - log_s_target
 
-    best = None
-    for x in np.linspace(-3.5, 3.5, 11):
-        for y in np.linspace(-3.5, 3.5, 11):
-            try:
-                shot = integrate_state(spec, params, -math.exp(x), -math.exp(y),
-                                       scan_grid, fast=True)
-            except GravlasovError:
-                continue
-            if shot.r_support > 0.22 * grid.r_max:  # keep a buffer below r_max/4
-                continue
-            f_val = np.array([math.log(shot.m1) - log_m1t,
-                              math.log(shot.mj) - log_mjt])
-            score = float(np.max(np.abs(f_val)))
-            if best is None or score < best[0]:
-                best = (score, x, y)
-    if best is None:
-        raise TargetsUnreachableError(
-            "no shooting parameters in the scan window produce a valid state")
-
-    x, y = best[1], best[2]
-    try:
-        f_val = residual(x, y, grid)
-    except GravlasovError as exc:
-        raise TargetsUnreachableError(f"shooting failed at the scan optimum: {exc}")
-    for _ in range(max_iter):
-        err = float(np.max(np.abs(np.exp(f_val) - 1.0)))
-        if err < targets.tol:
+    xs = np.linspace(-3.5, 3.5, 11)
+    log_s(xs[0])
+    y, shot = shots[xs[0]]
+    y0 = y - slope * xs[0] + math.log(grid.r_max / 8.0 / shot.r_support) / rate
+    for x_lo, x_hi in zip(xs, xs[1:]):
+        if log_s(x_lo) * log_s(x_hi) <= 0.0:
             break
-        eps = 1e-6
-        jac = np.empty((2, 2))
+    else:
+        raise TargetsUnreachableError("the targets' threshold monomial is not "
+                                      "reached for log|psi0| in [-3.5, 3.5]")
+    x = brentq(log_s, x_lo, x_hi, xtol=1e-6)  # Newton polishes the rest
+    y, shot = shots[x]  # brentq returns a point it evaluated
+    z = np.array([x, y + (math.log(targets.m1_target) - math.log(shot.m1)) / rate])
+
+    log_targets = np.log([targets.m1_target, targets.mj_target])
+
+    def residual(z):
+        shot = integrate_state(spec, params, -math.exp(z[0]), -math.exp(z[1]),
+                               grid, fast=True)
+        return np.log([shot.m1, shot.mj]) - log_targets
+
+    try:
+        f_val = residual(z)
+    except GravlasovError as exc:
+        raise TargetsUnreachableError(f"shooting failed at the scaling start: {exc}")
+    for _ in range(_NEWTON_MAX_ITER):
+        if float(np.max(np.abs(np.exp(f_val) - 1.0))) < targets.tol:
+            break
         try:
-            jac[:, 0] = (residual(x + eps, y, grid) - f_val) / eps
-            jac[:, 1] = (residual(x, y + eps, grid) - f_val) / eps
+            jac = np.column_stack([(residual(z + dz) - f_val) / 1e-6
+                                   for dz in np.eye(2) * 1e-6])
             step = np.linalg.solve(jac, -f_val)
         except (GravlasovError, np.linalg.LinAlgError) as exc:
             raise TargetsUnreachableError(f"Jacobian evaluation failed: {exc}")
-        norm0 = float(np.linalg.norm(f_val))
-        alpha, accepted = 1.0, None
-        for _ in range(10):
+        for alpha in 0.5 ** np.arange(10):
             try:
-                f_try = residual(x + alpha * step[0], y + alpha * step[1], grid)
+                f_try = residual(z + alpha * step)
             except GravlasovError:
-                f_try = None
-            if f_try is not None and float(np.linalg.norm(f_try)) < norm0:
-                accepted = (alpha, f_try)
+                continue
+            if np.linalg.norm(f_try) < np.linalg.norm(f_val):
                 break
-            alpha *= 0.5
-        if accepted is None:
+        else:
             raise TargetsUnreachableError(
                 "target solve stalled (no descent step fits the grid)")
-        x += accepted[0] * step[0]
-        y += accepted[0] * step[1]
-        f_val = accepted[1]
+        z, f_val = z + alpha * step, f_try
     else:
         raise TargetsUnreachableError(
-            f"target solve did not converge within {max_iter} iterations")
-
-    state = integrate_state(spec, params, -math.exp(x), -math.exp(y), grid,
-                            m_speed=m_speed)
-    return state
+            f"target solve did not converge within {_NEWTON_MAX_ITER} iterations")
+    return integrate_state(spec, params, -math.exp(z[0]), -math.exp(z[1]), grid,
+                           m_speed=m_speed)
 
 
 # --- identity verifiers --------------------------------------------------------
@@ -789,10 +792,6 @@ def support_check(state: GroundState) -> SupportReport:
 
 # --- serialization ---------------------------------------------------------------
 
-def _c_token(params: ModelParams):
-    return "inf" if params.is_classical else params.c
-
-
 def state_to_dir(state: GroundState, outdir) -> None:
     """Write state.json plus CSV profiles (phi, rho, f) under outdir."""
     write_radial_field(os.path.join(outdir, "profiles", "phi.csv"), state.phi)
@@ -800,7 +799,7 @@ def state_to_dir(state: GroundState, outdir) -> None:
     write_phase_density(os.path.join(outdir, "profiles", "f.csv"), state.f)
     report = multiplier_identities(state) if not state.trivial else None
     doc = {
-        "c": _c_token(state.params),
+        "c": "inf" if state.params.is_classical else state.params.c,
         "casimir": state.spec.name,
         "p": state.spec.p,
         "lambda": state.lam,

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from gravlasov.kernel import ModelParams, make_polytrope
+from gravlasov.kernel import CasimirSpec, ModelParams, make_polytrope
 from gravlasov.radial import RadialGrid
 from gravlasov.steady import integrate_state
 
@@ -10,6 +11,16 @@ from gravlasov.steady import integrate_state
 @pytest.fixture(scope="session")
 def spec_p2():
     return make_polytrope(2.0)
+
+
+@pytest.fixture(scope="session")
+def spec_cubic():
+    # j = t^3 + t^2: ratio (3t+2)/(t+1) runs over (2, 3), so not a pure power;
+    # g_inv written in the rationalized form to stay accurate near zero
+    return CasimirSpec(j=lambda t: np.asarray(t) ** 3 + np.asarray(t) ** 2,
+                       j_prime=lambda t: 3.0 * np.asarray(t) ** 2 + 2.0 * np.asarray(t),
+                       g_inv=lambda s: np.asarray(s) / (1.0 + np.sqrt(1.0 + 3.0 * np.asarray(s))),
+                       p=2.0, p1=2.0, p2=3.0)
 
 
 @pytest.fixture(scope="session")

@@ -198,3 +198,21 @@ def test_outputs_repeat_byte_for_byte(tmp_path, args):
     assert run(args + ["--out", out]) == 0
     assert _output_bytes(out) == first
     assert "summary.json" in first and len(first) > 1
+
+
+@pytest.mark.parametrize("args, key", [
+    (["solve", "--m", "1"], "grid.m"),
+    (["kj", "--budget", "0"], "kj.budget"),
+    (["kj", "--family", "gauss"], "kj.family"),
+    (["froots", "--c", "1", "--a", "-1", "--mu0", "-0.5"], "froots.a"),
+    (["bootstrap", "--p", "1.2"], "casimir.p"),
+    (["bootstrap", "--q0", "2"], "bootstrap.q0"),
+    (["stability", "--psi0", "-1", "--mu", "-1", "--mode", "foo"], "dynamics.mode"),
+    (["equimeasure", "--psi0", "-1", "--mu", "-1", "--lam", "-1"], "equimeasure.lam"),
+])
+def test_invalid_value_is_config_error(tmp_path, capsys, args, key):
+    # rejected before any work: no solve runs and no traceback escapes
+    out = tmp_path / "o"
+    assert run(args + ["--n", "257", "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()

@@ -97,14 +97,8 @@ def test_check_casimir_polytrope_passes():
     assert report.ratio_max == pytest.approx(2.0, abs=1e-12)
 
 
-def test_check_casimir_cubic_plus_quadratic():
-    # j = t^3 + t^2: ratio (3t+2)/(t+1) runs over (2, 3); g_inv written in the
-    # rationalized form to stay accurate near zero
-    spec = CasimirSpec(j=lambda t: np.asarray(t) ** 3 + np.asarray(t) ** 2,
-                       j_prime=lambda t: 3.0 * np.asarray(t) ** 2 + 2.0 * np.asarray(t),
-                       g_inv=lambda s: np.asarray(s) / (1.0 + np.sqrt(1.0 + 3.0 * np.asarray(s))),
-                       p=2.0, p1=2.0, p2=3.0)
-    report = check_casimir(spec, samples=150)
+def test_check_casimir_cubic_plus_quadratic(spec_cubic):
+    report = check_casimir(spec_cubic, samples=150)
     assert report.passed
     assert 2.0 <= report.ratio_min <= report.ratio_max <= 3.0
 

@@ -1,12 +1,15 @@
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 from numpy.testing import assert_allclose
 
+from gravlasov import steady
 from gravlasov.errors import SupportExceedsGridError, TargetsUnreachableError
-from gravlasov.kernel import ModelParams, kinetic_weight
+from gravlasov.kernel import ModelParams, kinetic_weight, make_polytrope
 from gravlasov.radial import RadialGrid
 from gravlasov.steady import (SolveTargets, density_from_potential,
                               fixed_point_solve, integrate_state,
@@ -129,6 +132,33 @@ def test_monotone_mass_in_depth(spec_p2, grid_20):
     assert np.all(np.diff(m1s) > 0)
 
 
+GRID_LAW = RadialGrid(r_max=40.0, n=4097)
+
+
+@lru_cache(maxsize=None)
+def _mu_invariants(p, c, mu):
+    """Quantities the exact mu scaling leaves fixed, for a shot at psi0 = -1.
+
+    With K = |mu|^(-1/(p-1)): m1 ~ K^(-1/2), mj ~ |mu|^(-p/(p-1)) K^(-3/2),
+    R ~ K^(-1/2), and lambda does not change.
+    """
+    shot = integrate_state(make_polytrope(p), ModelParams(c=c), -1.0, mu,
+                           GRID_LAW, fast=True)
+    k = abs(mu) ** (-1.0 / (p - 1.0))
+    return np.array([shot.lam, shot.m1 * k ** 0.5,
+                     shot.mj * abs(mu) ** (p / (p - 1.0)) * k ** 1.5,
+                     shot.r_support * k ** 0.5])
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=strategies.sampled_from([2.0, 3.0]),
+       c=strategies.sampled_from([1.0, math.inf]),
+       mu=strategies.floats(min_value=-2.0, max_value=-0.5))
+def test_mu_scaling_law(p, c, mu):
+    assert_allclose(_mu_invariants(p, c, mu), _mu_invariants(p, c, -1.0),
+                    rtol=1e-6)
+
+
 def test_virial_and_multipliers(state_p2_cl, state_p2_rel):
     for st in (state_p2_cl, state_p2_rel):
         assert abs(virial_residual(st)) < 5e-6
@@ -178,7 +208,15 @@ def test_fixed_point_rejects_bad_multipliers(spec_p2, grid_20):
         fixed_point_solve(spec_p2, CL, 0.1, -1.0, grid_20)
 
 
-def test_solve_targets_postconditions(spec_p2, grid_20):
+def test_solve_targets_postconditions(spec_p2, grid_20, monkeypatch):
+    shots = []
+    shoot = steady.integrate_state
+
+    def counted(*args, **kwargs):
+        shots.append(args[2:4])
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr("gravlasov.steady.integrate_state", counted)
     targets = SolveTargets(m1_target=12.5, mj_target=1.9, tol=1e-8)
     st = solve_targets(spec_p2, REL, targets, grid_20)
     assert abs(st.m1 - 12.5) / 12.5 < 1e-7
@@ -187,6 +225,24 @@ def test_solve_targets_postconditions(spec_p2, grid_20):
     assert st.lam < 0 and st.mu < 0
     # energy identity consistency
     assert st.hc == pytest.approx(-st.ineg, rel=1e-5)
+    # the shallow c=1 branch, as found by the former 11 x 11 scan plus Newton
+    assert st.psi0 == pytest.approx(-0.8140462439272623, rel=1e-6)
+    assert st.mu == pytest.approx(-0.8291610681544004, rel=1e-6)
+    # the scaling start replaces the scan's 121 shots
+    assert len(shots) <= 45
+
+
+@pytest.mark.parametrize("c", [1.0, math.inf])
+def test_solve_targets_custom_weight(spec_cubic, c):
+    # j = t^3 + t^2 is not a pure power: the mu law only starts the solve
+    params = ModelParams(c=c)
+    grid = RadialGrid(r_max=20.0, n=513)
+    shot = integrate_state(spec_cubic, params, -0.8, -0.8, grid, fast=True)
+    st = solve_targets(spec_cubic, params, SolveTargets(shot.m1, shot.mj, 1e-7), grid)
+    assert abs(st.m1 / shot.m1 - 1.0) < 1e-7
+    assert abs(st.mj / shot.mj - 1.0) < 1e-7
+    assert st.psi0 == pytest.approx(-0.8, rel=1e-5)
+    assert st.mu == pytest.approx(-0.8, rel=1e-5)
 
 
 def test_solve_targets_unreachable(spec_p2):
