@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -518,6 +519,12 @@ _FLAG_TO_KEY = {
 }
 
 
+# argparse takes only "-1" and "-.5" shapes for negative numbers and reads any
+# other token that starts with "-" as an option; this shape also admits
+# exponents ("-5e-1", "-1E0"), so every numeric flag takes them as values
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gravlasov",
@@ -526,6 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
         cp = sub.add_parser(command)
+        cp._negative_number_matcher = _NEGATIVE_NUMBER
         cp.add_argument("--config", default=None, help="key=value config file")
         for flag in _FLAG_TO_KEY:
             cp.add_argument(f"--{flag.replace('_', '-')}", dest=flag,

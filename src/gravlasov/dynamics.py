@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NumericsError, PreconditionError
 from .kernel import CasimirSpec, ModelParams, kinetic_weight
 from .radial import (PhaseDensity, RadialField, RadialGrid, _phase_integral,
-                     functionals, read_csv, write_csv)
+                     functionals, read_csv, write_float_table)
 from .steady import GroundState
 
 __all__ = [
@@ -314,8 +314,7 @@ def ensemble_to_csv(path, ens: ParticleEnsemble) -> None:
     """Snapshot the ensemble as plain CSV: x,y,z,vx,vy,vz,w,f per particle."""
     table = np.column_stack((ens.positions, ens.velocities, ens.weights,
                              ens.f_values))
-    # row-wise tolist: Python floats format faster than NumPy scalars
-    write_csv(path, _ENSEMBLE_HEADER, (row.tolist() for row in table))
+    write_float_table(path, _ENSEMBLE_HEADER, table)
 
 
 def ensemble_from_csv(path, params: ModelParams,

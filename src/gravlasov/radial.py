@@ -9,6 +9,7 @@ phi = -(1/(4 pi |x|)) * rho in convolution form.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ __all__ = [
     "ej_distance",
     "bump_density",
     "write_csv",
+    "write_float_table",
     "read_csv",
     "write_radial_field",
     "read_radial_field",
@@ -300,18 +302,49 @@ def bump_density(grid_r: RadialGrid, grid_u: SpeedGrid, r_scale: float,
 
 # --- CSV serialization (17 significant digits, plot-ready) ---
 
+# The one dialect of every table: csv.writer's default separator and line end,
+# floats with 17 significant digits.
+_SEP, _EOL, _FLOAT = ",", "\r\n", "{:.17g}"
+_CHUNK_ROWS = 256  # rows per write in write_float_table; larger chunks raise peak RSS
+
+
+@contextlib.contextmanager
+def _csv_file(path, header):
+    """Open a new table at path and write its header line.
+
+    Yields the open file and a csv.writer on it; the parent directory is
+    created if needed.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, delimiter=_SEP, lineterminator=_EOL)
+        writer.writerow(header)
+        yield fh, writer
+
+
 def write_csv(path, header, rows) -> None:
     """Write a header and then each row, floats with 17 significant digits.
 
     Rows are consumed one at a time, so a generator streams a large table
     without holding it in memory. The parent directory is created if needed.
     """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
-                         for row in rows)
+    with _csv_file(path, header) as (_, writer):
+        writer.writerows([_FLOAT.format(v) if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
+def write_float_table(path, header, table) -> None:
+    """Write a header and then a 2-D float array, one line per row.
+
+    The bytes are those of write_csv on the rows' floats, but each row goes
+    through one line template instead of one format call per value and
+    csv.writer. Rows are formatted a chunk at a time, so a large table streams.
+    """
+    line = _SEP.join([_FLOAT] * table.shape[1]) + _EOL
+    with _csv_file(path, header) as (fh, _):
+        for start in range(0, len(table), _CHUNK_ROWS):
+            chunk = table[start:start + _CHUNK_ROWS].tolist()
+            fh.write("".join([line.format(*row) for row in chunk]))
 
 
 def read_csv(path, header) -> np.ndarray:
@@ -324,7 +357,8 @@ def read_csv(path, header) -> np.ndarray:
 
 
 def write_radial_field(path, field_: RadialField) -> None:
-    write_csv(path, ["r", "value"], zip(field_.grid.nodes, field_.values))
+    write_float_table(path, ["r", "value"],
+                      np.column_stack((field_.grid.nodes, field_.values)))
 
 
 def read_radial_field(path) -> RadialField:
@@ -334,11 +368,25 @@ def read_radial_field(path) -> RadialField:
 
 
 def write_phase_density(path, f: PhaseDensity) -> None:
-    # row-wise tolist: Python floats format faster, without a full-table copy
-    u_nodes = f.grid_u.nodes.tolist()
-    write_csv(path, ["r", "u", "f"],
-              ((r, u, v) for r, row in zip(f.grid_r.nodes.tolist(), f.values)
-               for u, v in zip(u_nodes, row.tolist())))
+    """Write one r,u,f line per grid node, r slowest, in write_csv's bytes.
+
+    Compact support leaves most entries +0.0, so each node is formatted once
+    and only the other entries are formatted at all: a +0.0 entry reuses its
+    precomputed ",<u>,0" tail. Each r row's lines are joined into one block
+    and written at once, so the table streams a row at a time.
+    """
+    values = np.asarray(f.values, dtype=float)
+    bits = values.view(np.uint64)  # +0.0 is the one all-zero bit pattern
+    u_mids = [_SEP + _FLOAT.format(u) + _SEP for u in f.grid_u.nodes.tolist()]
+    zero_tails = [mid + "0" + _EOL for mid in u_mids]
+    with _csv_file(path, ["r", "u", "f"]) as (fh, _):
+        for r, row, row_bits in zip(f.grid_r.nodes.tolist(), values, bits):
+            tails = zero_tails.copy()
+            nonzero = np.flatnonzero(row_bits)
+            for j, v in zip(nonzero.tolist(), row[nonzero].tolist()):
+                tails[j] = u_mids[j] + _FLOAT.format(v) + _EOL
+            head = _FLOAT.format(r)
+            fh.write(head + head.join(tails))
 
 
 def read_phase_density(path) -> PhaseDensity:

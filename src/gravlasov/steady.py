@@ -664,8 +664,11 @@ def solve_targets(spec: CasimirSpec, params: ModelParams, targets: SolveTargets,
         if log_s(x_lo) * log_s(x_hi) <= 0.0:
             break
     else:
-        raise TargetsUnreachableError("the targets' threshold monomial is not "
-                                      "reached for log|psi0| in [-3.5, 3.5]")
+        s_max = max(shot.m1 ** e1 * shot.mj ** ej for _, shot in shots.values())
+        raise TargetsUnreachableError(
+            f"the targets' threshold monomial S = {math.exp(log_s_target):.6g} "
+            f"is not reached for log|psi0| in [-3.5, 3.5]; the largest S on "
+            f"the scan is {s_max:.6g}")
     x = brentq(log_s, x_lo, x_hi, xtol=1e-6)  # Newton polishes the rest
     y, shot = shots[x]  # brentq returns a point it evaluated
     z = np.array([x, y + (math.log(targets.m1_target) - math.log(shot.m1)) / rate])

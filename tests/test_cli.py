@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from gravlasov.cli import build_parser, main, parse_config
+from gravlasov.cli import _FLAG_TO_KEY, build_parser, main, parse_config
 from gravlasov.errors import ConfigError
 
 
@@ -216,3 +216,16 @@ def test_invalid_value_is_config_error(tmp_path, capsys, args, key):
     assert run(args + ["--n", "257", "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_exponent_negative_values_parse(tmp_path):
+    # argparse alone reads "-5e-1" as an option and exits 2
+    parser = build_parser()
+    for flag in _FLAG_TO_KEY:
+        args = parser.parse_args(["solve", f"--{flag.replace('_', '-')}", "-5e-1"])
+        assert getattr(args, flag) == "-5e-1"
+    out = str(tmp_path / "o")
+    assert run(["solve", "--psi0", "-5e-1", "--mu", "-1e0", "--r-max", "40",
+                "--n", "257", "--out", out]) == 0
+    config = read_summary(out)["config"]
+    assert (config["solve.psi0"], config["solve.mu"]) == (-0.5, -1.0)

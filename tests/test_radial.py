@@ -1,9 +1,13 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from gravlasov.dynamics import ParticleEnsemble, ensemble_to_csv
 from gravlasov.errors import BoundaryConditionError, GridMismatchError
 from gravlasov.kernel import ModelParams, make_polytrope
 from gravlasov.radial import (PhaseDensity, RadialField, RadialGrid, SpeedGrid,
@@ -242,3 +246,81 @@ def test_csv_roundtrip(tmp_path, grids):
     write_phase_density(fpath, small)
     back_f = read_phase_density(fpath)
     assert_allclose(back_f.values, small.values, rtol=0, atol=0)
+
+
+def reference_csv(path, header, rows):
+    """The plain CSV writer the fast writers must match byte for byte:
+    csv.writer with floats formatted one at a time as .17g."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
+def assert_phase_density_bytes(f, directory):
+    fast, ref = directory / "f.csv", directory / "ref.csv"
+    write_phase_density(fast, f)
+    u_nodes = f.grid_u.nodes.tolist()
+    reference_csv(ref, ["r", "u", "f"],
+                  ((r, u, v) for r, row in zip(f.grid_r.nodes.tolist(), f.values)
+                   for u, v in zip(u_nodes, row.tolist())))
+    assert fast.read_bytes() == ref.read_bytes()
+
+
+def test_phase_density_bytes_match_reference(tmp_path):
+    # nodes that need 17 digits (0.7/8 prints 0.087499999999999994)
+    grid_r, grid_u = RadialGrid(r_max=0.7, n=9), SpeedGrid(u_max=1.3, m=7)
+    vals = np.zeros((9, 7))          # rows 0, 4 and 7 stay all zero
+    vals[1] = [1.0, 0.0, 0.1, 0.0, 1.0 / 3.0, 2.0 ** -0.5, 0.0]
+    vals[2, :3] = [5e-324, 2.2250738585072009e-308, 1e300]   # subnormals
+    vals[3, 2:5] = [-0.0, 123456789.12345679, -0.0]
+    vals[5, 0] = 0.30000000000000004
+    vals[6, 3] = math.pi
+    vals[8, 1] = -0.0                # admitted on the vanishing edge too
+    f = PhaseDensity(grid_r=grid_r, grid_u=grid_u, values=vals)
+    assert_phase_density_bytes(f, tmp_path)
+    text = (tmp_path / "f.csv").read_bytes().decode()
+    assert ",-0\r\n" in text and ",1\r\n" in text and ",4.9406564584124654e-324" in text
+
+
+_entries = strategies.one_of(
+    strategies.just(0.0), strategies.just(-0.0), strategies.just(1.0),
+    strategies.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
+    strategies.floats(min_value=0.0, max_value=1e-300, allow_subnormal=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=strategies.tuples(strategies.integers(2, 9), strategies.integers(2, 9)),
+       r_max=strategies.floats(1e-3, 1e3), u_max=strategies.floats(1e-3, 1e3),
+       data=strategies.data())
+def test_phase_density_bytes_match_reference_random(tmp_path_factory, shape, r_max,
+                                                    u_max, data):
+    vals = data.draw(arrays(np.float64, shape, elements=_entries))
+    vals[-1, :] = 0.0
+    vals[:, -1] = 0.0
+    f = PhaseDensity(grid_r=RadialGrid(r_max=r_max, n=shape[0]),
+                     grid_u=SpeedGrid(u_max=u_max, m=shape[1]), values=vals)
+    assert_phase_density_bytes(f, tmp_path_factory.mktemp("f"))
+
+
+def test_float_tables_match_reference(tmp_path):
+    rng = np.random.default_rng(3)
+    grid = RadialGrid(r_max=0.7, n=1000)   # more rows than one write chunk
+    values = rng.standard_normal(1000) * 10.0 ** rng.integers(-320, 300, 1000)
+    values[::7] = 0.0
+    values[1::7] = -0.0
+    write_radial_field(tmp_path / "phi.csv", RadialField(grid=grid, values=values))
+    reference_csv(tmp_path / "phi_ref.csv", ["r", "value"],
+                  zip(grid.nodes.tolist(), values.tolist()))
+    assert (tmp_path / "phi.csv").read_bytes() == (tmp_path / "phi_ref.csv").read_bytes()
+
+    ens = ParticleEnsemble(positions=rng.standard_normal((300, 3)),
+                           velocities=rng.standard_normal((300, 3)) / 3.0,
+                           weights=rng.random(300), f_values=rng.random(300),
+                           params=ModelParams(c=1.0))
+    ensemble_to_csv(tmp_path / "ens.csv", ens)
+    table = np.column_stack((ens.positions, ens.velocities, ens.weights, ens.f_values))
+    reference_csv(tmp_path / "ens_ref.csv", ["x", "y", "z", "vx", "vy", "vz", "w", "f"],
+                  table.tolist())
+    assert (tmp_path / "ens.csv").read_bytes() == (tmp_path / "ens_ref.csv").read_bytes()

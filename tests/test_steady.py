@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -250,6 +251,18 @@ def test_solve_targets_unreachable(spec_p2):
     with pytest.raises(TargetsUnreachableError):
         # masses needing a support far beyond r_max/4
         solve_targets(spec_p2, CL, SolveTargets(1.0, 0.2, 1e-6), tiny)
+
+
+def test_solve_targets_unreachable_reports_largest_monomial(spec_p2, grid_20):
+    # S = (m1 mj)^(1/3) for p = 2; the c=1 family peaks near S = 4.9
+    with pytest.raises(TargetsUnreachableError) as err:
+        solve_targets(spec_p2, REL, SolveTargets(100.0, 100.0, 1e-6), grid_20)
+    found = re.search(r"S = ([0-9.e+-]+) is not reached.*largest S on the scan "
+                      r"is ([0-9.e+-]+)", str(err.value))
+    assert found is not None
+    s_target, s_max = map(float, found.groups())
+    assert s_target == pytest.approx(10000.0 ** (1.0 / 3.0), rel=1e-5)
+    assert 2.87 < s_max < s_target  # above the reachable (12.5, 1.9) target
 
 
 def test_solve_targets_propagates_defects(spec_p2, grid_20, monkeypatch):
