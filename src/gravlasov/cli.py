@@ -2,7 +2,8 @@
 
 Configuration is a flat key=value text file with dotted section prefixes
 (model.c, casimir.p, grid.n, ...); command-line flags override file values and
-unknown keys are rejected. Every run writes summary.json embedding the fully
+unknown keys are rejected. Each key has one row in _KEYS, and every row's range
+check runs when the config is built, whatever the command. Every run writes summary.json embedding the fully
 resolved configuration and seed; numeric tables go to CSV with 17 significant
 digits. Outputs contain no timestamps, so identical config and seed reproduce
 identical bytes. Exit codes: 0 success, 1 numerical failure, 2 config error.
@@ -17,11 +18,12 @@ import os
 import re
 import sys
 from dataclasses import asdict
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import dynamics, rigidity, steady
-from .errors import ConfigError, GravlasovError
+from .errors import ConfigError, GravlasovError, PreconditionError
 from .kernel import ModelParams, check_casimir, make_polytrope
 from .radial import RadialGrid, SpeedGrid, bump_density, write_csv
 from .steady import SolveTargets
@@ -29,99 +31,98 @@ from .steady import SolveTargets
 COMMANDS = ("check-casimir", "solve", "verify", "kj", "scan", "equimeasure",
             "froots", "bootstrap", "evolve", "stability", "blowup")
 
-# every permitted config key with its parser
-_KEY_TYPES = {
-    "model.c": "extended_float",
-    "casimir.kind": "str",
-    "casimir.p": "float",
-    "grid.r_max": "float",
-    "grid.n": "int",
-    "grid.u_max": "float",
-    "grid.m": "int",
-    "targets.m1": "float",
-    "targets.mj": "float",
-    "targets.tol": "float",
-    "solve.psi0": "float",
-    "solve.mu": "float",
-    "dynamics.n_particles": "int",
-    "dynamics.dt": "float",
-    "dynamics.t_end": "float",
-    "dynamics.seed": "int",
-    "dynamics.delta": "float_list",
-    "dynamics.mode": "str",
-    "dynamics.snapshot": "int",
-    "scan.param": "str",
-    "scan.from": "float",
-    "scan.to": "float",
-    "scan.steps": "int",
-    "kj.budget": "int",
-    "kj.family": "str",
-    "froots.a": "float",
-    "froots.mu0": "float",
-    "equimeasure.lam": "float",
-    "bootstrap.p": "float",
-    "bootstrap.q0": "float",
-    "blowup.r_scale": "float",
-    "blowup.u_scale": "float",
-    "blowup.amplitude": "float",
-    "output.directory": "str",
-}
 
-_DEFAULTS = {
-    "model.c": math.inf,
-    "casimir.kind": "polytrope",
-    "casimir.p": 2.0,
-    "grid.r_max": 20.0,
-    "grid.n": 1025,
-    "grid.m": 257,
-    "targets.tol": 1e-8,
-    "dynamics.n_particles": 50_000,
-    "dynamics.seed": 1,
-    "dynamics.mode": "amplitude",
-    "dynamics.delta": (0.01, 0.02, 0.04),
-    "dynamics.snapshot": 0,
-    "kj.budget": 60,
-    "kj.family": "default",
-    "bootstrap.q0": 1.2,
-    "equimeasure.lam": 2.0,
-    "blowup.r_scale": 1.0,
-    "blowup.u_scale": 1.5,
-    "blowup.amplitude": 1.0,
-    "output.directory": "out",
-}
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
-# value ranges checked before any command runs: key -> (test, requirement)
-_VALUE_CHECKS = {
-    "casimir.p": (lambda v: v > 1.5, "must exceed 3/2"),
-    "bootstrap.p": (lambda v: v > 1.5, "must exceed 3/2"),
-    "bootstrap.q0": (lambda v: 1.0 < v < 1.5, "must lie in (1, 3/2)"),
-    "grid.m": (lambda v: v >= 2, "must be at least 2"),
-    "grid.u_max": (lambda v: v > 0, "must be positive"),
-    "kj.budget": (lambda v: v >= 1, "must be at least 1"),
-    "kj.family": (lambda v: v in ("default", "gaussian", "box", "ground"),
-                  "must be one of default, gaussian, box, ground"),
-    "froots.a": (lambda v: v > 0, "must be positive"),
-    "froots.mu0": (lambda v: v != 0, "must be nonzero"),
-    "equimeasure.lam": (lambda v: v > 0, "must be positive"),
-    "dynamics.mode": (lambda v: v in ("amplitude", "dilation", "kick"),
-                      "must be one of amplitude, dilation, kick"),
-    "scan.steps": (lambda v: v >= 1, "must be at least 1"),
+def _float_or_inf(raw: str) -> float:  # nan and -inf fail the range check
+    return float("inf" if raw.strip().lower() == "infinite" else raw)
+
+
+def _finite_list(raw: str) -> tuple:
+    return tuple(_finite(tok) for tok in raw.replace(",", " ").split())
+
+
+def _at_least(low):
+    return lambda v: v >= low, f"must be at least {low}"
+
+
+def _one_of(*choices):
+    return lambda v: v in choices, f"must be one of {', '.join(choices)}"
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_EXPONENT = (lambda v: v > 1.5, "must exceed 3/2")
+_LADDER = (lambda v: all(d >= 0 for d in v) and any(d > 0 for d in v),
+           "must be nonnegative sizes, at least one positive")
+
+
+class _Key(NamedTuple):
+    """One config key: parser, default (None: unset), CLI flag (None: file
+    only) and range check (test, requirement), applied for every command."""
+
+    parse: Callable[[str], object]
+    default: object = None
+    flag: Optional[str] = None
+    check: Optional[tuple] = None
+
+    def validate(self, name: str, value) -> None:
+        if self.check is not None and not self.check[0](value):
+            raise ConfigError(f"{name} {self.check[1]}, got {value!r}")
+
+
+_KEYS = {
+    "model.c": _Key(_float_or_inf, math.inf, "c",
+                    (lambda v: v > 0, "must be positive or inf")),
+    "casimir.kind": _Key(str.strip, "polytrope", "casimir", _one_of("polytrope")),
+    "casimir.p": _Key(_finite, 2.0, "p", _EXPONENT),
+    "grid.r_max": _Key(_finite, 20.0, "r_max", _POSITIVE),
+    "grid.n": _Key(int, 1025, "n", _at_least(2)),
+    "grid.u_max": _Key(_finite, None, "u_max", _POSITIVE),
+    "grid.m": _Key(int, 257, "m", _at_least(2)),
+    "targets.m1": _Key(_finite, None, "m1", _POSITIVE),
+    "targets.mj": _Key(_finite, None, "mj", _POSITIVE),
+    "targets.tol": _Key(_finite, 1e-8, "tol", _POSITIVE),
+    "solve.psi0": _Key(_finite, None, "psi0", (lambda v: v <= 0, "must be <= 0")),
+    "solve.mu": _Key(_finite, None, "mu", (lambda v: v < 0, "must be negative")),
+    "dynamics.n_particles": _Key(int, 50_000, "n_particles", _at_least(1000)),
+    "dynamics.dt": _Key(_finite, None, "dt", _POSITIVE),
+    "dynamics.t_end": _Key(_finite, None, "t_end", _POSITIVE),
+    "dynamics.seed": _Key(int, 1, "seed", (lambda v: 0 <= v < 2 ** 128,
+                                           "must lie in [0, 2**128)")),
+    "dynamics.delta": _Key(_finite_list, (0.01, 0.02, 0.04), "delta", _LADDER),
+    "dynamics.mode": _Key(str.strip, "amplitude", "mode",
+                          _one_of("amplitude", "dilation", "kick")),
+    "dynamics.snapshot": _Key(int, 0, "snapshot"),
+    "scan.param": _Key(str.strip, None, "param", _one_of("mu", "psi0")),
+    "scan.from": _Key(_finite, None, "from"),
+    "scan.to": _Key(_finite, None, "to"),
+    "scan.steps": _Key(int, None, "steps", _at_least(1)),
+    "kj.budget": _Key(int, 60, "budget", _at_least(1)),
+    "kj.family": _Key(str.strip, "default", "family",
+                      _one_of("default", "gaussian", "box", "ground")),
+    "froots.a": _Key(_finite, None, "a", _POSITIVE),
+    "froots.mu0": _Key(_finite, None, "mu0", (lambda v: v != 0, "must be nonzero")),
+    "equimeasure.lam": _Key(_finite, 2.0, "lam", _POSITIVE),
+    "bootstrap.p": _Key(_finite, None, None, _EXPONENT),
+    "bootstrap.q0": _Key(_finite, 1.2, "q0",
+                         (lambda v: 1.0 < v < 1.5, "must lie in (1, 3/2)")),
+    "blowup.r_scale": _Key(_finite, 1.0, "r_scale", _POSITIVE),
+    "blowup.u_scale": _Key(_finite, 1.5, "u_scale", _POSITIVE),
+    "blowup.amplitude": _Key(_finite, 1.0, "amplitude"),
+    "output.directory": _Key(str.strip, "out", "out"),
 }
+
+_FLAG_TO_KEY = {row.flag: key for key, row in _KEYS.items() if row.flag}
 
 
 def _parse_value(key: str, raw: str):
-    kind = _KEY_TYPES[key]
     try:
-        if kind == "extended_float":
-            return math.inf if raw.strip().lower() in ("inf", "infinite") else float(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "float_list":
-            return tuple(float(tok) for tok in raw.replace(",", " ").split())
-        return raw.strip()
+        return _KEYS[key].parse(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key} = {raw!r}: {exc}")
 
@@ -132,9 +133,9 @@ class RunConfig:
     def __init__(self, command: str, values: dict):
         self.command = command
         self.values = values
-        for key, (test, requirement) in _VALUE_CHECKS.items():
-            if key in values and not test(values[key]):
-                raise ConfigError(f"{key} {requirement}, got {values[key]!r}")
+        for key, row in _KEYS.items():
+            if key in values:
+                row.validate(key, values[key])
 
     def __getitem__(self, key):
         return self.values[key]
@@ -149,52 +150,19 @@ class RunConfig:
                 f"command {self.command!r} needs config keys: {', '.join(missing)}")
 
     def params(self) -> ModelParams:
-        c = self.values["model.c"]
-        if not c > 0:
-            raise ConfigError("model.c must be positive or 'inf'")
-        return ModelParams(c=c)
+        return ModelParams(c=self.values["model.c"])
 
     def casimir(self):
-        kind = self.values["casimir.kind"]
-        if kind != "polytrope":
-            raise ConfigError(f"unsupported casimir.kind {kind!r} "
-                              "(only 'polytrope' is built in)")
         return make_polytrope(self.values["casimir.p"])
 
     def grid(self) -> RadialGrid:
-        r_max, n = self.values["grid.r_max"], self.values["grid.n"]
-        if not (r_max > 0 and n >= 2):
-            raise ConfigError("grid.r_max must be positive and grid.n >= 2")
-        return RadialGrid(r_max=r_max, n=n)
-
-    def validate_dynamics(self):
-        if self.values["dynamics.n_particles"] < 1000:
-            raise ConfigError("dynamics.n_particles must be at least 1000")
-        for key in ("dynamics.dt", "dynamics.t_end"):
-            if key in self.values and not self.values[key] > 0:
-                raise ConfigError(f"{key} must be positive")
-        for d in (self.values["dynamics.delta"]
-                  if isinstance(self.values["dynamics.delta"], tuple)
-                  else (self.values["dynamics.delta"],)):
-            if d < 0:
-                raise ConfigError("dynamics.delta entries must be nonnegative")
-
-    def serializable(self) -> dict:
-        out = {}
-        for key, val in sorted(self.values.items()):
-            if isinstance(val, float) and math.isinf(val):
-                out[key] = "inf"
-            elif isinstance(val, tuple):
-                out[key] = list(val)
-            else:
-                out[key] = val
-        out["command"] = self.command
-        return out
+        return RadialGrid(r_max=self.values["grid.r_max"], n=self.values["grid.n"])
 
 
 def parse_config(command: str, path=None, overrides=None) -> RunConfig:
     """Merge defaults, an optional key=value file, and flag overrides."""
-    values = dict(_DEFAULTS)
+    values = {key: row.default for key, row in _KEYS.items()
+              if row.default is not None}
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
@@ -207,13 +175,13 @@ def parse_config(command: str, path=None, overrides=None) -> RunConfig:
                     raise ConfigError(f"{path}:{line_no}: expected key = value")
                 key, _, raw = stripped.partition("=")
                 key = key.strip()
-                if key not in _KEY_TYPES:
+                if key not in _KEYS:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
                 values[key] = _parse_value(key, raw.strip())
     for key, raw in (overrides or {}).items():
-        if key not in _KEY_TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _parse_value(key, raw) if isinstance(raw, str) else raw
+        values[key] = _parse_value(key, raw)
     return RunConfig(command, values)
 
 
@@ -235,7 +203,8 @@ def _jsonable(obj):
 
 def _write_summary(outdir, config: RunConfig, payload: dict) -> None:
     os.makedirs(outdir, exist_ok=True)
-    doc = {"config": config.serializable(), "results": _jsonable(payload)}
+    doc = {"config": _jsonable(config.values | {"command": config.command}),
+           "results": _jsonable(payload)}
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -251,27 +220,15 @@ _DIAG_HEADER = ["t", "hc", "m1", "ekin", "epot", "virial", "rho_center", "dist_r
 
 # --- command implementations -------------------------------------------------------
 
-def _check_shot(psi0, mu) -> None:
-    """Reject shooting parameters outside psi0 <= 0 (0: trivial) and mu < 0."""
-    if not psi0 <= 0:
-        raise ConfigError(f"psi0 must be <= 0, got {psi0}")
-    if not mu < 0:
-        raise ConfigError(f"mu must be negative, got {mu}")
-
-
 def _solve_state(config: RunConfig):
     spec = config.casimir()
     params = config.params()
     grid = config.grid()
     m_speed = config["grid.m"]
     if "solve.psi0" in config.values and "solve.mu" in config.values:
-        _check_shot(config["solve.psi0"], config["solve.mu"])
         return steady.integrate_state(spec, params, config["solve.psi0"],
                                       config["solve.mu"], grid, m_speed=m_speed)
     config.require("targets.m1", "targets.mj")
-    if not (config["targets.m1"] > 0 and config["targets.mj"] > 0
-            and config["targets.tol"] > 0):
-        raise ConfigError("targets.m1, targets.mj and targets.tol must be positive")
     targets = SolveTargets(m1_target=config["targets.m1"],
                            mj_target=config["targets.mj"],
                            tol=config["targets.tol"])
@@ -294,8 +251,10 @@ def _cmd_solve(config: RunConfig, outdir: str) -> dict:
 
 
 def _cmd_verify(config: RunConfig, outdir: str) -> dict:
-    config.require("output.directory")
     indir = config["output.directory"]
+    if not os.path.exists(os.path.join(indir, "state.json")):
+        raise ConfigError("output.directory must hold a solve (state.json), "
+                          f"got {indir!r}")
     state = steady.state_from_dir(indir, m_speed=config["grid.m"])
     report = steady.multiplier_identities(state)
     support = steady.support_check(state)
@@ -325,16 +284,14 @@ def _cmd_kj(config: RunConfig, outdir: str) -> dict:
 def _cmd_scan(config: RunConfig, outdir: str) -> dict:
     config.require("scan.param", "scan.from", "scan.to", "scan.steps")
     param = config["scan.param"]
-    if param not in ("mu", "psi0"):
-        raise ConfigError("scan.param must be 'mu' or 'psi0'")
+    for key in ("scan.from", "scan.to"):  # linspace stays between the two
+        _KEYS[f"solve.{param}"].validate(f"{key} ({param})", config[key])
     fixed_psi0 = config.get("solve.psi0", -1.0)
     fixed_mu = config.get("solve.mu", -1.0)
     values = np.linspace(config["scan.from"], config["scan.to"],
                          config["scan.steps"])
     shots = [(val if param == "psi0" else fixed_psi0,
               val if param == "mu" else fixed_mu) for val in values]
-    for psi0, mu in shots:
-        _check_shot(psi0, mu)
     spec, params, grid = config.casimir(), config.params(), config.grid()
     rows = []
     for val, (psi0, mu) in zip(values, shots):
@@ -352,6 +309,8 @@ def _cmd_scan(config: RunConfig, outdir: str) -> dict:
 
 def _cmd_equimeasure(config: RunConfig, outdir: str) -> dict:
     state = _solve_state(config)
+    if state.trivial:
+        raise PreconditionError("equimeasure needs a nontrivial state, got psi0 = 0")
     lam = config["equimeasure.lam"]
     f = state.f
     peak = float(np.max(f.values))
@@ -394,7 +353,6 @@ def _cmd_bootstrap(config: RunConfig, outdir: str) -> dict:
 
 
 def _cmd_evolve(config: RunConfig, outdir: str) -> dict:
-    config.validate_dynamics()
     state = _solve_state(config)
     n = config["dynamics.n_particles"]
     seed = config["dynamics.seed"]
@@ -418,14 +376,10 @@ def _cmd_evolve(config: RunConfig, outdir: str) -> dict:
 
 
 def _cmd_stability(config: RunConfig, outdir: str) -> dict:
-    config.validate_dynamics()
     state = _solve_state(config)
     td = dynamics.dynamical_time(state.rho.values[0])
-    deltas = config["dynamics.delta"]
-    if isinstance(deltas, float):
-        deltas = (deltas,)
     report, runs = dynamics.stability_experiment(
-        state, deltas, config["dynamics.mode"],
+        state, config["dynamics.delta"], config["dynamics.mode"],
         n=config["dynamics.n_particles"],
         t_end=config.get("dynamics.t_end", 10.0 * td),
         dt=config.get("dynamics.dt"),
@@ -444,7 +398,6 @@ def _cmd_stability(config: RunConfig, outdir: str) -> dict:
 
 
 def _cmd_blowup(config: RunConfig, outdir: str) -> dict:
-    config.validate_dynamics()
     spec, params = config.casimir(), config.params()
     grid_r = RadialGrid(r_max=config["grid.r_max"],
                         n=min(config["grid.n"], 513))
@@ -499,24 +452,6 @@ def dispatch(config: RunConfig) -> int:
         return 1
     _write_summary(outdir, config, payload)
     return 0
-
-
-_FLAG_TO_KEY = {
-    "c": "model.c", "casimir": "casimir.kind", "p": "casimir.p",
-    "r_max": "grid.r_max", "n": "grid.n", "u_max": "grid.u_max", "m": "grid.m",
-    "m1": "targets.m1", "mj": "targets.mj", "tol": "targets.tol",
-    "psi0": "solve.psi0", "mu": "solve.mu",
-    "n_particles": "dynamics.n_particles", "dt": "dynamics.dt",
-    "t_end": "dynamics.t_end", "seed": "dynamics.seed",
-    "delta": "dynamics.delta", "mode": "dynamics.mode",
-    "snapshot": "dynamics.snapshot",
-    "param": "scan.param", "from": "scan.from", "to": "scan.to",
-    "steps": "scan.steps", "budget": "kj.budget", "family": "kj.family",
-    "a": "froots.a", "mu0": "froots.mu0", "lam": "equimeasure.lam",
-    "q0": "bootstrap.q0", "amplitude": "blowup.amplitude",
-    "r_scale": "blowup.r_scale", "u_scale": "blowup.u_scale",
-    "out": "output.directory",
-}
 
 
 # argparse takes only "-1" and "-.5" shapes for negative numbers and reads any

@@ -104,10 +104,9 @@ def _isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _rejection_sample(rng, density_fn, r_hi, u_hi, n, envelope_grid=256):
     """Sample (r, u) pairs from the weight r^2 u^2 density_fn(r, u)."""
-    rr = np.linspace(0.0, r_hi, envelope_grid)
-    uu = np.linspace(0.0, u_hi, envelope_grid)
-    mesh_r, mesh_u = np.meshgrid(rr, uu, indexing="ij")
-    target = mesh_r ** 2 * mesh_u ** 2 * density_fn(mesh_r, mesh_u)
+    rr = np.linspace(0.0, r_hi, envelope_grid)[:, None]
+    uu = np.linspace(0.0, u_hi, envelope_grid)[None, :]
+    target = rr ** 2 * uu ** 2 * density_fn(rr, uu)
     bound = 1.2 * float(np.max(target))
     if bound <= 0:
         raise PreconditionError("cannot sample from an identically zero density")
@@ -338,6 +337,9 @@ def central_mass_accel(mass: float) -> Callable:
 
 
 def dynamical_time(rho_center: float) -> float:
+    if not rho_center > 0:
+        raise PreconditionError(
+            f"the dynamical time needs a positive central density, got {rho_center:g}")
     return 1.0 / math.sqrt(rho_center)
 
 
@@ -501,8 +503,9 @@ def stability_experiment(state: GroundState, deltas: Sequence[float], mode: str,
     allowance) and the baseline stays at the floor.
     """
     deltas = tuple(sorted(float(d) for d in deltas))
-    if any(d < 0 for d in deltas):
-        raise ValueError("perturbation sizes must be nonnegative")
+    if not deltas or deltas[0] < 0 or deltas[-1] <= 0:
+        raise ValueError("perturbation sizes must be nonnegative, "
+                         "at least one positive")
     if dt is None:
         dt = 0.01 * dynamical_time(state.rho.values[0])
     base = sample_state(state, n, seed)
@@ -523,7 +526,7 @@ def stability_experiment(state: GroundState, deltas: Sequence[float], mode: str,
     fin_d = tuple(series(d, "ej_dist_to_ref")[-1] for d in deltas)
     max_h = tuple(max(abs(h - state.hc) for h in series(d, "hc")) for d in deltas)
     monotone = all(max_d[i] <= max_d[i + 1] * 1.25 for i in range(len(max_d) - 1))
-    stable = monotone and (len(max_d) == 0 or noise_floor <= max_d[0])
+    stable = monotone and noise_floor <= max_d[0]
     return StabilityReport(mode=mode, deltas=deltas, max_dist_rho=max_d,
                            final_dist_rho=fin_d, max_hc_dev=max_h,
                            noise_floor=noise_floor, stable=stable), runs

@@ -129,9 +129,9 @@ class PhaseDensity:
     @classmethod
     def from_callable(cls, grid_r: RadialGrid, grid_u: SpeedGrid,
                       fn: Callable) -> "PhaseDensity":
-        rr, uu = np.meshgrid(grid_r.nodes, grid_u.nodes, indexing="ij")
-        v = np.asarray(fn(rr, uu), dtype=float)
-        v = np.maximum(v, 0.0)
+        # broadcast axes: fn evaluates what depends on r alone once per radius
+        v = np.asarray(fn(grid_r.nodes[:, None], grid_u.nodes[None, :]), dtype=float)
+        v = np.maximum(np.broadcast_to(v, (grid_r.n, grid_u.m)), 0.0)
         edge = max(float(np.max(v[-1, :], initial=0.0)), float(np.max(v[:, -1], initial=0.0)))
         if edge > 1e-10 * max(float(np.max(v)), 1e-300):
             raise ValueError("callable does not vanish at the grid boundary")

@@ -24,7 +24,8 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .errors import GravlasovError, ResolutionError, SupportExceedsGridError
+from .errors import (GravlasovError, NumericsError, ResolutionError,
+                     SupportExceedsGridError)
 from .kernel import (
     CasimirSpec,
     FunctionalReport,
@@ -204,7 +205,7 @@ def estimate_kj(spec: CasimirSpec, params: ModelParams,
             raise ValueError(f"unknown trial family {family!r}")
 
     if not math.isfinite(best[0]):
-        raise ValueError("no trial produced a finite quotient")
+        raise NumericsError("no trial produced a finite quotient")
     return KjEstimate(p=spec.p, best_quotient=best[0], trial_count=evals,
                       witness=best[1])
 
@@ -390,7 +391,10 @@ def f_function(params: ModelParams, a: float, spec: CasimirSpec, s: float) -> fl
     if not (a > 0 and s > 0):
         raise ValueError("a and s must be positive")
     # the density moment at depth a with |mu| = s carries the factor 4 pi s^2
-    return _velocity_moment(spec, params, -s, a) / (4.0 * math.pi * s * s)
+    scale = 4.0 * math.pi * s * s
+    if not 0.0 < scale < math.inf:
+        raise NumericsError(f"F(s) is out of double range at s = {s:g}")
+    return _velocity_moment(spec, params, -s, a) / scale
 
 
 def f_roots(params: ModelParams, a: float, spec: CasimirSpec, mu0: float,

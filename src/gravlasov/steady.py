@@ -664,11 +664,13 @@ def solve_targets(spec: CasimirSpec, params: ModelParams, targets: SolveTargets,
         if log_s(x_lo) * log_s(x_hi) <= 0.0:
             break
     else:
-        s_max = max(shot.m1 ** e1 * shot.mj ** ej for _, shot in shots.values())
+        s_scan = [shot.m1 ** e1 * shot.mj ** ej for _, shot in shots.values()]
+        side = "below" if log_s(xs[0]) > 0.0 else "above"
         raise TargetsUnreachableError(
             f"the targets' threshold monomial S = {math.exp(log_s_target):.6g} "
-            f"is not reached for log|psi0| in [-3.5, 3.5]; the largest S on "
-            f"the scan is {s_max:.6g}")
+            f"is not reached for log|psi0| in [-3.5, 3.5]; it lies {side} "
+            f"every S on the scan, which runs from {min(s_scan):.6g} (smallest) "
+            f"to {max(s_scan):.6g} (largest)")
     x = brentq(log_s, x_lo, x_hi, xtol=1e-6)  # Newton polishes the rest
     y, shot = shots[x]  # brentq returns a point it evaluated
     z = np.array([x, y + (math.log(targets.m1_target) - math.log(shot.m1)) / rate])

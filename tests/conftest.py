@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gravlasov.kernel import CasimirSpec, ModelParams, make_polytrope
 from gravlasov.radial import RadialGrid
 from gravlasov.steady import integrate_state
+
+# the same draws on every run: a failure repeats, and no run depends on an
+# example database; property tests that solve a state may take seconds
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,17 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 import os
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gravlasov.cli import _FLAG_TO_KEY, build_parser, main, parse_config
+from gravlasov.cli import (COMMANDS, _FLAG_TO_KEY, _KEYS, build_parser, main,
+                           parse_config)
 from gravlasov.errors import ConfigError
 
 
@@ -229,3 +235,220 @@ def test_exponent_negative_values_parse(tmp_path):
                 "--n", "257", "--out", out]) == 0
     config = read_summary(out)["config"]
     assert (config["solve.psi0"], config["solve.mu"]) == (-0.5, -1.0)
+
+
+# one out-of-range value per range-checked key, and a command that reads the key
+_OUT_OF_RANGE = {
+    "model.c": ("0", "solve"),
+    "casimir.kind": ("foo", "check-casimir"),
+    "casimir.p": ("1.5", "check-casimir"),
+    "grid.r_max": ("-1", "solve"),
+    "grid.n": ("1", "solve"),
+    "grid.u_max": ("0", "blowup"),
+    "grid.m": ("1", "verify"),
+    "targets.m1": ("-1", "solve"),
+    "targets.mj": ("0", "kj"),
+    "targets.tol": ("0", "solve"),
+    "solve.psi0": ("0.5", "equimeasure"),
+    "solve.mu": ("0", "solve"),
+    "dynamics.n_particles": ("999", "evolve"),
+    "dynamics.dt": ("0", "evolve"),
+    "dynamics.t_end": ("-1", "blowup"),
+    "dynamics.seed": ("-1", "evolve"),
+    "dynamics.delta": ("0", "stability"),
+    "dynamics.mode": ("foo", "stability"),
+    "scan.param": ("lam", "scan"),
+    "scan.steps": ("0", "scan"),
+    "kj.budget": ("0", "kj"),
+    "kj.family": ("gauss", "kj"),
+    "froots.a": ("0", "froots"),
+    "froots.mu0": ("0", "froots"),
+    "equimeasure.lam": ("0", "equimeasure"),
+    "bootstrap.p": ("1.2", "bootstrap"),
+    "bootstrap.q0": ("1.5", "bootstrap"),
+    "blowup.r_scale": ("0", "blowup"),
+    "blowup.u_scale": ("-1", "blowup"),
+}
+
+
+def _command_not_reading(key):
+    reads = key == "casimir.p" or key.startswith("bootstrap.")
+    return "verify" if reads else "bootstrap"
+
+
+def test_out_of_range_table_covers_every_checked_key():
+    assert set(_OUT_OF_RANGE) == {key for key, row in _KEYS.items() if row.check}
+    assert all(_out_of_range(key) for key in _OUT_OF_RANGE)   # the fuzz test's pool
+
+
+@pytest.mark.parametrize("key, reads", [(key, reads) for key in _OUT_OF_RANGE
+                                        for reads in (True, False)])
+def test_out_of_range_value_exits_2_for_every_command(tmp_path, capsys, key, reads):
+    raw, command = _OUT_OF_RANGE[key]
+    if not reads:
+        command = _command_not_reading(key)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {raw}\n")
+    out = tmp_path / "o"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} must " in err and ", got " in err
+    assert not out.exists()
+
+
+def test_verify_without_a_solve_is_config_error(tmp_path, capsys):
+    assert run(["verify", "--out", str(tmp_path)]) == 2
+    assert "state.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, error", [
+    (["evolve", "--psi0", "0", "--mu", "-1", "--n", "65", "--n-particles", "1000",
+      "--t-end", "0.1", "--dt", "0.1"], "PreconditionError"),    # trivial state
+    (["equimeasure", "--psi0", "0", "--mu", "-1", "--n", "65"], "PreconditionError"),
+    (["froots", "--c", "1", "--a", "1", "--mu0", "-1e-320"], "NumericsError"),
+    (["kj", "--c", "0.001", "--budget", "1", "--family", "ground"], "NumericsError"),
+])
+def test_in_range_breakdown_is_named_failure(tmp_path, args, error):
+    # in-range configs that once ended in a traceback
+    out = str(tmp_path / "o")
+    assert run(args + ["--out", out]) == 1
+    assert read_summary(out)["results"]["error"] == error
+
+
+# --- fuzzing the CLI from the key table ------------------------------------------
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _draw_config(draw, command):
+    """Small in-range values for the keys `command` reads: n <= 129, at most
+    2000 particles, at most 10 flow steps, a kj budget of at most 3."""
+    cfg = {"casimir.p": draw(_floats(1.6, 4.0))}
+    finite_c = command == "froots"
+    cfg["model.c"] = draw(st.sampled_from(["0.5", "1", "3"] + ([] if finite_c
+                                                               else ["inf"])))
+    if command not in ("check-casimir", "kj", "froots", "bootstrap"):
+        cfg["grid.r_max"] = draw(_floats(4.0, 40.0))
+        cfg["grid.n"] = draw(_ints(2, 129))
+        cfg["grid.m"] = draw(_ints(2, 65))
+    if command in ("solve", "verify", "equimeasure", "evolve", "stability"):
+        if draw(st.booleans()):
+            cfg["solve.psi0"] = draw(_floats(-3.0, 0.0))
+            cfg["solve.mu"] = draw(_floats(-3.0, -0.05))
+        else:
+            cfg["targets.m1"] = draw(_floats(0.1, 50.0))
+            cfg["targets.mj"] = draw(_floats(0.05, 10.0))
+            cfg["targets.tol"] = draw(st.sampled_from(["1e-8", "1e-5"]))
+    if command in ("evolve", "stability", "blowup"):
+        dt = draw(st.floats(0.01, 0.5))
+        cfg["dynamics.n_particles"] = draw(_ints(1000, 2000))
+        cfg["dynamics.dt"] = repr(dt)
+        cfg["dynamics.t_end"] = repr(dt * draw(st.integers(1, 10)))
+        cfg["dynamics.seed"] = draw(_ints(0, 2 ** 128 - 1))
+    if command == "evolve":
+        cfg["dynamics.snapshot"] = draw(_ints(0, 1))
+    if command == "stability":
+        sizes = draw(st.lists(st.floats(0.0, 0.1), min_size=1, max_size=3))
+        sizes.append(draw(st.floats(1e-3, 0.1)))   # at least one positive size
+        cfg["dynamics.delta"] = ",".join(map(repr, sizes))
+        cfg["dynamics.mode"] = draw(st.sampled_from(["amplitude", "dilation", "kick"]))
+    if command == "blowup":
+        cfg["blowup.r_scale"] = draw(_floats(0.3, 3.0))
+        cfg["blowup.u_scale"] = draw(_floats(0.3, 3.0))
+        cfg["blowup.amplitude"] = draw(_floats(-1.0, 3.0))
+        if draw(st.booleans()):
+            cfg["grid.u_max"] = draw(_floats(0.5, 20.0))
+    if command == "kj":
+        cfg["kj.budget"] = draw(_ints(1, 3))
+        cfg["kj.family"] = draw(st.sampled_from(["default", "gaussian", "box",
+                                                 "ground"]))
+        if draw(st.booleans()):
+            cfg["targets.m1"] = draw(_floats(0.1, 50.0))
+            cfg["targets.mj"] = draw(_floats(0.05, 10.0))
+    if command == "scan":
+        param = draw(st.sampled_from(["mu", "psi0"]))
+        hi = 0.0 if param == "psi0" else -0.05
+        cfg["scan.param"] = param
+        cfg["scan.from"] = draw(_floats(-3.0, hi))
+        cfg["scan.to"] = draw(_floats(-3.0, hi))
+        cfg["scan.steps"] = draw(_ints(1, 4))
+    if command == "froots":
+        cfg["froots.a"] = draw(_floats(0.05, 5.0))
+        cfg["froots.mu0"] = draw(_floats(-3.0, 3.0).filter(lambda v: float(v) != 0))
+    if command == "equimeasure":
+        cfg["equimeasure.lam"] = draw(_floats(0.25, 4.0))
+    if command == "bootstrap":
+        cfg["bootstrap.q0"] = draw(_floats(1.01, 1.49))
+        if draw(st.booleans()):
+            cfg["bootstrap.p"] = draw(_floats(1.6, 4.0))
+    for key, raw in cfg.items():   # the draws above stay inside the table's ranges
+        row = _KEYS[key]
+        assert row.check is None or row.check[0](row.parse(raw)), (key, raw)
+    return cfg
+
+
+_BAD_POOL = ["-1", "0", "0.5", "1", "1.5", "2", "999", str(2 ** 128), "nan", "foo", ""]
+
+
+def _out_of_range(key):
+    row, bad = _KEYS[key], []
+    for raw in _BAD_POOL:
+        try:
+            value = row.parse(raw)
+        except ValueError:
+            continue
+        if not row.check[0](value):
+            bad.append(raw)
+    return bad
+
+
+_CHECKED = sorted(key for key, row in _KEYS.items() if row.check)
+_FUZZ_DIRS = itertools.count()
+
+
+def _main(command, cfg, outdir):
+    """Run `cli.main` with cfg as flags (file-only keys in a config file)."""
+    argv = [command, "--out", outdir]
+    file_keys = {key: raw for key, raw in cfg.items() if _KEYS[key].flag is None}
+    for key, raw in cfg.items():
+        if _KEYS[key].flag is not None:
+            argv += [f"--{_KEYS[key].flag.replace('_', '-')}", raw]
+    if file_keys:
+        path = outdir + ".cfg"
+        with open(path, "w") as fh:
+            fh.writelines(f"{key} = {raw}\n" for key, raw in file_keys.items())
+        argv += ["--config", path]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=3)
+@given(data=st.data())
+def test_cli_fuzz_from_key_table(tmp_path_factory, command, data):
+    root = str(tmp_path_factory.getbasetemp() / f"fuzz{next(_FUZZ_DIRS)}")
+    cfg = _draw_config(data.draw, command)
+
+    # one value out of its range: exit 2 before any work, the key named
+    key = data.draw(st.sampled_from(_CHECKED), label="bad key")
+    raw = data.draw(st.sampled_from(_out_of_range(key)), label="bad value")
+    code, err = _main(command, cfg | {key: raw}, root + "_bad")
+    assert code == 2 and f"config error: {key} must " in err
+    assert not os.path.exists(root + "_bad")
+
+    if command == "verify":   # verify reads a solve directory
+        solved, _ = _main("solve", cfg, root)
+        assert solved in (0, 1)
+        if solved == 1:   # no state.json
+            assert _main(command, cfg, root)[0] == 2
+            return
+    code, err = _main(command, cfg, root)
+    assert code in (0, 1), err
+    assert os.path.exists(os.path.join(root, "summary.json"))

@@ -297,6 +297,13 @@ def test_stability_experiment_smoke(state_p2_rel):
     assert report.max_dist_rho[0] > report.noise_floor  # 5% is far above floor
 
 
+@pytest.mark.parametrize("deltas", [[], [0.0], [0.02, -0.01]])
+def test_stability_experiment_needs_a_positive_size(state_p2_rel, deltas):
+    # a ladder without a positive size would compare the baseline to itself
+    with pytest.raises(ValueError, match="at least one positive"):
+        stability_experiment(state_p2_rel, deltas, "amplitude", n=2000, t_end=1.0)
+
+
 def test_ensemble_csv_roundtrip(tmp_path, state_p2_rel):
     from gravlasov.dynamics import ensemble_from_csv, ensemble_to_csv
     ens = sample_state(state_p2_rel, 1500, seed=8)

@@ -58,6 +58,32 @@ def test_phase_density_validation(grids):
         PhaseDensity(grid_r=grid_r, grid_u=grid_u, values=bad2)
 
 
+def test_from_callable_matches_meshgrid_bit_for_bit(state_p2_rel):
+    # from_callable passes broadcast axes; the values must be those of the
+    # full meshgrid, also for callables whose result does not span both axes
+    grid_r, grid_u = state_p2_rel.f.grid_r, state_p2_rel.f.grid_u
+    r_edge, u_edge = 0.5 * grid_r.r_max, 0.5 * grid_u.u_max
+    callables = [
+        state_p2_rel.f.profile,
+        lambda r, u: np.exp(-r * r - u * u) * (r < r_edge) * (u < u_edge),
+        lambda r, u: np.maximum(1.0 - r / r_edge, 0.0) * (u < u_edge),
+        lambda r, u: 0.0 * r,   # ignores u
+        lambda r, u: 0.0,
+    ]
+    rr, uu = np.meshgrid(grid_r.nodes, grid_u.nodes, indexing="ij")
+    for fn in callables:
+        ref = np.zeros(rr.shape)
+        ref[:] = np.maximum(np.asarray(fn(rr, uu), dtype=float), 0.0)
+        ref[-1, :] = 0.0
+        ref[:, -1] = 0.0
+        got = PhaseDensity.from_callable(grid_r, grid_u, fn).values
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    with pytest.raises(ValueError, match="vanish"):   # nonzero at u_max
+        PhaseDensity.from_callable(grid_r, grid_u,
+                                   lambda r, u: np.maximum(1.0 - r / r_edge, 0.0))
+
+
 def test_density_moment_zero(grids):
     grid_r, grid_u = grids
     f = PhaseDensity(grid_r=grid_r, grid_u=grid_u,

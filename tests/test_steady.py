@@ -255,14 +255,26 @@ def test_solve_targets_unreachable(spec_p2):
 
 def test_solve_targets_unreachable_reports_largest_monomial(spec_p2, grid_20):
     # S = (m1 mj)^(1/3) for p = 2; the c=1 family peaks near S = 4.9
-    with pytest.raises(TargetsUnreachableError) as err:
-        solve_targets(spec_p2, REL, SolveTargets(100.0, 100.0, 1e-6), grid_20)
-    found = re.search(r"S = ([0-9.e+-]+) is not reached.*largest S on the scan "
-                      r"is ([0-9.e+-]+)", str(err.value))
-    assert found is not None
-    s_target, s_max = map(float, found.groups())
+    def reported(m1, mj, grid):
+        with pytest.raises(TargetsUnreachableError) as err:
+            solve_targets(spec_p2, REL, SolveTargets(m1, mj, 1e-6), grid)
+        found = re.search(r"S = ([0-9.e+-]+) is not reached.*lies (above|below) "
+                          r"every S on the scan, which runs from ([0-9.e+-]+) "
+                          r"\(smallest\) to ([0-9.e+-]+) \(largest\)",
+                          str(err.value))
+        assert found is not None
+        s_target, side, s_min, s_max = found.groups()
+        return float(s_target), side, float(s_min), float(s_max)
+
+    s_target, side, s_min, s_max = reported(100.0, 100.0, grid_20)
     assert s_target == pytest.approx(10000.0 ** (1.0 / 3.0), rel=1e-5)
-    assert 2.87 < s_max < s_target  # above the reachable (12.5, 1.9) target
+    assert side == "above"
+    assert s_min < 2.87 < s_max < s_target  # around the reachable (12.5, 1.9) target
+
+    s_target, side, s_min, s_max = reported(1e-9, 1e-9, RadialGrid(r_max=20.0, n=257))
+    assert s_target == pytest.approx(1e-6, rel=1e-5)
+    assert side == "below"
+    assert s_target < s_min < 2.87 < s_max
 
 
 def test_solve_targets_propagates_defects(spec_p2, grid_20, monkeypatch):
