@@ -20,13 +20,12 @@ import numpy as np
 
 from .errors import NumericsError, PreconditionError
 from .kernel import CasimirSpec, ModelParams, kinetic_weight
-from .radial import (PhaseDensity, RadialField, RadialGrid, _phase_integral,
-                     functionals, read_csv, write_float_table)
+from .radial import (PhaseDensity, _phase_integral, functionals, read_csv,
+                     write_float_table)
 from .steady import GroundState
 
 __all__ = [
     "ParticleEnsemble",
-    "FieldTable",
     "DiagnosticsRecord",
     "StabilityReport",
     "BlowupReport",
@@ -78,15 +77,6 @@ class ParticleEnsemble:
                                 params=self.params, eps_soft=self.eps_soft)
 
 
-@dataclass(frozen=True)
-class FieldTable:
-    """Snapshot of the radial field: grid tables plus per-particle pull."""
-
-    phi: RadialField
-    dphi: RadialField
-    accelerations: np.ndarray
-
-
 def _rng(seed: int) -> np.random.Generator:
     # counter-based generator: reproducible across platforms and restarts
     return np.random.Generator(np.random.Philox(key=seed))
@@ -102,10 +92,17 @@ def _isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
     return vec / norms
 
 
-def _rejection_sample(rng, density_fn, r_hi, u_hi, n, envelope_grid=256):
+_ENVELOPE_NODES = 256      # per axis of the rejection envelope's grid
+_REFERENCE_BINS = 24       # equal-mass bins of the reference profile
+_STABILITY_DIAG_EVERY = 10
+_BLOWUP_DIAG_EVERY = 3
+_GROWTH_THRESHOLD = 100.0  # central-density growth that counts as concentration
+
+
+def _rejection_sample(rng, density_fn, r_hi, u_hi, n):
     """Sample (r, u) pairs from the weight r^2 u^2 density_fn(r, u)."""
-    rr = np.linspace(0.0, r_hi, envelope_grid)[:, None]
-    uu = np.linspace(0.0, u_hi, envelope_grid)[None, :]
+    rr = np.linspace(0.0, r_hi, _ENVELOPE_NODES)[:, None]
+    uu = np.linspace(0.0, u_hi, _ENVELOPE_NODES)[None, :]
     target = rr ** 2 * uu ** 2 * density_fn(rr, uu)
     bound = 1.2 * float(np.max(target))
     if bound <= 0:
@@ -126,37 +123,35 @@ def _rejection_sample(rng, density_fn, r_hi, u_hi, n, envelope_grid=256):
     return out_r, out_u
 
 
-def sample_state(state: GroundState, n: int, seed: int) -> ParticleEnsemble:
-    """Monte Carlo representation of a solved steady profile.
-
-    Rejection-samples (r, u) from the phase-space weight r^2 u^2 Q(r, u),
-    assigns isotropic directions, equal weights m1/n, and freezes the profile
-    value at each sample point.
-    """
-    if state.trivial or state.m1 <= 0:
-        raise PreconditionError("cannot sample the trivial state")
+def _sample(density_fn, r_hi: float, u_hi: float, mass: float,
+            params: ModelParams, n: int, seed: int) -> ParticleEnsemble:
+    """Rejection-sample (r, u) from the phase-space weight r^2 u^2 density_fn,
+    assign isotropic directions and equal weights mass/n, and freeze the
+    density value at each sample point."""
     if n < 1000:
         raise ValueError("need at least 1000 particles")
     rng = _rng(seed)
-    profile = state.f.profile
-    r_smp, u_smp = _rejection_sample(rng, profile, state.r_support,
-                                     state.u_bound, n)
+    r_smp, u_smp = _rejection_sample(rng, density_fn, r_hi, u_hi, n)
     positions = r_smp[:, None] * _isotropic_directions(rng, n)
     velocities = u_smp[:, None] * _isotropic_directions(rng, n)
-    f_vals = np.asarray(profile(r_smp, u_smp), dtype=float)
-    weights = np.full(n, state.m1 / n)
-    return ParticleEnsemble(positions=positions, velocities=velocities,
-                            weights=weights, f_values=f_vals,
-                            params=state.params,
-                            eps_soft=state.r_support / math.sqrt(n))
+    return ParticleEnsemble(
+        positions=positions, velocities=velocities,
+        weights=np.full(n, mass / n),
+        f_values=np.asarray(density_fn(r_smp, u_smp), dtype=float),
+        params=params, eps_soft=r_hi / math.sqrt(n))
+
+
+def sample_state(state: GroundState, n: int, seed: int) -> ParticleEnsemble:
+    """Monte Carlo representation of a solved steady profile Q(r, u)."""
+    if state.trivial or state.m1 <= 0:
+        raise PreconditionError("cannot sample the trivial state")
+    return _sample(state.f.profile, state.r_support, state.u_bound, state.m1,
+                   state.params, n, seed)
 
 
 def sample_density(f: PhaseDensity, params: ModelParams, n: int,
                    seed: int) -> ParticleEnsemble:
     """Monte Carlo representation of a generic tabulated phase density."""
-    if n < 1000:
-        raise ValueError("need at least 1000 particles")
-    rng = _rng(seed)
     if f.profile is not None:
         density_fn = f.profile
     else:
@@ -169,21 +164,13 @@ def sample_density(f: PhaseDensity, params: ModelParams, n: int,
     nz = np.nonzero(f.values > 0)
     r_hi = float(f.grid_r.nodes[min(int(nz[0].max()) + 1, f.grid_r.n - 1)])
     u_hi = float(f.grid_u.nodes[min(int(nz[1].max()) + 1, f.grid_u.m - 1)])
-    r_smp, u_smp = _rejection_sample(rng, density_fn, r_hi, u_hi, n)
-    m1 = _phase_integral(f, f.values)
-    positions = r_smp[:, None] * _isotropic_directions(rng, n)
-    velocities = u_smp[:, None] * _isotropic_directions(rng, n)
-    f_vals = np.asarray(density_fn(r_smp, u_smp), dtype=float)
-    return ParticleEnsemble(positions=positions, velocities=velocities,
-                            weights=np.full(n, m1 / n), f_values=f_vals,
-                            params=params, eps_soft=r_hi / math.sqrt(n))
+    return _sample(density_fn, r_hi, u_hi, _phase_integral(f, f.values),
+                   params, n, seed)
 
 
-def _sorted_shell_data(ens: ParticleEnsemble, r: Optional[np.ndarray] = None):
+def _sorted_shell_data(weights: np.ndarray, r: np.ndarray):
     """Radii sorted ascending (tied radii keep index order), matching weights,
     and half-self enclosed mass."""
-    if r is None:
-        r = ens.radii()
     order = np.argsort(r)
     r_sorted = r[order]
     if np.any(r_sorted[1:] == r_sorted[:-1]):
@@ -191,16 +178,23 @@ def _sorted_shell_data(ens: ParticleEnsemble, r: Optional[np.ndarray] = None):
         # in index order, so the result is the same permutation on any input
         order = np.argsort(r, kind="stable")
         r_sorted = r[order]
-    w_sorted = ens.weights[order]
-    cumw = np.cumsum(w_sorted)
-    m_half = cumw - 0.5 * w_sorted   # mass strictly below + half own weight
-    return order, r_sorted, w_sorted, cumw, m_half
+    w_sorted = weights[order]
+    m_half = np.cumsum(w_sorted) - 0.5 * w_sorted   # mass below + half own
+    return order, r_sorted, w_sorted, m_half
 
 
-def _shell_accelerations(ens: ParticleEnsemble, order: np.ndarray,
-                         r_sorted: np.ndarray, m_half: np.ndarray) -> np.ndarray:
-    """Per-particle shell pull m_half / (4 pi (r^2 + eps_soft^2)^1.5), scattered
-    back to particle order and applied along each position."""
+def field_from_particles(ens: ParticleEnsemble) -> np.ndarray:
+    """Self-consistent shell accelerations of the ensemble, shape (n, 3).
+
+    Each particle is pulled toward the origin by m_half / (4 pi (r^2 +
+    eps_soft^2)^1.5) times its position, where m_half is the mass at smaller
+    radii plus half its own weight. Without softening, a zero-weight particle
+    at radius r > 0 thus feels exactly M(<r)/(4 pi r^2). Tied radii keep
+    index order: of two particles at exactly the same radius, the lower index
+    counts the other as outside and the higher index counts it as enclosed.
+    No radius is cut off, so escapers stay part of the mass budget.
+    """
+    order, r_sorted, _, m_half = _sorted_shell_data(ens.weights, ens.radii())
     soft_r3 = (r_sorted ** 2 + ens.eps_soft ** 2) ** 1.5
     with np.errstate(divide="ignore", invalid="ignore"):
         pull = np.where(soft_r3 > 0, m_half / (4.0 * np.pi * soft_r3), 0.0)
@@ -209,46 +203,10 @@ def _shell_accelerations(ens: ParticleEnsemble, order: np.ndarray,
     return -pull_p[:, None] * ens.positions
 
 
-def field_from_particles(ens: ParticleEnsemble, grid: RadialGrid) -> FieldTable:
-    """Radial field of the ensemble: grid tables of phi, phi', and exact
-    per-particle shell accelerations.
-
-    phi'(r) = M(<r)/(4 pi r^2) with M the enclosed particle mass; the force on
-    each particle uses its half-self-weight enclosed mass and the softened
-    radius sqrt(r^2 + eps_soft^2). Tied radii keep index order: of two
-    particles at exactly the same radius, the lower index counts the other as
-    outside and the higher index counts it as enclosed. Particles beyond
-    r_max feel the full point-mass pull, so escapers stay part of the mass
-    budget.
-    """
-    order, r_sorted, w_sorted, cumw, m_half = _sorted_shell_data(ens)
-    accel = _shell_accelerations(ens, order, r_sorted, m_half)
-
-    nodes = grid.nodes
-    idx = np.searchsorted(r_sorted, nodes, side="right")
-    m_at = np.concatenate(([0.0], cumw))[idx]
-    dphi = np.zeros_like(nodes)
-    dphi[1:] = m_at[1:] / (4.0 * np.pi * nodes[1:] ** 2)
-
-    # vacuum-matched boundary value plus the exact pull of exterior shells
-    m_inside = m_at[-1]
-    outside = r_sorted > grid.r_max
-    exterior = float(np.sum(w_sorted[outside] / r_sorted[outside])) if np.any(outside) else 0.0
-    phi_rmax = -(m_inside / grid.r_max + exterior) / (4.0 * np.pi)
-    phi = np.empty_like(nodes)
-    phi[-1] = phi_rmax
-    steps = 0.5 * np.diff(nodes) * (dphi[1:] + dphi[:-1])
-    phi[:-1] = phi_rmax - np.cumsum(steps[::-1])[::-1]
-
-    return FieldTable(phi=RadialField(grid=grid, values=phi),
-                      dphi=RadialField(grid=grid, values=dphi),
-                      accelerations=accel)
-
-
 def _shell_potential_energy(ens: ParticleEnsemble, r: np.ndarray) -> float:
     """Exact field energy (1/2) int |grad phi|^2 of the unsoftened shell system:
     (1/(4 pi)) sum_i w_i M_half(<r_i) / r_i, given the radii r."""
-    _, r_sorted, w_sorted, _, m_half = _sorted_shell_data(ens, r)
+    _, r_sorted, w_sorted, m_half = _sorted_shell_data(ens.weights, r)
     good = r_sorted > 0
     return float(np.sum(w_sorted[good] * m_half[good] / r_sorted[good]) / (4.0 * np.pi))
 
@@ -267,24 +225,22 @@ def push(ens: ParticleEnsemble, dt: float,
     """One kick-drift-kick step; returns (ensemble, post-step accelerations).
 
     With ``external`` set (a positions -> accelerations callable) the field is
-    frozen to that rule and the step is exactly time-reversible; otherwise the
-    self-consistent shell field is recomputed after the drift.
+    frozen to that rule and the step is exactly time-reversible; otherwise
+    field_from_particles is recomputed on the drifted ensemble.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
-
-    def shell_force(pos):
-        moved = replace(ens, positions=pos)
-        order, r_sorted, _, _, m_half = _sorted_shell_data(moved)
-        return _shell_accelerations(moved, order, r_sorted, m_half)
-
-    force = external if external is not None else shell_force
+    if external is None:
+        force = field_from_particles
+    else:
+        force = lambda state: external(state.positions)
     if accel is None:
-        accel = force(ens.positions)
+        accel = force(ens)
 
     v_half = ens.velocities + 0.5 * dt * accel
     x_new = ens.positions + dt * _drift_velocity(ens, v_half)
-    accel_new = force(x_new)
+    drifted = replace(ens, positions=x_new)
+    accel_new = force(drifted)
     v_new = v_half + 0.5 * dt * accel_new
 
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
@@ -303,7 +259,7 @@ def push(ens: ParticleEnsemble, dt: float,
             raise NumericsError(
                 f"drift speed reached c={c} after push (dt={dt}, "
                 f"max|v|={math.sqrt(u2):.3e})")
-    return replace(ens, positions=x_new, velocities=v_new), accel_new
+    return replace(drifted, velocities=v_new), accel_new
 
 
 _ENSEMBLE_HEADER = ["x", "y", "z", "vx", "vy", "vz", "w", "f"]
@@ -316,15 +272,14 @@ def ensemble_to_csv(path, ens: ParticleEnsemble) -> None:
     write_float_table(path, _ENSEMBLE_HEADER, table)
 
 
-def ensemble_from_csv(path, params: ModelParams,
-                      eps_soft: float = 0.0) -> ParticleEnsemble:
-    """Load a snapshot written by ensemble_to_csv."""
+def ensemble_from_csv(path, params: ModelParams) -> ParticleEnsemble:
+    """Load a snapshot written by ensemble_to_csv (unsoftened)."""
     data = read_csv(path, _ENSEMBLE_HEADER)
     return ParticleEnsemble(positions=data[:, 0:3].copy(),
                             velocities=data[:, 3:6].copy(),
                             weights=data[:, 6].copy(),
                             f_values=data[:, 7].copy(),
-                            params=params, eps_soft=eps_soft)
+                            params=params)
 
 
 def central_mass_accel(mass: float) -> Callable:
@@ -364,7 +319,7 @@ def _binned_shell_masses(ens: ParticleEnsemble, edges: np.ndarray,
     return np.bincount(idx, weights=ens.weights, minlength=len(edges) - 1)
 
 
-def _reference_shell_masses(state: GroundState, n_bins: int = 24):
+def _reference_shell_masses(state: GroundState):
     """Equal-mass radial bins of the reference profile (last bin reaches
     infinity so escapers count as mass out of place)."""
     grid = state.rho.grid
@@ -375,7 +330,7 @@ def _reference_shell_masses(state: GroundState, n_bins: int = 24):
                                  + r_fine[:-1] ** 2 * rho_fine[:-1]))))
     cum *= 4.0 * np.pi
     total = cum[-1]
-    quantiles = np.linspace(0.0, total, n_bins)
+    quantiles = np.linspace(0.0, total, _REFERENCE_BINS)
     inner = np.interp(quantiles[1:-1], cum, r_fine)
     edges = np.concatenate(([0.0], inner, [np.inf]))
     masses = np.diff(np.interp(np.minimum(edges, r_fine[-1]), r_fine, cum))
@@ -383,7 +338,6 @@ def _reference_shell_masses(state: GroundState, n_bins: int = 24):
 
 
 def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
-                 lq: Sequence[float],
                  spec: Optional[CasimirSpec] = None,
                  ref_masses: Optional[np.ndarray] = None,
                  ref_edges: Optional[np.ndarray] = None) -> DiagnosticsRecord:
@@ -411,8 +365,7 @@ def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
     if spec is not None and np.any(pos):
         mj_est = float(np.sum((ens.weights[pos] / ens.f_values[pos])
                               * np.asarray(spec.j(ens.f_values[pos]), dtype=float)))
-    lq_vals = tuple(float(np.sum(ens.weights[pos] * ens.f_values[pos] ** (q - 1.0))
-                          ** (1.0 / q)) for q in lq)
+    l2 = float(np.sum(ens.weights[pos] * ens.f_values[pos]) ** 0.5)
 
     dist = None
     if ref_masses is not None and ref_edges is not None:
@@ -420,18 +373,17 @@ def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
     return DiagnosticsRecord(t=t, hc=hc, m1=ens.total_mass, mj_estimate=mj_est,
                              ekin=ekin, epot=epot, virial=virial,
                              rho_center=rho_center, ej_dist_to_ref=dist,
-                             lq_norms=lq_vals)
+                             lq_norms=(l2,))
 
 
 def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
            spec: Optional[CasimirSpec] = None,
            reference: Optional[GroundState] = None,
            center_bin: Optional[float] = None,
-           lq: Sequence[float] = (2.0,),
            stop_condition: Optional[Callable] = None):
     """Run the leapfrog loop, collecting diagnostics every ``diag_every`` steps.
 
-    The Casimir estimate and L^q norms are Monte Carlo functionals of the
+    The Casimir estimate and the L^2 norm are Monte Carlo functionals of the
     frozen per-particle values (exactly conserved by construction, approximate
     as estimates of the continuum integrals). Returns (records, ensemble).
     """
@@ -444,14 +396,14 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     if reference is not None:
         ref_edges, ref_masses = _reference_shell_masses(reference)
 
-    records = [_diagnostics(ens, 0.0, center_bin, lq, spec, ref_masses, ref_edges)]
+    records = [_diagnostics(ens, 0.0, center_bin, spec, ref_masses, ref_edges)]
     steps = int(round(t_end / dt))
     accel = None
     for k in range(1, steps + 1):
         ens, accel = push(ens, dt, accel=accel)
         if k % diag_every == 0 or k == steps:
-            rec = _diagnostics(ens, k * dt, center_bin, lq, spec,
-                               ref_masses, ref_edges)
+            rec = _diagnostics(ens, k * dt, center_bin, spec, ref_masses,
+                               ref_edges)
             records.append(rec)
             if stop_condition is not None and stop_condition(rec, ens):
                 break
@@ -494,7 +446,7 @@ def _perturb(ens: ParticleEnsemble, delta: float, mode: str) -> ParticleEnsemble
 
 def stability_experiment(state: GroundState, deltas: Sequence[float], mode: str,
                          n: int, t_end: float, dt: Optional[float] = None,
-                         seed: int = 2024, diag_every: int = 10):
+                         seed: int = 2024):
     """Evolve a ladder of perturbed samples of a steady state and record how
     far each run strays from the reference profile.
 
@@ -514,7 +466,7 @@ def stability_experiment(state: GroundState, deltas: Sequence[float], mode: str,
         if d in runs:
             continue
         ens = _perturb(base, d, mode)
-        records, _ = evolve(ens, t_end, dt, diag_every=diag_every,
+        records, _ = evolve(ens, t_end, dt, diag_every=_STABILITY_DIAG_EVERY,
                             spec=state.spec, reference=state)
         runs[d] = records
 
@@ -546,14 +498,13 @@ class BlowupReport:
 
 def blowup_experiment(spec: CasimirSpec, params: ModelParams,
                       initial: PhaseDensity, n: int, t_end: float,
-                      dt: Optional[float] = None, seed: int = 7,
-                      growth_threshold: float = 100.0,
-                      diag_every: int = 3) -> BlowupReport:
+                      dt: Optional[float] = None,
+                      seed: int = 7) -> BlowupReport:
     """Evolve negative-energy data and watch for central concentration.
 
     Requires hc < 0 for the given model. The verdict is "concentrating" once
-    the binned central density exceeds ``growth_threshold`` times its initial
-    value; the run halts at a resolution guard (1% of the mass inside two
+    the binned central density reaches 100 times its initial value, which
+    stops the run; the run also halts at a resolution guard (1% of the mass inside two
     softening lengths) instead of claiming a singularity.
     """
     rep = functionals(initial, spec, params)
@@ -574,36 +525,34 @@ def blowup_experiment(spec: CasimirSpec, params: ModelParams,
             / (4.0 * math.pi / 3.0 * radii_sorted[n // 2] ** 3)
         dt = 0.01 * dynamical_time(max(bulk, 1e-12))
 
-    state_flags = {"halted": None}
+    threshold = _GROWTH_THRESHOLD * max(rho0, 1e-300)
+    halted_at = None
 
     def guard(rec, ens_now):
-        if rec.rho_center >= growth_threshold * max(rho0, 1e-300):
+        nonlocal halted_at
+        if rec.rho_center >= threshold:
             return True
         r = ens_now.radii()
         k = max(int(0.01 * len(r)) - 1, 0)
         r_one_percent = np.partition(r, k)[k]
         if r_one_percent < 1.5 * ens_now.eps_soft:
-            state_flags["halted"] = rec.t
+            halted_at = rec.t
             return True
         return False
 
-    records, _ = evolve(ens, t_end, dt, diag_every=diag_every, spec=spec,
-                        center_bin=center_bin, stop_condition=guard)
-    rho_series = [rec.rho_center for rec in records]
-    peak = max(rho_series)
-    conc_time = None
-    for rec in records:
-        if rec.rho_center >= growth_threshold * max(rho0, 1e-300):
-            conc_time = rec.t
-            break
+    records, _ = evolve(ens, t_end, dt, diag_every=_BLOWUP_DIAG_EVERY,
+                        spec=spec, center_bin=center_bin, stop_condition=guard)
+    peak = max(rec.rho_center for rec in records)
+    # a crossing stops the run, so only the last record can cross
+    conc_time = records[-1].t if records[-1].rho_center >= threshold else None
     if conc_time is not None:
         verdict = "concentrating"
-    elif state_flags["halted"] is not None:
+    elif halted_at is not None:
         verdict = "resolution-halt"
     else:
         verdict = "no-concentration"
     return BlowupReport(verdict=verdict, concentration_time=conc_time,
                         rho_center_initial=rho0, rho_center_peak=peak,
                         growth_factor=peak / max(rho0, 1e-300),
-                        halted_at=state_flags["halted"],
-                        hc_initial=rep.hc, records=tuple(records))
+                        halted_at=halted_at, hc_initial=rep.hc,
+                        records=tuple(records))

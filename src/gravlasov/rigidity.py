@@ -65,6 +65,12 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_ROOT_WINDOW = (1e-4, 1e4)   # f_roots searches |mu0| times this range
+_ROOT_SCAN = 64              # geometric scan points that bracket the roots
+_SHAPE_RANGE = (-2.0, 2.0)   # log10 of the trial shape parameter
+_GOLDEN_STEPS = 12
+_LEVEL_QUAD_NODES = 2000
+_BOOTSTRAP_MAX_ITER = 10_000
 
 THRESHOLD_CAVEAT = (
     "estimate is an upper bound for the interpolation constant: "
@@ -157,10 +163,10 @@ def estimate_kj(spec: CasimirSpec, params: ModelParams,
         if q < best[0]:
             best = (q, label)
 
-    def golden(make, label, lo=-2.0, hi=2.0, steps=12):
+    def golden(make, label):
         nonlocal evals
         gr = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
+        a, b = _SHAPE_RANGE
         c_pt = b - gr * (b - a)
         d_pt = a + gr * (b - a)
         cache = {}
@@ -173,7 +179,7 @@ def estimate_kj(spec: CasimirSpec, params: ModelParams,
                 consider(cache[t], f"{label}(s=10^{t:.3f})")
             return cache.get(t, math.inf)
 
-        for _ in range(steps):
+        for _ in range(_GOLDEN_STEPS):
             if evals >= budget:
                 break
             if value(c_pt) < value(d_pt):
@@ -390,16 +396,20 @@ def f_function(params: ModelParams, a: float, spec: CasimirSpec, s: float) -> fl
                          "probe the classical limit with large c instead")
     if not (a > 0 and s > 0):
         raise ValueError("a and s must be positive")
+    s = float(s)   # a numpy scalar would warn where a float overflows quietly
     # the density moment at depth a with |mu| = s carries the factor 4 pi s^2
     scale = 4.0 * math.pi * s * s
-    if not 0.0 < scale < math.inf:
-        raise NumericsError(f"F(s) is out of double range at s = {s:g}")
-    return _velocity_moment(spec, params, -s, a) / scale
+    if 0.0 < scale < math.inf:
+        # overflow inside the moment shows up as a non-finite value
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _velocity_moment(spec, params, -s, a) / scale
+        if math.isfinite(value):
+            return value
+    raise NumericsError(f"F(s) is out of double range at s = {s:g}")
 
 
-def f_roots(params: ModelParams, a: float, spec: CasimirSpec, mu0: float,
-            window: tuple = (1e-4, 1e4), n_scan: int = 64) -> list:
-    """All solutions s of F(s) = F(|mu0|) inside |mu0| * window.
+def f_roots(params: ModelParams, a: float, spec: CasimirSpec, mu0: float) -> list:
+    """All solutions s of F(s) = F(|mu0|) with s/|mu0| in [1e-4, 1e4].
 
     F is strictly convex with a single interior minimum, so there are at most
     two roots; |mu0| itself is always one of them. In the near-classical
@@ -408,8 +418,8 @@ def f_roots(params: ModelParams, a: float, spec: CasimirSpec, mu0: float,
     """
     mu0_abs = abs(mu0)
     target = f_function(params, a, spec, mu0_abs)
-    lo, hi = mu0_abs * window[0], mu0_abs * window[1]
-    s_grid = np.geomspace(lo, hi, n_scan)
+    s_grid = np.geomspace(mu0_abs * _ROOT_WINDOW[0], mu0_abs * _ROOT_WINDOW[1],
+                          _ROOT_SCAN)
     vals = np.array([f_function(params, a, spec, s) for s in s_grid])
 
     roots = [mu0_abs]
@@ -419,7 +429,8 @@ def f_roots(params: ModelParams, a: float, spec: CasimirSpec, mu0: float,
             roots.append(float(s_grid[i]))
         if diff[i] * diff[i + 1] < 0.0:
             root = brentq(lambda s: f_function(params, a, spec, s) - target,
-                          s_grid[i], s_grid[i + 1], xtol=1e-14, rtol=1e-12)
+                          s_grid[i], s_grid[i + 1], xtol=1e-14 * mu0_abs,
+                          rtol=1e-12)
             if not math.isclose(root, mu0_abs, rel_tol=1e-8):
                 roots.append(float(root))
     # 12 significant digits: what brentq's rtol=1e-12 determines
@@ -471,7 +482,7 @@ LEVEL_VOLUME_CONSTANT = 4.0 * math.pi ** 3 / 3.0
 # phase-space volume of {u^2/2 + b r^2/2 < s} is (4 pi^3/3) s^3 b^(-3/2)
 
 
-def level_asymptotic(state: GroundState, tau_fracs=None, n_quad: int = 2000) -> LevelAsymptoticFit:
+def level_asymptotic(state: GroundState, tau_fracs=None) -> LevelAsymptoticFit:
     """Fit the cubic shrinkage law of near-peak level sets.
 
     Measures vol{ kinetic(u) + phi(r) - phi(0) < |mu| (a - tau) } for tau
@@ -511,7 +522,7 @@ def level_asymptotic(state: GroundState, tau_fracs=None, n_quad: int = 2000) -> 
         if r_edge < 3.0 * h:
             raise ResolutionError(
                 "level set spans fewer than three radial cells; refine the grid")
-        rr = np.linspace(0.0, r_edge, n_quad)
+        rr = np.linspace(0.0, r_edge, _LEVEL_QUAD_NODES)
         depth = np.maximum(eps - dphi_spline(rr), 0.0)
         u_edge = kinetic_weight_inverse(params, depth)
         vols[idx] = 16.0 * math.pi ** 2 * simpson(rr * rr * u_edge ** 3 / 3.0, x=rr)
@@ -545,7 +556,7 @@ class BootstrapResult:
         return self.success_index is not None
 
 
-def bootstrap_exponents(p: float, q0: float = 1.2, max_iter: int = 10_000) -> BootstrapResult:
+def bootstrap_exponents(p: float, q0: float = 1.2) -> BootstrapResult:
     """Iterate q_{k+1} = 3(p-1) q_k / ((3p-2)(3 - 2 q_k)) until q_k >= 3/2.
 
     The recursion's fixed point q* = 3(2p-1)/(2(3p-2)) is repelling upward,
@@ -559,7 +570,7 @@ def bootstrap_exponents(p: float, q0: float = 1.2, max_iter: int = 10_000) -> Bo
     seq = [q0]
     success = None
     boundary = False
-    for k in range(max_iter):
+    for k in range(_BOOTSTRAP_MAX_ITER):
         q = seq[-1]
         if q >= 1.5 - 1e-9:   # tolerance absorbs roundoff in exact-boundary cases
             success = k

@@ -31,7 +31,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad, quad_vec, simpson
@@ -142,13 +142,13 @@ def _moment_integrand(spec: CasimirSpec, params: ModelParams, mu_abs: float,
 
 
 def _velocity_moment(spec: CasimirSpec, params: ModelParams, mu: float,
-                     a_depth: float, kind: str = "rho") -> float:
-    """4 pi int_0^A K(q) G(A-q) w(q) dq by scalar adaptive quadrature."""
+                     a_depth: float) -> float:
+    """Density moment 4 pi int_0^A G(A-q) w(q) dq by scalar adaptive quadrature."""
     if a_depth <= 0.0:
         return 0.0
     mu_abs = abs(mu)
     val, _ = quad(
-        lambda t: float(_moment_integrand(spec, params, mu_abs, a_depth, t, kind)),
+        lambda t: float(_moment_integrand(spec, params, mu_abs, a_depth, t, "rho")),
         0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=200)
     return 4.0 * np.pi * val
 
@@ -203,14 +203,14 @@ class _MomentTable:
                 self._splines[kind](np.sqrt(np.minimum(a[mask], self.a_max))), 0.0)
         return float(out[0]) if scalar else out
 
-    def derivative(self, a_depth, kind: str = "rho"):
-        """d(moment)/dA, finite where the profile is (zero outside support)."""
+    def derivative(self, a_depth):
+        """d(density)/dA, finite where the profile is (zero outside support)."""
         a = np.atleast_1d(np.asarray(a_depth, dtype=float))
         out = np.zeros_like(a)
         mask = a > 0
         if np.any(mask):
             zeta = np.sqrt(np.minimum(a[mask], self.a_max))
-            out[mask] = self._splines[kind](zeta, 1) / (2.0 * zeta)
+            out[mask] = self._splines["rho"](zeta, 1) / (2.0 * zeta)
         return out
 
 
@@ -223,7 +223,7 @@ def density_from_potential(spec: CasimirSpec, params: ModelParams, lam: float,
         raise ValueError("multipliers lambda and mu must be negative")
     if phi_val >= lam:
         return 0.0
-    return _velocity_moment(spec, params, mu, (phi_val - lam) / mu, "rho")
+    return _velocity_moment(spec, params, mu, (phi_val - lam) / mu)
 
 
 def ode_rhs(spec: CasimirSpec, params: ModelParams, mu: float, psi_val: float) -> float:
@@ -232,7 +232,7 @@ def ode_rhs(spec: CasimirSpec, params: ModelParams, mu: float, psi_val: float) -
         raise ValueError("mu must be negative")
     if psi_val >= 0.0:
         return 0.0
-    return _velocity_moment(spec, params, mu, -psi_val / abs(mu), "rho")
+    return _velocity_moment(spec, params, mu, -psi_val / abs(mu))
 
 
 # --- the solved-state container ----------------------------------------------
@@ -539,7 +539,7 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
         for _ in range(_FIXED_POINT_MAX_ITER):
             if resid < tol:
                 return phi
-            drho_dphi = -table.derivative(a_depth, "rho") / mu_abs  # <= 0
+            drho_dphi = -table.derivative(a_depth) / mu_abs  # <= 0
 
             def matvec(v):
                 return v - poisson_operator(grid, drho_dphi * v)
@@ -827,20 +827,17 @@ def state_to_dir(state: GroundState, outdir) -> None:
         fh.write("\n")
 
 
-def state_from_dir(indir, spec: Optional[CasimirSpec] = None,
-                   m_speed: int = 257) -> GroundState:
-    """Rebuild a GroundState from a solve output directory.
+def state_from_dir(indir, m_speed: int = 257) -> GroundState:
+    """Rebuild a GroundState from a polytrope solve's output directory.
 
-    The Casimir weight is reconstructed for polytropes (or supplied
-    explicitly); profiles are re-derived from (lambda, mu, phi) so the
-    identity verifiers run on a faithful state, not on stale numbers.
+    Profiles are re-derived from (lambda, mu, phi) so the identity verifiers
+    run on a faithful state, not on stale numbers.
     """
     with open(os.path.join(indir, "state.json")) as fh:
         doc = json.load(fh)
-    if spec is None:
-        if not str(doc["casimir"]).startswith("polytrope"):
-            raise ValueError("non-polytrope state needs an explicit CasimirSpec")
-        spec = make_polytrope(float(doc["p"]))
+    if not str(doc["casimir"]).startswith("polytrope"):
+        raise ValueError("only a polytrope state can be rebuilt")
+    spec = make_polytrope(float(doc["p"]))
     params = ModelParams(c=math.inf if doc["c"] == "inf" else float(doc["c"]))
     phi = read_radial_field(os.path.join(indir, doc["profiles"]["phi"]))
     rho = read_radial_field(os.path.join(indir, doc["profiles"]["rho"]))

@@ -315,6 +315,17 @@ def test_in_range_breakdown_is_named_failure(tmp_path, args, error):
     assert read_summary(out)["results"]["error"] == error
 
 
+@pytest.mark.parametrize("mu0", ["1e100", "1e140"])
+def test_froots_overflow_is_numerics_error_without_warnings(tmp_path, capsys, mu0):
+    # F overflows inside the root scan; no root may come from inf or nan
+    out = str(tmp_path / "o")
+    assert run(["froots", "--c", "0.5", "--a", "1", "--mu0", mu0,
+                "--out", out]) == 1
+    assert read_summary(out)["results"]["error"] == "NumericsError"
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- fuzzing the CLI from the key table ------------------------------------------
 
 def _floats(lo, hi):

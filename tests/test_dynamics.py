@@ -70,17 +70,38 @@ def test_sample_density_reproducible(state_p2_rel):
     assert not np.array_equal(a.positions, c.positions)
 
 
-# --- shell field -----------------------------------------------------------------
+# --- shell field ---------------------------------------------------------------
+
+def with_probes(ens, radii):
+    """The ensemble plus zero-weight probes on the z axis: a probe at radius
+    r feels exactly the enclosed mass M(<r)/(4 pi r^2) and moves no mass."""
+    k = len(radii)
+    probes = np.zeros((k, 3))
+    probes[:, 2] = radii
+    return ParticleEnsemble(positions=np.vstack([ens.positions, probes]),
+                            velocities=np.zeros((ens.n + k, 3)),
+                            weights=np.concatenate([ens.weights, np.zeros(k)]),
+                            f_values=np.concatenate([ens.f_values, np.zeros(k)]),
+                            params=ens.params)
+
+
+def probe_pull(ens, radii):
+    """Radial pull toward the origin felt by probes at the given radii."""
+    accel = field_from_particles(with_probes(ens, radii))
+    return -accel[ens.n:, 2]
+
 
 def test_field_single_particle():
     ens = single_particle(weight=2.0, radius=1.0)
-    grid = RadialGrid(r_max=8.0, n=257)
-    table = field_from_particles(ens, grid)
-    outside = grid.nodes > 1.0
-    assert_allclose(table.dphi.values[outside],
-                    2.0 / (4.0 * math.pi * grid.nodes[outside] ** 2), rtol=1e-12)
-    inside = (grid.nodes < 1.0) & (grid.nodes > 0)
-    assert np.all(table.dphi.values[inside] == 0.0)
+    r = RadialGrid(r_max=8.0, n=257).nodes[1:]
+    outside, inside = r[r > 1.0], r[r < 1.0]
+    assert_allclose(probe_pull(ens, outside),
+                    2.0 / (4.0 * math.pi * outside ** 2), rtol=1e-12)
+    assert np.all(probe_pull(ens, inside) == 0.0)
+    # the particle itself feels half its own weight
+    accel = field_from_particles(ens)
+    assert accel.shape == (1, 3)
+    assert_allclose(accel[0], [-1.0 / (4.0 * math.pi), 0.0, 0.0], rtol=1e-12)
 
 
 def test_field_two_shells():
@@ -88,18 +109,19 @@ def test_field_two_shells():
                            velocities=np.zeros((2, 3)),
                            weights=np.array([3.0, 5.0]),
                            f_values=np.ones(2), params=CL)
-    grid = RadialGrid(r_max=8.0, n=513)
-    table = field_from_particles(ens, grid)
-    r = grid.nodes
-    between = (r > 1.0) & (r < 2.0)
-    assert_allclose(table.dphi.values[between], 3.0 / (4 * math.pi * r[between] ** 2),
+    r = RadialGrid(r_max=8.0, n=513).nodes[1:]
+    between = r[(r > 1.0) & (r < 2.0)]
+    assert_allclose(probe_pull(ens, between), 3.0 / (4 * math.pi * between ** 2),
                     rtol=1e-12)
-    beyond = r > 2.0
-    assert_allclose(table.dphi.values[beyond], 8.0 / (4 * math.pi * r[beyond] ** 2),
+    beyond = r[r > 2.0]
+    assert_allclose(probe_pull(ens, beyond), 8.0 / (4 * math.pi * beyond ** 2),
                     rtol=1e-12)
-    # inner particle feels half its own weight only
-    a0 = np.linalg.norm(table.accelerations[0])
+    assert np.all(probe_pull(ens, r[r < 1.0]) == 0.0)
+    # inner particle feels half its own weight only, the outer one the inner
+    # shell plus half its own
+    a0, a1 = np.linalg.norm(field_from_particles(ens), axis=1)
     assert a0 == pytest.approx(1.5 / (4 * math.pi), rel=1e-12)
+    assert a1 == pytest.approx(5.5 / (4 * math.pi * 4.0), rel=1e-12)
 
 
 def stable_sort_accelerations(ens):
@@ -128,28 +150,46 @@ def test_tied_radii_keep_index_order():
     r = ens.radii()
     assert len(np.unique(r)) < n - 10    # ties at radius 1 and at 3 random radii
     expected = stable_sort_accelerations(ens)
-    table = field_from_particles(ens, RadialGrid(r_max=8.0, n=129))
-    assert np.array_equal(table.accelerations, expected)
+    assert np.array_equal(field_from_particles(ens), expected)
     # a step too short to move anything: push's force acts on the tied radii
     out, accel = push(ens, 1e-300)
     assert np.array_equal(out.positions, ens.positions)
     assert np.array_equal(accel, expected)
 
 
-def test_push_force_matches_field_table(state_p2_rel):
+def test_push_force_matches_stable_sort_reference(state_p2_rel):
     ens = sample_state(state_p2_rel, 5000, seed=3)
     out, accel = push(ens, 0.01)
-    grid = RadialGrid(r_max=1.5 * float(np.max(out.radii())), n=129)
-    assert np.array_equal(accel, field_from_particles(out, grid).accelerations)
+    assert not np.array_equal(out.positions, ens.positions)
+    assert np.array_equal(accel, stable_sort_accelerations(out))
+    # the kick before the drift used the field of the starting positions
+    v_half = ens.velocities + 0.005 * stable_sort_accelerations(ens)
+    assert np.array_equal(out.velocities, v_half + 0.005 * accel)
 
 
 def test_field_no_particles():
     ens = ParticleEnsemble(positions=np.zeros((0, 3)), velocities=np.zeros((0, 3)),
                            weights=np.zeros(0), f_values=np.zeros(0), params=CL)
-    grid = RadialGrid(r_max=4.0, n=65)
-    table = field_from_particles(ens, grid)
-    assert np.all(table.phi.values == 0.0)
-    assert np.all(table.dphi.values == 0.0)
+    assert field_from_particles(ens).shape == (0, 3)
+    r = RadialGrid(r_max=4.0, n=65).nodes
+    assert np.all(probe_pull(ens, r) == 0.0)
+
+
+def test_evolve_makes_one_force_call_per_step(state_p2_rel, monkeypatch):
+    import gravlasov.dynamics as dynamics
+    calls = []
+    exact = dynamics.field_from_particles
+
+    def counted(ens):
+        calls.append(ens.n)
+        return exact(ens)
+
+    monkeypatch.setattr(dynamics, "field_from_particles", counted)
+    ens = sample_state(state_p2_rel, 1500, seed=6)
+    steps = 7
+    records, _ = evolve(ens, steps * 0.01, 0.01, diag_every=3)
+    assert len(records) == 1 + 3    # t = 0, steps 3 and 6, and the last step
+    assert len(calls) == steps + 1  # one before the first kick, one per drift
 
 
 # --- pushes ----------------------------------------------------------------------

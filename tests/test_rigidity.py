@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from gravlasov.errors import SupportExceedsGridError
+from gravlasov.errors import NumericsError, SupportExceedsGridError
 from gravlasov.kernel import ModelParams
 from gravlasov.radial import RadialGrid, SpeedGrid, bump_density
 from gravlasov.rigidity import (alpha_rescale, bootstrap_exponents,
@@ -231,6 +232,25 @@ def test_f_roots_scan_at_most_two(spec_p2):
 def test_f_roots_classical_limit_single(spec_p2):
     roots = f_roots(ModelParams(c=1e6), 1.0, spec_p2, -0.5)
     assert roots == [pytest.approx(0.5, rel=1e-10)]
+
+
+@pytest.mark.parametrize("mu0", [1e-10, 1e-150])
+def test_f_roots_single_root_for_small_mu0(spec_p2, mu0):
+    # F is strictly decreasing on the whole window, so |mu0| is the only
+    # root; the bracketed copy of it merges only if brentq's tolerance
+    # scales with |mu0|
+    s = mu0 * np.geomspace(1e-4, 1e4, 9)
+    vals = [f_function(ModelParams(c=0.5), 1.0, spec_p2, x) for x in s]
+    assert all(v > w for v, w in zip(vals, vals[1:]))
+    assert f_roots(ModelParams(c=0.5), 1.0, spec_p2, mu0) == [mu0]
+
+
+@pytest.mark.parametrize("s", [1e140, 1e160])
+def test_f_function_outside_double_range_is_numerics_error(spec_p2, s):
+    # 1e140: 4 pi s^2 is finite but the moment overflows; 1e160: 4 pi s^2
+    # itself overflows
+    with pytest.raises(NumericsError, match=re.escape(f"s = {s:g}")):
+        f_function(ModelParams(c=0.5), 1.0, spec_p2, s)
 
 
 def test_f_roots_ignore_ulp_changes_in_f(spec_p2, monkeypatch):
