@@ -258,14 +258,10 @@ def _cmd_verify(config: RunConfig, outdir: str) -> dict:
     state = steady.state_from_dir(indir, m_speed=config["grid.m"])
     report = steady.multiplier_identities(state)
     support = steady.support_check(state)
-    return {"residuals": report.residuals,
-            "max_residual": report.max_residual,
-            "mu_negative": report.mu_negative,
-            "lambda_negative": report.lambda_negative,
-            "convexity_gap_positive": report.convexity_gap_positive,
-            "support_ok": support.ok,
-            "r_support": support.r_support,
-            "u_bound": support.u_bound}
+    return asdict(report) | {"max_residual": report.max_residual,
+                             "support_ok": support.ok,
+                             "r_support": support.r_support,
+                             "u_bound": support.u_bound}
 
 
 def _cmd_kj(config: RunConfig, outdir: str) -> dict:
@@ -348,8 +344,7 @@ def _cmd_bootstrap(config: RunConfig, outdir: str) -> dict:
     res = rigidity.bootstrap_exponents(p, config["bootstrap.q0"])
     write_csv(os.path.join(outdir, "bootstrap.csv"), ["k", "q_k"],
               enumerate(res.sequence))
-    return {"p": res.p, "q0": res.q0, "sequence": list(res.sequence),
-            "success_index": res.success_index, "boundary_hit": res.boundary_hit}
+    return asdict(res)
 
 
 def _cmd_evolve(config: RunConfig, outdir: str) -> dict:
@@ -387,14 +382,7 @@ def _cmd_stability(config: RunConfig, outdir: str) -> dict:
     for delta, records in runs.items():
         write_csv(os.path.join(outdir, f"diagnostics_delta_{delta:g}.csv"),
                   _DIAG_HEADER, _diag_rows(records))
-    return {"mode": report.mode, "deltas": list(report.deltas),
-            "max_dist_rho": list(report.max_dist_rho),
-            "final_dist_rho": list(report.final_dist_rho),
-            "max_hc_dev": list(report.max_hc_dev),
-            "noise_floor": report.noise_floor,
-            "stable": report.stable,
-            "distance_proxy": report.distance_proxy,
-            "seed": config["dynamics.seed"]}
+    return asdict(report) | {"seed": config["dynamics.seed"]}
 
 
 def _cmd_blowup(config: RunConfig, outdir: str) -> dict:
@@ -413,14 +401,8 @@ def _cmd_blowup(config: RunConfig, outdir: str) -> dict:
         seed=config["dynamics.seed"])
     write_csv(os.path.join(outdir, "diagnostics.csv"), _DIAG_HEADER,
               _diag_rows(report.records))
-    return {"verdict": report.verdict,
-            "concentration_time": report.concentration_time,
-            "growth_factor": report.growth_factor,
-            "rho_center_initial": report.rho_center_initial,
-            "rho_center_peak": report.rho_center_peak,
-            "halted_at": report.halted_at,
-            "hc_initial": report.hc_initial,
-            "seed": config["dynamics.seed"]}
+    return {key: value for key, value in asdict(report).items()
+            if key != "records"} | {"seed": config["dynamics.seed"]}
 
 
 _HANDLERS = {

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .errors import NumericsError, PreconditionError
 from .kernel import CasimirSpec, ModelParams, kinetic_weight
@@ -68,13 +69,6 @@ class ParticleEnsemble:
 
     def speeds(self) -> np.ndarray:
         return np.linalg.norm(self.velocities, axis=1)
-
-    def copy(self) -> "ParticleEnsemble":
-        return ParticleEnsemble(positions=self.positions.copy(),
-                                velocities=self.velocities.copy(),
-                                weights=self.weights.copy(),
-                                f_values=self.f_values.copy(),
-                                params=self.params, eps_soft=self.eps_soft)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -152,19 +146,13 @@ def sample_state(state: GroundState, n: int, seed: int) -> ParticleEnsemble:
 def sample_density(f: PhaseDensity, params: ModelParams, n: int,
                    seed: int) -> ParticleEnsemble:
     """Monte Carlo representation of a generic tabulated phase density."""
-    if f.profile is not None:
-        density_fn = f.profile
-    else:
-        from scipy.interpolate import RegularGridInterpolator
-        interp = RegularGridInterpolator((f.grid_r.nodes, f.grid_u.nodes),
-                                         f.values, bounds_error=False,
-                                         fill_value=0.0)
-        density_fn = lambda r, u: np.maximum(
-            interp(np.stack(np.broadcast_arrays(r, u), axis=-1)), 0.0)
-    nz = np.nonzero(f.values > 0)
-    r_hi = float(f.grid_r.nodes[min(int(nz[0].max()) + 1, f.grid_r.n - 1)])
-    u_hi = float(f.grid_u.nodes[min(int(nz[1].max()) + 1, f.grid_u.m - 1)])
-    return _sample(density_fn, r_hi, u_hi, _phase_integral(f, f.values),
+    support = f.support_nodes()
+    if support is None:
+        raise PreconditionError("cannot sample from an identically zero density")
+    # one node past the last positive one: f's profile may be positive up to it
+    r_hi = float(f.grid_r.nodes[min(support[0] + 1, f.grid_r.n - 1)])
+    u_hi = float(f.grid_u.nodes[min(support[1] + 1, f.grid_u.m - 1)])
+    return _sample(f.profile, r_hi, u_hi, _phase_integral(f, f.values),
                    params, n, seed)
 
 
@@ -312,6 +300,11 @@ class DiagnosticsRecord:
     lq_norms: tuple = ()
 
 
+def _ball_density(weights: np.ndarray, r: np.ndarray, radius: float) -> float:
+    """Summed weight at radii below radius over the volume of that ball."""
+    return float(np.sum(weights[r < radius])) / (4.0 * math.pi / 3.0 * radius ** 3)
+
+
 def _binned_shell_masses(ens: ParticleEnsemble, edges: np.ndarray,
                          r: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(edges, r, side="right") - 1
@@ -325,9 +318,7 @@ def _reference_shell_masses(state: GroundState):
     grid = state.rho.grid
     r_fine = np.linspace(0.0, grid.r_max, 8 * grid.n)
     rho_fine = np.interp(r_fine, grid.nodes, state.rho.values)
-    cum = np.concatenate(([0.0], np.cumsum(
-        0.5 * np.diff(r_fine) * (r_fine[1:] ** 2 * rho_fine[1:]
-                                 + r_fine[:-1] ** 2 * rho_fine[:-1]))))
+    cum = cumulative_trapezoid(r_fine ** 2 * rho_fine, x=r_fine, initial=0.0)
     cum *= 4.0 * np.pi
     total = cum[-1]
     quantiles = np.linspace(0.0, total, _REFERENCE_BINS)
@@ -354,8 +345,7 @@ def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
         vir_lhs = float(np.sum(ens.weights * u2 / np.sqrt(1.0 + u2 / ens.params.c ** 2)))
     virial = (vir_lhs - epot) / max(abs(vir_lhs), abs(epot), 1e-300)
 
-    inside = r < center_bin
-    rho_center = float(np.sum(ens.weights[inside])) / (4.0 * math.pi / 3.0 * center_bin ** 3)
+    rho_center = _ball_density(ens.weights, r, center_bin)
 
     # Monte Carlo functionals of the frozen phase-density values: the phase
     # volume each particle represents is weight/f, so int theta(f) becomes
@@ -427,21 +417,18 @@ class StabilityReport:
 
 
 def _perturb(ens: ParticleEnsemble, delta: float, mode: str) -> ParticleEnsemble:
-    out = ens.copy()
     if delta == 0.0:
-        return out
+        return ens
     if mode == "amplitude":
-        out.weights = out.weights * (1.0 + delta)
-        out.f_values = out.f_values * (1.0 + delta)
-    elif mode == "dilation":
-        out.positions = out.positions * (1.0 + delta)
-        out.velocities = out.velocities / (1.0 + delta)
-    elif mode == "kick":
-        out.velocities = out.velocities * (1.0 + delta)
-        out.f_values = out.f_values / (1.0 + delta) ** 3
-    else:
-        raise ValueError(f"unknown perturbation mode {mode!r}")
-    return out
+        return replace(ens, weights=ens.weights * (1.0 + delta),
+                       f_values=ens.f_values * (1.0 + delta))
+    if mode == "dilation":
+        return replace(ens, positions=ens.positions * (1.0 + delta),
+                       velocities=ens.velocities / (1.0 + delta))
+    if mode == "kick":
+        return replace(ens, velocities=ens.velocities * (1.0 + delta),
+                       f_values=ens.f_values / (1.0 + delta) ** 3)
+    raise ValueError(f"unknown perturbation mode {mode!r}")
 
 
 def stability_experiment(state: GroundState, deltas: Sequence[float], mode: str,
@@ -518,11 +505,9 @@ def blowup_experiment(spec: CasimirSpec, params: ModelParams,
     radii = ens.radii()
     radii_sorted = np.sort(radii)
     center_bin = float(radii_sorted[max(int(0.002 * n), 50)])
-    rho0 = float(np.sum(ens.weights[radii < center_bin])) \
-        / (4.0 * math.pi / 3.0 * center_bin ** 3)
+    rho0 = _ball_density(ens.weights, radii, center_bin)
     if dt is None:
-        bulk = float(np.sum(ens.weights[radii < radii_sorted[n // 2]])) \
-            / (4.0 * math.pi / 3.0 * radii_sorted[n // 2] ** 3)
+        bulk = _ball_density(ens.weights, radii, radii_sorted[n // 2])
         dt = 0.01 * dynamical_time(max(bulk, 1e-12))
 
     threshold = _GROWTH_THRESHOLD * max(rho0, 1e-300)

@@ -17,8 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
+from scipy.interpolate import RegularGridInterpolator
 
-from .errors import BoundaryConditionError, GridMismatchError
+from .errors import BoundaryConditionError, GridMismatchError, NumericsError
 from .kernel import CasimirSpec, FunctionalReport, ModelParams, kinetic_weight
 
 __all__ = [
@@ -44,6 +45,27 @@ __all__ = [
 ]
 
 
+def _uniform_nodes(nodes, top: float, count: int) -> np.ndarray:
+    """linspace(0, top, count) when nodes is None; otherwise nodes, checked
+    to be count increasing nodes from 0 to top, uniform within 1e-8 h."""
+    if not (top > 0 and count >= 2):
+        raise ValueError(f"need a positive maximum and 2 or more nodes, got {top}, {count}")
+    if nodes is None:
+        return np.linspace(0.0, top, count)
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.shape != (count,) or nodes[0] != 0.0 or abs(nodes[-1] - top) > 1e-12 * top:
+        raise ValueError(f"need {count} nodes from 0 to {top}")
+    spacing = np.diff(nodes)
+    if np.any(spacing <= 0):
+        raise ValueError("nodes must be strictly increasing")
+    # h, finite differences and the shooting step assume equal spacing;
+    # the tolerance admits nodes read back from a 17-digit CSV
+    h = top / (count - 1)
+    if np.any(np.abs(spacing - h) > 1e-8 * h):
+        raise ValueError("nodes must be uniformly spaced")
+    return nodes
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform radial grid on [0, r_max] with n nodes."""
@@ -53,20 +75,7 @@ class RadialGrid:
     nodes: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        if not (self.r_max > 0 and self.n >= 2):
-            raise ValueError("need r_max > 0 and n >= 2")
-        if self.nodes is None:
-            object.__setattr__(self, "nodes", np.linspace(0.0, self.r_max, self.n))
-        nodes = self.nodes
-        if nodes[0] != 0.0 or abs(nodes[-1] - self.r_max) > 1e-12 * self.r_max:
-            raise ValueError("nodes must start at 0 and end at r_max")
-        spacing = np.diff(nodes)
-        if np.any(spacing <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        # h, finite differences and the shooting step assume equal spacing;
-        # the tolerance admits nodes read back from a 17-digit CSV
-        if np.any(np.abs(spacing - self.h) > 1e-8 * self.h):
-            raise ValueError("nodes must be uniformly spaced")
+        object.__setattr__(self, "nodes", _uniform_nodes(self.nodes, self.r_max, self.n))
 
     @property
     def h(self) -> float:
@@ -82,10 +91,7 @@ class SpeedGrid:
     nodes: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        if not (self.u_max > 0 and self.m >= 2):
-            raise ValueError("need u_max > 0 and m >= 2")
-        if self.nodes is None:
-            object.__setattr__(self, "nodes", np.linspace(0.0, self.u_max, self.m))
+        object.__setattr__(self, "nodes", _uniform_nodes(self.nodes, self.u_max, self.m))
 
     @property
     def h(self) -> float:
@@ -108,8 +114,9 @@ class RadialField:
 class PhaseDensity:
     """Tabulated f(r, u) >= 0 with compact support strictly inside the grids.
 
-    ``profile`` optionally carries the analytic map (r, u) -> f used to build
-    the table; transforms use it to avoid resampling error when present.
+    ``profile`` evaluates f at any (r, u): the analytic map the table was
+    built from, which spares transforms the resampling error, or else the
+    table's linear interpolation, zero outside the grids and clamped at 0.
     """
 
     grid_r: RadialGrid
@@ -125,6 +132,17 @@ class PhaseDensity:
             raise ValueError("phase density must be nonnegative")
         if np.any(v[-1, :] != 0) or np.any(v[:, -1] != 0):
             raise ValueError("phase density must vanish at r_max and u_max")
+        if self.profile is None:
+            interp = RegularGridInterpolator((self.grid_r.nodes, self.grid_u.nodes),
+                                             v, bounds_error=False, fill_value=0.0)
+            object.__setattr__(self, "profile", lambda r, u: np.maximum(
+                interp(np.stack(np.broadcast_arrays(r, u), axis=-1)), 0.0))
+
+    def support_nodes(self) -> Optional[tuple]:
+        """Indices of the last radius node and of the last speed node where
+        f > 0; None when f vanishes everywhere."""
+        i, j = np.nonzero(self.values > 0)
+        return (int(i.max()), int(j.max())) if len(i) else None
 
     @classmethod
     def from_callable(cls, grid_r: RadialGrid, grid_u: SpeedGrid,
@@ -199,9 +217,9 @@ def poisson_solve(rho: RadialField) -> RadialField:
 
     phi = poisson_operator(rho.grid, vals)
     if np.any(np.diff(phi) < -1e-12 * max(abs(phi[0]), 1.0)):
-        raise RuntimeError("poisson_solve produced a decreasing potential")
+        raise NumericsError("poisson_solve produced a decreasing potential")
     if np.any(phi > 1e-12 * max(abs(phi[0]), 1.0)):
-        raise RuntimeError("poisson_solve produced a positive potential")
+        raise NumericsError("poisson_solve produced a positive potential")
     return RadialField(grid=rho.grid, values=phi)
 
 

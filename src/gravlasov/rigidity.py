@@ -16,6 +16,7 @@ Groups four kinds of machinery around the steady states:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,14 +33,8 @@ from .kernel import (
     ModelParams,
     kinetic_weight_inverse,
 )
-from .radial import (
-    PhaseDensity,
-    RadialGrid,
-    SpeedGrid,
-    distribution_function,
-    functionals,
-    _phase_integral,
-)
+from .radial import (PhaseDensity, RadialGrid, SpeedGrid, bump_density,
+                     distribution_function, functionals, _phase_integral)
 from .steady import (GroundState, SolveTargets, _monomial_exponents,
                      _velocity_moment, integrate_state, solve_targets)
 
@@ -120,23 +115,21 @@ class KjEstimate:
     witness: str
 
 
-def _gaussian_trial(s: float, amplitude: float = 1.0) -> PhaseDensity:
+def _gaussian_trial(s: float) -> PhaseDensity:
     """Isotropic Gaussian bump with shape parameter s = sigma_r * sigma_u."""
-    from .radial import bump_density
     sigma = math.sqrt(s)
     grid_r = RadialGrid(r_max=8.0 * sigma, n=257)
     grid_u = SpeedGrid(u_max=8.0 * sigma, m=257)
-    return bump_density(grid_r, grid_u, r_scale=sigma, u_scale=sigma,
-                        amplitude=amplitude)
+    return bump_density(grid_r, grid_u, r_scale=sigma, u_scale=sigma)
 
 
-def _box_trial(s: float, amplitude: float = 1.0) -> PhaseDensity:
+def _box_trial(s: float) -> PhaseDensity:
     side = math.sqrt(s)
     grid_r = RadialGrid(r_max=2.0 * side, n=257)
     grid_u = SpeedGrid(u_max=2.0 * side, m=257)
 
     def fn(r, u):
-        return amplitude * ((r < side) & (u < side)).astype(float)
+        return ((r < side) & (u < side)).astype(float)
 
     return PhaseDensity.from_callable(grid_r, grid_u, fn)
 
@@ -265,32 +258,16 @@ class ScalingReport:
         return max(abs(a - b) / max(abs(a), abs(b), _TINY) for a, b in pairs)
 
 
-def _support_bounds(f: PhaseDensity):
-    nz = np.nonzero(f.values > 0)
-    if len(nz[0]) == 0:
-        return 0.0, 0.0
-    return (float(f.grid_r.nodes[nz[0].max()]), float(f.grid_u.nodes[nz[1].max()]))
-
-
 def _resample(f: PhaseDensity, map_r: float, map_u: float, amp: float,
               grids=None) -> PhaseDensity:
     """Tabulate f_new(r, u) = amp * f(r/map_r, u/map_u) on the given grids."""
     grid_r, grid_u = grids if grids is not None else (f.grid_r, f.grid_u)
-    r_sup, u_sup = _support_bounds(f)
-    if r_sup * map_r >= grid_r.r_max or u_sup * map_u >= grid_u.u_max:
+    support = f.support_nodes()
+    if support is not None and (f.grid_r.nodes[support[0]] * map_r >= grid_r.r_max
+                                or f.grid_u.nodes[support[1]] * map_u >= grid_u.u_max):
         raise SupportExceedsGridError("rescaled support escapes the grids")
-    if f.profile is not None:
-        fn = lambda r, u: amp * f.profile(r / map_r, u / map_u)
-        return PhaseDensity.from_callable(grid_r, grid_u, fn)
-    from scipy.interpolate import RegularGridInterpolator
-    interp = RegularGridInterpolator((f.grid_r.nodes, f.grid_u.nodes), f.values,
-                                     bounds_error=False, fill_value=0.0)
-    rr, uu = np.meshgrid(grid_r.nodes / map_r, grid_u.nodes / map_u, indexing="ij")
-    vals = amp * interp(np.stack([rr, uu], axis=-1))
-    vals = np.maximum(vals, 0.0)
-    vals[-1, :] = 0.0
-    vals[:, -1] = 0.0
-    return PhaseDensity(grid_r=grid_r, grid_u=grid_u, values=vals)
+    return PhaseDensity.from_callable(
+        grid_r, grid_u, lambda r, u: amp * f.profile(r / map_r, u / map_u))
 
 
 def dilate_transform(f: PhaseDensity, lam: float, spec: CasimirSpec,
@@ -397,9 +374,10 @@ def f_function(params: ModelParams, a: float, spec: CasimirSpec, s: float) -> fl
     if not (a > 0 and s > 0):
         raise ValueError("a and s must be positive")
     s = float(s)   # a numpy scalar would warn where a float overflows quietly
-    # the density moment at depth a with |mu| = s carries the factor 4 pi s^2
+    # the density moment at depth a with |mu| = s carries the factor 4 pi s^2;
+    # a subnormal factor has lost digits, and F with it
     scale = 4.0 * math.pi * s * s
-    if 0.0 < scale < math.inf:
+    if sys.float_info.min <= scale < math.inf:
         # overflow inside the moment shows up as a non-finite value
         with np.errstate(over="ignore", invalid="ignore"):
             value = _velocity_moment(spec, params, -s, a) / scale
@@ -414,13 +392,21 @@ def f_roots(params: ModelParams, a: float, spec: CasimirSpec, mu0: float) -> lis
     F is strictly convex with a single interior minimum, so there are at most
     two roots; |mu0| itself is always one of them. In the near-classical
     regime the minimum moves beyond any physical window and the second root
-    disappears, leaving |mu0| alone.
+    disappears, leaving |mu0| alone. Only the part of the window where F is
+    a normal double is searched; F(|mu0|) itself must be one.
     """
     mu0_abs = abs(mu0)
     target = f_function(params, a, spec, mu0_abs)
     s_grid = np.geomspace(mu0_abs * _ROOT_WINDOW[0], mu0_abs * _ROOT_WINDOW[1],
                           _ROOT_SCAN)
-    vals = np.array([f_function(params, a, spec, s) for s in s_grid])
+
+    def f_or_nan(s):  # nan brackets no root
+        try:
+            return f_function(params, a, spec, s)
+        except NumericsError:
+            return math.nan
+
+    vals = np.array([f_or_nan(s) for s in s_grid])
 
     roots = [mu0_abs]
     diff = vals - target

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import settings
 
 from gravlasov.kernel import CasimirSpec, ModelParams, make_polytrope
-from gravlasov.radial import RadialGrid
+from gravlasov.radial import (RadialGrid, SpeedGrid, bump_density,
+                              read_phase_density, write_phase_density)
 from gravlasov.steady import integrate_state
 
 # the same draws on every run: a failure repeats, and no run depends on an
@@ -42,6 +43,17 @@ def relativistic():
 @pytest.fixture(scope="session")
 def grid_20():
     return RadialGrid(r_max=20.0, n=1025)
+
+
+@pytest.fixture(scope="session")
+def bump_and_table(tmp_path_factory):
+    """A bump density and its table read back from CSV; the table alone
+    evaluates off its grids by linear interpolation."""
+    f = bump_density(RadialGrid(r_max=4.0, n=65), SpeedGrid(u_max=3.0, m=49),
+                     0.7, 0.5)
+    path = tmp_path_factory.mktemp("bump") / "f.csv"
+    write_phase_density(path, f)
+    return f, read_phase_density(path)
 
 
 @pytest.fixture(scope="session")

@@ -306,6 +306,8 @@ def test_verify_without_a_solve_is_config_error(tmp_path, capsys):
       "--t-end", "0.1", "--dt", "0.1"], "PreconditionError"),    # trivial state
     (["equimeasure", "--psi0", "0", "--mu", "-1", "--n", "65"], "PreconditionError"),
     (["froots", "--c", "1", "--a", "1", "--mu0", "-1e-320"], "NumericsError"),
+    # 4 pi mu0^2 is subnormal: F(|mu0|) has lost digits
+    (["froots", "--c", "0.5", "--a", "1", "--mu0", "1e-155"], "NumericsError"),
     (["kj", "--c", "0.001", "--budget", "1", "--family", "ground"], "NumericsError"),
 ])
 def test_in_range_breakdown_is_named_failure(tmp_path, args, error):
@@ -315,15 +317,26 @@ def test_in_range_breakdown_is_named_failure(tmp_path, args, error):
     assert read_summary(out)["results"]["error"] == error
 
 
-@pytest.mark.parametrize("mu0", ["1e100", "1e140"])
+@pytest.mark.parametrize("mu0", ["1e103", "1e140"])
 def test_froots_overflow_is_numerics_error_without_warnings(tmp_path, capsys, mu0):
-    # F overflows inside the root scan; no root may come from inf or nan
+    # F(|mu0|) itself overflows
     out = str(tmp_path / "o")
     assert run(["froots", "--c", "0.5", "--a", "1", "--mu0", mu0,
                 "--out", out]) == 1
     assert read_summary(out)["results"]["error"] == "NumericsError"
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mu0", ["3e98", "1e100", "2e102"])
+def test_froots_skips_scan_points_outside_double_range(tmp_path, capsys, mu0):
+    # F overflows at the top of the scan but not at |mu0|: those points
+    # bracket no root, and |mu0| is the one root
+    out = str(tmp_path / "o")
+    assert run(["froots", "--c", "0.5", "--a", "1", "--mu0", mu0,
+                "--out", out]) == 0
+    assert read_summary(out)["results"] == {"count": 1, "roots": [float(mu0)]}
+    assert capsys.readouterr().err == ""
 
 
 # --- fuzzing the CLI from the key table ------------------------------------------

@@ -5,12 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gravlasov.errors import NumericsError, PreconditionError
-from gravlasov.kernel import ModelParams, kinetic_weight
-from gravlasov.radial import RadialGrid, SpeedGrid, bump_density, functionals
+from gravlasov.kernel import ModelParams, kinetic_weight, make_polytrope
+from gravlasov.radial import (PhaseDensity, RadialGrid, SpeedGrid,
+                              bump_density, functionals)
 from gravlasov.dynamics import (ParticleEnsemble, blowup_experiment,
                                 central_mass_accel, dynamical_time, evolve,
-                                field_from_particles, push, sample_state,
-                                stability_experiment)
+                                field_from_particles, push, sample_density,
+                                sample_state, stability_experiment)
 
 CL = ModelParams()
 REL = ModelParams(c=1.0)
@@ -61,13 +62,34 @@ def test_sample_state_rejects_trivial(spec_p2, grid_20):
         sample_state(trivial, 5000, seed=1)
 
 
-def test_sample_density_reproducible(state_p2_rel):
+def test_sample_state_reproducible(state_p2_rel):
     a = sample_state(state_p2_rel, 2000, seed=9)
     b = sample_state(state_p2_rel, 2000, seed=9)
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.velocities, b.velocities)
     c = sample_state(state_p2_rel, 2000, seed=10)
     assert not np.array_equal(a.positions, c.positions)
+
+
+def test_sample_density_reproducible(bump_and_table):
+    # the profiled bump, and its table, which samples through its interpolant
+    for f in bump_and_table:
+        a = sample_density(f, REL, 2000, seed=9)
+        b = sample_density(f, REL, 2000, seed=9)
+        for name in ("positions", "velocities", "weights", "f_values"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        c = sample_density(f, REL, 2000, seed=10)
+        assert not np.array_equal(a.positions, c.positions)
+        assert np.all(a.f_values > 0)
+        assert a.total_mass == pytest.approx(functionals(f, make_polytrope(2.0),
+                                                         REL).m1, rel=1e-12)
+
+
+def test_sample_density_rejects_zero_density():
+    grid_r, grid_u = RadialGrid(r_max=4.0, n=65), SpeedGrid(u_max=3.0, m=49)
+    zero = PhaseDensity(grid_r=grid_r, grid_u=grid_u, values=np.zeros((65, 49)))
+    with pytest.raises(PreconditionError, match="zero density"):
+        sample_density(zero, REL, 2000, seed=1)
 
 
 # --- shell field ---------------------------------------------------------------

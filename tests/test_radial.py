@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from scipy.interpolate import RegularGridInterpolator
 
+from gravlasov import radial
 from gravlasov.dynamics import ParticleEnsemble, ensemble_to_csv
-from gravlasov.errors import BoundaryConditionError, GridMismatchError
+from gravlasov.errors import (BoundaryConditionError, GridMismatchError,
+                              NumericsError)
 from gravlasov.kernel import ModelParams, make_polytrope
 from gravlasov.radial import (PhaseDensity, RadialField, RadialGrid, SpeedGrid,
                               bump_density, density_moment,
@@ -36,15 +39,27 @@ def test_grid_invariants():
     assert g.nodes[0] == 0.0
     assert g.nodes[-1] == 2.0
     assert np.all(np.diff(g.nodes) > 0)
+
+
+@pytest.mark.parametrize("grid", [RadialGrid, SpeedGrid])
+def test_grid_node_checks(grid):
     with pytest.raises(ValueError):
-        RadialGrid(r_max=-1.0, n=5)
-    with pytest.raises(ValueError, match="uniform"):
-        RadialGrid(r_max=2.0, n=5, nodes=2.0 * np.linspace(0.0, 1.0, 5) ** 2)
+        grid(-1.0, 5)
+    with pytest.raises(ValueError):
+        grid(2.0, 1)
+    for nodes, match in [(2.0 * np.linspace(0.0, 1.0, 5) ** 2, "uniform"),
+                         ([0.0, 1.0, 0.5, 1.5, 2.0], "increasing"),
+                         ([0.0, 0.5, 1.0, 2.0], "need 5 nodes"),
+                         (np.linspace(0.1, 2.0, 5), "need 5 nodes from 0"),
+                         (np.linspace(0.0, 2.1, 5), "need 5 nodes from 0 to 2")]:
+        with pytest.raises(ValueError, match=match):
+            grid(2.0, 5, nodes=nodes)
+    with pytest.raises(ValueError, match="increasing"):
+        grid(1.0, 3, nodes=[0, 5, 1])
     # nodes printed with 17 significant digits read back as a uniform grid
-    fine = RadialGrid(r_max=20.0, n=4096)
+    fine = grid(20.0, 4096)
     printed = np.array([float(f"{x:.17g}") for x in fine.nodes])
-    assert np.array_equal(RadialGrid(r_max=20.0, n=4096, nodes=printed).nodes,
-                          fine.nodes)
+    assert np.array_equal(grid(20.0, 4096, nodes=printed).nodes, fine.nodes)
 
 
 def test_phase_density_validation(grids):
@@ -84,6 +99,43 @@ def test_from_callable_matches_meshgrid_bit_for_bit(state_p2_rel):
                                    lambda r, u: np.maximum(1.0 - r / r_edge, 0.0))
 
 
+def test_table_profile_is_linear_interpolation(bump_and_table):
+    # a density read from its table alone evaluates off its grids by linear
+    # interpolation, zero outside them and never negative
+    f, table = bump_and_table
+    assert np.array_equal(table.values, f.values)
+    ref = RegularGridInterpolator((table.grid_r.nodes, table.grid_u.nodes),
+                                  table.values, bounds_error=False,
+                                  fill_value=0.0)
+    r_nodes, u_nodes = table.grid_r.nodes, table.grid_u.nodes
+    r_mid = 0.5 * (r_nodes[1:] + r_nodes[:-1])
+    u_mid = 0.3 * u_nodes[1:] + 0.7 * u_nodes[:-1]
+    probes = [(r_nodes[:, None], u_nodes[None, :]),           # at nodes
+              (r_mid[:, None], u_mid[None, :]),               # between nodes
+              (np.array([-0.1, 4.0, 4.5, 1e3]), 0.2),         # outside in r
+              (0.1, np.array([-0.5, 3.0, 3.5])),              # outside in u
+              (1.3, 0.4)]
+    for r, u in probes:
+        got = np.asarray(table.profile(r, u))
+        want = np.maximum(ref(np.stack(np.broadcast_arrays(r, u), axis=-1)), 0.0)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.all(table.profile(np.array([4.5, 1e3]), 0.2) == 0.0)
+    assert np.array_equal(table.profile(r_nodes[:, None], u_nodes[None, :]),
+                          table.values)
+
+
+def test_support_nodes(grids):
+    grid_r, grid_u = grids
+    zero = PhaseDensity(grid_r=grid_r, grid_u=grid_u,
+                        values=np.zeros((grid_r.n, grid_u.m)))
+    assert zero.support_nodes() is None
+    f = box_density(grid_r, grid_u, r_edge=1.0, u_edge=2.0)
+    i, j = f.support_nodes()
+    assert grid_r.nodes[i] <= 1.0 < grid_r.nodes[i + 1]
+    assert grid_u.nodes[j] <= 2.0 < grid_u.nodes[j + 1]
+
+
 def test_density_moment_zero(grids):
     grid_r, grid_u = grids
     f = PhaseDensity(grid_r=grid_r, grid_u=grid_u,
@@ -120,6 +172,18 @@ def test_poisson_zero_and_shape_checks():
     touching = np.ones(65)
     with pytest.raises(BoundaryConditionError):
         poisson_solve(RadialField(grid=grid, values=touching))
+
+
+@pytest.mark.parametrize("potential", [lambda r: -1.0 / (1.0 + r) - 0.5 * r,
+                                       lambda r: 1.0 / (1.0 + r)])
+def test_poisson_breakdown_is_numerics_error(monkeypatch, potential):
+    # a decreasing or a positive potential is a numerical breakdown, which
+    # the CLI reports as a named failure
+    grid = RadialGrid(r_max=2.0, n=65)
+    monkeypatch.setattr(radial, "poisson_operator",
+                        lambda grid_, source: potential(grid_.nodes))
+    with pytest.raises(NumericsError, match="potential"):
+        poisson_solve(RadialField(grid=grid, values=np.zeros(65)))
 
 
 def test_poisson_enclosed_mass_identity(grids):

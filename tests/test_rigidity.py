@@ -1,8 +1,10 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from gravlasov.errors import NumericsError, SupportExceedsGridError
 from gravlasov.kernel import ModelParams
@@ -285,6 +287,33 @@ def test_equimeasure_dilate(bump):
     rep = equimeasure_compare(bump, dil, levels)
     scale = float(rep.dist_f[0])
     assert rep.max_discrepancy / scale < 0.02  # binning tolerance
+
+
+def resample_table_reference(f, map_r, map_u, amp, grids):
+    """The table-only resampling _resample once ran in a branch of its own:
+    the table's interpolant on the meshgrid of the mapped nodes, clamped at
+    0, with the grid edges zeroed."""
+    grid_r, grid_u = grids
+    interp = RegularGridInterpolator((f.grid_r.nodes, f.grid_u.nodes), f.values,
+                                     bounds_error=False, fill_value=0.0)
+    rr, uu = np.meshgrid(grid_r.nodes / map_r, grid_u.nodes / map_u, indexing="ij")
+    vals = np.maximum(amp * interp(np.stack([rr, uu], axis=-1)), 0.0)
+    vals[-1, :] = 0.0
+    vals[:, -1] = 0.0
+    return vals
+
+
+def test_resample_of_a_table_matches_its_interpolant(bump_and_table):
+    table = bump_and_table[1]
+    for lam, amp, n in itertools.product([0.5, 1.0, 1.7, 2.0], [1.0, 2.0], [65, 81]):
+        grids = (RadialGrid(r_max=4.0 * max(lam, 1.0) * 1.05, n=n),
+                 SpeedGrid(u_max=3.0 * max(1.0 / lam, 1.0) * 1.05, m=49))
+        got = _resample(table, lam, 1.0 / lam, amp, grids=grids).values
+        want = resample_table_reference(table, lam, 1.0 / lam, amp, grids)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # a table reaching past the rescaled grids fails like a profiled density
+    with pytest.raises(SupportExceedsGridError):
+        _resample(table, 2.0, 0.5, 1.0)
 
 
 def test_equimeasure_doubled_amplitude(bump):
