@@ -241,13 +241,7 @@ def _cmd_check_casimir(config: RunConfig, outdir: str) -> dict:
 
 
 def _cmd_solve(config: RunConfig, outdir: str) -> dict:
-    state = _solve_state(config)
-    steady.state_to_dir(state, outdir)
-    report = steady.multiplier_identities(state)
-    return {"lambda": state.lam, "mu": state.mu, "psi0": state.psi0,
-            "a": state.a, "r_support": state.r_support, "m1": state.m1,
-            "mj": state.mj, "ekin": state.ekin, "epot": state.epot,
-            "hc": state.hc, "residuals": report.residuals}
+    return steady.state_to_dir(_solve_state(config), outdir)
 
 
 def _cmd_verify(config: RunConfig, outdir: str) -> dict:
@@ -257,11 +251,9 @@ def _cmd_verify(config: RunConfig, outdir: str) -> dict:
                           f"got {indir!r}")
     state = steady.state_from_dir(indir, m_speed=config["grid.m"])
     report = steady.multiplier_identities(state)
-    support = steady.support_check(state)
-    return asdict(report) | {"max_residual": report.max_residual,
-                             "support_ok": support.ok,
-                             "r_support": support.r_support,
-                             "u_bound": support.u_bound}
+    support = asdict(steady.support_check(state))
+    support["support_ok"] = support.pop("ok")
+    return asdict(report) | {"max_residual": report.max_residual} | support
 
 
 def _cmd_kj(config: RunConfig, outdir: str) -> dict:

@@ -191,27 +191,18 @@ class _MomentTable:
             self._splines[kind] = CubicSpline(zeta, vals)
 
     def __call__(self, a_depth, kind: str = "rho"):
-        a = np.asarray(a_depth, dtype=float)
-        scalar = a.ndim == 0
-        a = np.atleast_1d(a)
-        if np.any(a > self.a_max * (1.0 + 1e-8)):
+        # node 0 sits at A = 0, where every tabulated moment is exactly 0, so
+        # clamping A to [0, a_max] gives 0 outside the support
+        if np.any(a_depth > self.a_max * (1.0 + 1e-8)):
             raise ValueError("depth outside tabulated range")
-        out = np.zeros_like(a)
-        mask = a > 0
-        if np.any(mask):
-            out[mask] = np.maximum(
-                self._splines[kind](np.sqrt(np.minimum(a[mask], self.a_max))), 0.0)
-        return float(out[0]) if scalar else out
+        return np.maximum(
+            self._splines[kind](np.sqrt(np.clip(a_depth, 0.0, self.a_max))), 0.0)
 
     def derivative(self, a_depth):
         """d(density)/dA, finite where the profile is (zero outside support)."""
-        a = np.atleast_1d(np.asarray(a_depth, dtype=float))
-        out = np.zeros_like(a)
-        mask = a > 0
-        if np.any(mask):
-            zeta = np.sqrt(np.minimum(a[mask], self.a_max))
-            out[mask] = self._splines["rho"](zeta, 1) / (2.0 * zeta)
-        return out
+        zeta = np.sqrt(np.clip(a_depth, 0.0, self.a_max))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(zeta > 0, self._splines["rho"](zeta, 1) / (2.0 * zeta), 0.0)
 
 
 # --- public pointwise operations --------------------------------------------
@@ -374,89 +365,78 @@ class _FastMasses(NamedTuple):
     r_support: float
 
 
-def _shoot(spec, params, psi0, mu, grid: RadialGrid, table: _MomentTable):
+def _shoot(psi0, mu, grid: RadialGrid, table: _MomentTable):
     """Integrate the radial system outward; return (psi, w, R, w_R, lambda).
 
     Works in the regularized variable z = r psi, whose equation
     z'' = r h(z/r) has a smooth vector field at the origin (a fixed-step
     Runge-Kutta on the raw (psi, r^2 psi') system loses two orders to the
-    coordinate singularity).
+    coordinate singularity). The stages step (z, v = z') as Python floats.
     """
     r = grid.nodes
+    nodes = r.tolist()
     h = grid.h
     mu_abs = abs(mu)
 
-    def rhs(p):
-        if p >= 0.0:
-            return 0.0
-        return table(-p / mu_abs)
-
-    if rhs(psi0) <= 0.0:
+    if table(-psi0 / mu_abs) <= 0.0:
         raise NumericsError("central density vanished for negative psi0")
 
-    def deriv(rr, y):
-        z, v = y
+    def accel(rr, z):
         p = z / rr if rr > 0.0 else psi0
-        return np.array([v, rr * rhs(p)])
+        return rr * float(table(-p / mu_abs)) if p < 0.0 else 0.0
 
-    def rk4(rr, y, step):
-        k1 = deriv(rr, y)
-        k2 = deriv(rr + 0.5 * step, y + 0.5 * step * k1)
-        k3 = deriv(rr + 0.5 * step, y + 0.5 * step * k2)
-        k4 = deriv(rr + step, y + step * k3)
-        return y + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    def rk4(rr, z, v, step):
+        k1z, k1v = v, accel(rr, z)
+        k2z, k2v = v + 0.5 * step * k1v, accel(rr + 0.5 * step, z + 0.5 * step * k1z)
+        k3z, k3v = v + 0.5 * step * k2v, accel(rr + 0.5 * step, z + 0.5 * step * k2z)
+        k4z, k4v = v + step * k3v, accel(rr + step, z + step * k3z)
+        return (z + (step / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z),
+                v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v))
 
-    z = np.empty_like(r)
-    v = np.empty_like(r)
-    z[0], v[0] = 0.0, psi0
-    y = np.array([0.0, psi0])
-    crossing = None
+    zs, vs = [0.0], [psi0]
     for i in range(grid.n - 1):
-        y_new = rk4(r[i], y, h)
-        if not np.all(np.isfinite(y_new)):
+        z, v = rk4(nodes[i], zs[i], vs[i], h)
+        if not (math.isfinite(z) and math.isfinite(v)):
             raise NumericsError("shooting integration produced non-finite values")
-        if y_new[0] >= 0.0:
-            crossing = i
+        if z >= 0.0:
             break
-        y = y_new
-        z[i + 1], v[i + 1] = y_new
-
-    if crossing is None:
+        zs.append(z)
+        vs.append(v)
+    else:
         raise SupportExceedsGridError(
             "psi never crossed zero inside the grid; enlarge r_max")
-    if crossing < 2:
+    if i < 2:
         raise ResolutionError("support ends within the first two radial cells")
 
     # bisect the crossing radius inside the bracketing step
     lo, hi = 0.0, h
-    y_lo = np.array([z[crossing], v[crossing]])
     tol = 1e-12 * grid.r_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        y_mid = rk4(r[crossing], y_lo, mid)
-        if y_mid[0] >= 0.0:
+        if rk4(nodes[i], zs[i], vs[i], mid)[0] >= 0.0:
             hi = mid
         else:
             lo = mid
     tau = 0.5 * (lo + hi)
-    r_supp = r[crossing] + tau
-    y_end = rk4(r[crossing], y_lo, tau)
-    w_r = float(r_supp * y_end[1] - y_end[0])  # w = r z' - z
+    r_supp = nodes[i] + tau
+    z_end, v_end = rk4(nodes[i], zs[i], vs[i], tau)
+    w_r = r_supp * v_end - z_end  # w = r z' - z
 
     lam = -w_r / r_supp
     if not lam < 0.0:
         raise NonNegativeLambdaError("exterior match produced lambda >= 0")
 
+    z, v = np.array(zs), np.array(vs)
     psi = np.empty_like(r)
     w = np.empty_like(r)
     psi[0], w[0] = psi0, 0.0
-    inner = slice(1, crossing + 1)
+    inner = slice(1, i + 1)
     psi[inner] = z[inner] / r[inner]
     w[inner] = r[inner] * v[inner] - z[inner]
     outer = r >= r_supp
     psi[outer] = -lam - w_r / r[outer]
     w[outer] = w_r
-    return psi, w, float(r_supp), w_r, lam
+    return psi, w, r_supp, w_r, lam
 
 
 def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
@@ -477,7 +457,7 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
 
     table = _MomentTable(spec, params, mu, -psi0 / abs(mu), kinds=("rho", "cas"),
                          n_tab=513 if fast else 1025)
-    psi, w, r_supp, w_r, lam = _shoot(spec, params, psi0, mu, grid, table)
+    psi, w, r_supp, w_r, lam = _shoot(psi0, mu, grid, table)
 
     if r_supp > grid.r_max / 4.0:
         raise SupportExceedsGridError(
@@ -486,7 +466,7 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
 
     if fast:
         k = int(np.searchsorted(grid.nodes, r_supp) - 1)
-        a_depth = np.maximum(-psi[: k + 1], 0.0) / abs(mu)
+        a_depth = -psi[: k + 1] / abs(mu)
         m1, mj = (_radial_total(grid.nodes, table(a_depth, kind), k, r_supp,
                                 _edge_exponent(spec)) for kind in ("rho", "cas"))
         return _FastMasses(m1=m1, mj=mj, lam=lam, r_support=r_supp)
@@ -593,7 +573,7 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
             f"all seeds failed to reach a nontrivial state ({last_exc})")
 
     psi = phi - lam
-    rho = table(np.maximum(-psi, 0.0) / mu_abs, "rho")
+    rho = table(-psi / mu_abs, "rho")
     w = cumulative_simpson(r * r * rho, x=r, initial=0.0)
 
     sign_change = np.nonzero(psi >= 0.0)[0]
@@ -797,16 +777,17 @@ def support_check(state: GroundState) -> SupportReport:
 
 # --- serialization ---------------------------------------------------------------
 
-def state_to_dir(state: GroundState, outdir) -> None:
-    """Write state.json plus CSV profiles (phi, rho, f) under outdir."""
+def state_to_dir(state: GroundState, outdir) -> dict:
+    """Write state.json plus CSV profiles (phi, rho, f) under outdir.
+
+    Returns the state's scalars and identity residuals (none for the trivial
+    state); state.json holds them with the model, the trivial flag and the
+    profile paths.
+    """
     write_radial_field(os.path.join(outdir, "profiles", "phi.csv"), state.phi)
     write_radial_field(os.path.join(outdir, "profiles", "rho.csv"), state.rho)
     write_phase_density(os.path.join(outdir, "profiles", "f.csv"), state.f)
-    report = multiplier_identities(state) if not state.trivial else None
-    doc = {
-        "c": "inf" if state.params.is_classical else state.params.c,
-        "casimir": state.spec.name,
-        "p": state.spec.p,
+    results = {
         "lambda": state.lam,
         "mu": state.mu,
         "psi0": state.psi0,
@@ -817,14 +798,20 @@ def state_to_dir(state: GroundState, outdir) -> None:
         "ekin": state.ekin,
         "epot": state.epot,
         "hc": state.hc,
+        "residuals": {} if state.trivial else multiplier_identities(state).residuals,
+    }
+    doc = results | {
+        "c": "inf" if state.params.is_classical else state.params.c,
+        "casimir": state.spec.name,
+        "p": state.spec.p,
         "trivial": state.trivial,
-        "residuals": report.residuals if report else {},
         "profiles": {"phi": "profiles/phi.csv", "rho": "profiles/rho.csv",
                      "f": "profiles/f.csv"},
     }
     with open(os.path.join(outdir, "state.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return results
 
 
 def state_from_dir(indir, m_speed: int = 257) -> GroundState:

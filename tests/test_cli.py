@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gravlasov.cli import (COMMANDS, _FLAG_TO_KEY, _KEYS, build_parser, main,
                            parse_config)
 from gravlasov.errors import ConfigError
+from gravlasov.steady import state_from_dir, support_check
 
 
 def run(args):
@@ -102,6 +103,11 @@ def test_solve_verify_pipeline(tmp_path):
     assert os.path.exists(os.path.join(out, "profiles", "phi.csv"))
     assert os.path.exists(os.path.join(out, "profiles", "rho.csv"))
     assert os.path.exists(os.path.join(out, "profiles", "f.csv"))
+    # the summary reports the record state.json holds, minus model and paths
+    model_keys = ("c", "casimir", "p", "trivial", "profiles")
+    assert read_summary(out)["results"] == {
+        key: value for key, value in state_doc.items() if key not in model_keys}
+    assert len(state_doc["residuals"]) == 8
 
     code = run(["verify", "--out", out, "--n", "513"])
     assert code == 0
@@ -109,6 +115,23 @@ def test_solve_verify_pipeline(tmp_path):
     assert doc["results"]["max_residual"] < 1e-4
     assert doc["results"]["support_ok"] is True
     assert doc["results"]["mu_negative"] is True
+    support = support_check(state_from_dir(out))
+    assert {key: doc["results"][key] for key in
+            ("support_ok", "r_support", "u_bound", "max_off_support",
+             "phi_below_lambda")} == {
+        "support_ok": support.ok, "r_support": support.r_support,
+        "u_bound": support.u_bound, "max_off_support": support.max_off_support,
+        "phi_below_lambda": support.phi_below_lambda}
+
+
+def test_trivial_solve_reports_no_residuals(tmp_path):
+    out = str(tmp_path / "trivial")
+    assert run(["solve", "--psi0", "0", "--mu", "-1", "--n", "129",
+                "--out", out]) == 0
+    state_doc = json.loads(open(os.path.join(out, "state.json")).read())
+    assert state_doc["trivial"] is True
+    assert state_doc["residuals"] == {}
+    assert read_summary(out)["results"]["residuals"] == {}
 
 
 def test_solve_with_targets(tmp_path):

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies
 from numpy.testing import assert_allclose
 
 from gravlasov import steady
-from gravlasov.errors import SupportExceedsGridError, TargetsUnreachableError
+from gravlasov.errors import (ResolutionError, SupportExceedsGridError,
+                             TargetsUnreachableError)
 from gravlasov.kernel import ModelParams, kinetic_weight, make_polytrope
 from gravlasov.radial import RadialGrid
 from gravlasov.steady import (SolveTargets, density_from_potential,
@@ -300,3 +301,118 @@ def test_state_serialization_roundtrip(tmp_path, state_p2_rel):
     assert back.hc == pytest.approx(st.hc, rel=1e-6)
     rep = multiplier_identities(back)
     assert rep.max_residual < 1e-4
+
+
+# --- the float shooting stage against the array stage it replaced -------------
+
+def _reference_lookup(table, a_depth, kind="rho"):
+    """The masked moment lookup: 0 for A <= 0, the clamped spline above."""
+    a = np.atleast_1d(np.asarray(a_depth, dtype=float))
+    if np.any(a > table.a_max * (1.0 + 1e-8)):
+        raise ValueError("depth outside tabulated range")
+    out = np.zeros_like(a)
+    mask = a > 0
+    out[mask] = np.maximum(
+        table._splines[kind](np.sqrt(np.minimum(a[mask], table.a_max))), 0.0)
+    return out
+
+
+def _reference_derivative(table, a_depth):
+    a = np.atleast_1d(np.asarray(a_depth, dtype=float))
+    out = np.zeros_like(a)
+    mask = a > 0
+    zeta = np.sqrt(np.minimum(a[mask], table.a_max))
+    out[mask] = table._splines["rho"](zeta, 1) / (2.0 * zeta)
+    return out
+
+
+def _reference_shoot(psi0, mu, grid, table):
+    """RK4 on the array y = (z, v) through the masked lookup."""
+    r, h, mu_abs = grid.nodes, grid.h, abs(mu)
+
+    def deriv(rr, y):
+        p = y[0] / rr if rr > 0.0 else psi0
+        rhs = 0.0 if p >= 0.0 else float(_reference_lookup(table, -p / mu_abs)[0])
+        return np.array([y[1], rr * rhs])
+
+    def rk4(rr, y, step):
+        k1 = deriv(rr, y)
+        k2 = deriv(rr + 0.5 * step, y + 0.5 * step * k1)
+        k3 = deriv(rr + 0.5 * step, y + 0.5 * step * k2)
+        k4 = deriv(rr + step, y + step * k3)
+        return y + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    ys = [np.array([0.0, psi0])]
+    y = rk4(r[0], ys[0], h)
+    while y[0] < 0.0:
+        ys.append(y)
+        y = rk4(r[len(ys) - 1], y, h)
+    i = len(ys) - 1
+    lo, hi = 0.0, h
+    while hi - lo > 1e-12 * grid.r_max:
+        mid = 0.5 * (lo + hi)
+        if rk4(r[i], ys[i], mid)[0] >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    tau = 0.5 * (lo + hi)
+    r_supp = r[i] + tau
+    y_end = rk4(r[i], ys[i], tau)
+    w_r = float(r_supp * y_end[1] - y_end[0])
+    lam = -w_r / r_supp
+    z, v = np.array(ys).T
+    psi = np.empty_like(r)
+    w = np.empty_like(r)
+    psi[0], w[0] = psi0, 0.0
+    psi[1 : i + 1] = z[1:] / r[1 : i + 1]
+    w[1 : i + 1] = r[1 : i + 1] * v[1:] - z[1:]
+    outer = r >= r_supp
+    psi[outer] = -lam - w_r / r[outer]
+    w[outer] = w_r
+    return psi, w, float(r_supp), w_r, lam
+
+
+def _shot_table(spec, params, psi0, mu):
+    return steady._MomentTable(spec, params, mu, -psi0 / abs(mu), kinds=("rho", "cas"))
+
+
+@pytest.mark.parametrize("c", [1.0, math.inf])
+@pytest.mark.parametrize("n", [513, 4096])
+@pytest.mark.parametrize("psi0, mu", [(-0.814, -0.829), (-0.3, -2.0)])
+def test_shoot_matches_array_stage_bit_for_bit(spec_p2, c, n, psi0, mu):
+    params, grid = ModelParams(c=c), RadialGrid(r_max=20.0, n=n)
+    table = _shot_table(spec_p2, params, psi0, mu)
+    psi, w, r_supp, w_r, lam = steady._shoot(psi0, mu, grid, table)
+    ref_psi, ref_w, ref_r, ref_w_r, ref_lam = _reference_shoot(psi0, mu, grid, table)
+    assert psi.tobytes() == ref_psi.tobytes()
+    assert w.tobytes() == ref_w.tobytes()
+    assert [float(x).hex() for x in (r_supp, w_r, lam)] == \
+        [float(x).hex() for x in (ref_r, ref_w_r, ref_lam)]
+
+
+def test_shoot_errors(spec_p2):
+    table = _shot_table(spec_p2, CL, -1.0, -1.0)  # R = 3.48
+    with pytest.raises(SupportExceedsGridError, match="never crossed zero"):
+        steady._shoot(-1.0, -1.0, RadialGrid(r_max=3.0, n=257), table)
+    with pytest.raises(ResolutionError, match="first two radial cells"):
+        steady._shoot(-1.0, -1.0, RadialGrid(r_max=20.0, n=9), table)
+
+
+@pytest.mark.parametrize("c", [1.0, math.inf])
+def test_moment_table_lookup_matches_masked_lookup(spec_p2, c):
+    table = _shot_table(spec_p2, ModelParams(c=c), -0.814, -0.829)
+    zeta = table._splines["rho"].x
+    a = np.concatenate([[-1.0, -0.0, 0.0, 5e-324, 1e-310], zeta * zeta,
+                        (0.5 * (zeta[1:] + zeta[:-1])) ** 2,
+                        [table.a_max, table.a_max * (1.0 + 5e-9)]])
+    for kind in ("rho", "cas"):
+        ref = _reference_lookup(table, a, kind)
+        assert table(a, kind).tobytes() == ref.tobytes()
+        scalars = np.array([table(float(x), kind) for x in a])
+        assert scalars.tobytes() == ref.tobytes()
+    assert table.derivative(a).tobytes() == _reference_derivative(table, a).tobytes()
+    assert np.all(table.derivative(a)[a <= 0.0] == 0.0)
+    with pytest.raises(ValueError, match="outside tabulated range"):
+        table(table.a_max * (1.0 + 2e-8))
+    with pytest.raises(ValueError, match="outside tabulated range"):
+        table(np.array([0.0, table.a_max * (1.0 + 2e-8)]))
