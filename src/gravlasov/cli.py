@@ -347,8 +347,7 @@ def _cmd_evolve(config: RunConfig, outdir: str) -> dict:
     dt = config.get("dynamics.dt", 0.01 * td)
     t_end = config.get("dynamics.t_end", 10.0 * td)
     ens = dynamics.sample_state(state, n, seed)
-    records, final = dynamics.evolve(ens, t_end, dt, spec=state.spec,
-                                     reference=state)
+    records, final = dynamics.evolve(ens, t_end, dt, reference=state)
     write_csv(os.path.join(outdir, "diagnostics.csv"), _DIAG_HEADER,
               _diag_rows(records))
     if config["dynamics.snapshot"]:

@@ -65,10 +65,17 @@ class ParticleEnsemble:
         return float(np.sum(self.weights))
 
     def radii(self) -> np.ndarray:
-        return np.linalg.norm(self.positions, axis=1)
+        return np.sqrt(_row_norm2(self.positions))
 
     def speeds(self) -> np.ndarray:
-        return np.linalg.norm(self.velocities, axis=1)
+        return np.sqrt(_row_norm2(self.velocities))
+
+
+def _row_norm2(a: np.ndarray) -> np.ndarray:
+    """Squared length of each row of an (n, 3) array. numpy's row sum adds
+    the three squares left to right too, so the bits are those of
+    np.sum(a * a, axis=1), at a third of its cost."""
+    return a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2]
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -78,7 +85,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
     vec = rng.standard_normal((n, 3))
-    norms = np.linalg.norm(vec, axis=1, keepdims=True)
+    norms = np.sqrt(_row_norm2(vec))[:, None]
     small = norms[:, 0] < 1e-12
     if np.any(small):
         vec[small] = np.array([1.0, 0.0, 0.0])
@@ -123,7 +130,7 @@ def _sample(density_fn, r_hi: float, u_hi: float, mass: float,
     assign isotropic directions and equal weights mass/n, and freeze the
     density value at each sample point."""
     if n < 1000:
-        raise ValueError("need at least 1000 particles")
+        raise PreconditionError("need at least 1000 particles")
     rng = _rng(seed)
     r_smp, u_smp = _rejection_sample(rng, density_fn, r_hi, u_hi, n)
     positions = r_smp[:, None] * _isotropic_directions(rng, n)
@@ -191,19 +198,11 @@ def field_from_particles(ens: ParticleEnsemble) -> np.ndarray:
     return -pull_p[:, None] * ens.positions
 
 
-def _shell_potential_energy(ens: ParticleEnsemble, r: np.ndarray) -> float:
-    """Exact field energy (1/2) int |grad phi|^2 of the unsoftened shell system:
-    (1/(4 pi)) sum_i w_i M_half(<r_i) / r_i, given the radii r."""
-    _, r_sorted, w_sorted, m_half = _sorted_shell_data(ens.weights, r)
-    good = r_sorted > 0
-    return float(np.sum(w_sorted[good] * m_half[good] / r_sorted[good]) / (4.0 * np.pi))
-
-
 def _drift_velocity(ens: ParticleEnsemble, velocities: np.ndarray) -> np.ndarray:
     if ens.params.is_classical:
         return velocities
     c = ens.params.c
-    v2 = np.sum(velocities * velocities, axis=1, keepdims=True)
+    v2 = _row_norm2(velocities)[:, None]
     return velocities / np.sqrt(1.0 + v2 / c ** 2)
 
 
@@ -217,7 +216,7 @@ def push(ens: ParticleEnsemble, dt: float,
     field_from_particles is recomputed on the drifted ensemble.
     """
     if dt == 0.0:
-        raise ValueError("dt must be nonzero")
+        raise PreconditionError("dt must be nonzero")
     if external is None:
         force = field_from_particles
     else:
@@ -241,7 +240,7 @@ def push(ens: ParticleEnsemble, dt: float,
         # |dx/dt| = |v|/sqrt(1+|v|^2/c^2) < c in exact arithmetic and rises
         # with |v|, so the fastest particle decides whether rounding broke it
         c = ens.params.c
-        u2 = float(np.max(np.sum(v_new * v_new, axis=1), initial=0.0))
+        u2 = float(np.max(_row_norm2(v_new), initial=0.0))
         drift = math.sqrt(u2 / (1.0 + u2 / c ** 2))
         if not drift < c:
             raise NumericsError(
@@ -274,7 +273,7 @@ def central_mass_accel(mass: float) -> Callable:
     """Force rule of a fixed point mass at the origin (test mode):
     a = -M x / (4 pi |x|^3)."""
     def accel(positions):
-        r2 = np.sum(positions * positions, axis=1, keepdims=True)
+        r2 = _row_norm2(positions)[:, None]
         return -mass * positions / (4.0 * np.pi * r2 ** 1.5)
     return accel
 
@@ -291,13 +290,11 @@ class DiagnosticsRecord:
     t: float
     hc: float
     m1: float
-    mj_estimate: float
     ekin: float
     epot: float
     virial: float
     rho_center: float
     ej_dist_to_ref: Optional[float] = None
-    lq_norms: tuple = ()
 
 
 def _ball_density(weights: np.ndarray, r: np.ndarray, radius: float) -> float:
@@ -305,11 +302,15 @@ def _ball_density(weights: np.ndarray, r: np.ndarray, radius: float) -> float:
     return float(np.sum(weights[r < radius])) / (4.0 * math.pi / 3.0 * radius ** 3)
 
 
-def _binned_shell_masses(ens: ParticleEnsemble, edges: np.ndarray,
-                         r: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(edges, r, side="right") - 1
+def _binned_shell_masses(weights: np.ndarray, edges: np.ndarray,
+                         order: np.ndarray, r_sorted: np.ndarray) -> np.ndarray:
+    """Summed weight per bin of edges, from _sorted_shell_data's order and
+    sorted radii. Bins are found on the sorted radii, which is cheaper, but
+    the weights are summed in index order."""
+    idx = np.empty(len(order), dtype=np.intp)
+    idx[order] = np.searchsorted(edges, r_sorted, side="right") - 1
     idx = np.clip(idx, 0, len(edges) - 2)
-    return np.bincount(idx, weights=ens.weights, minlength=len(edges) - 1)
+    return np.bincount(idx, weights=weights, minlength=len(edges) - 1)
 
 
 def _reference_shell_masses(state: GroundState):
@@ -329,14 +330,17 @@ def _reference_shell_masses(state: GroundState):
 
 
 def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
-                 spec: Optional[CasimirSpec] = None,
                  ref_masses: Optional[np.ndarray] = None,
                  ref_edges: Optional[np.ndarray] = None) -> DiagnosticsRecord:
     r = ens.radii()
+    order, r_sorted, w_sorted, m_half = _sorted_shell_data(ens.weights, r)
     speeds = ens.speeds()
     gam = kinetic_weight(ens.params, speeds)
     ekin = float(np.sum(ens.weights * gam))
-    epot = _shell_potential_energy(ens, r)
+    # exact field energy (1/2) int |grad phi|^2 of the unsoftened shell
+    # system: (1/(4 pi)) sum_i w_i M_half(<r_i) / r_i
+    good = r_sorted > 0
+    epot = float(np.sum(w_sorted[good] * m_half[good] / r_sorted[good]) / (4.0 * np.pi))
     hc = ekin - epot
     u2 = speeds ** 2
     if ens.params.is_classical:
@@ -347,38 +351,27 @@ def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
 
     rho_center = _ball_density(ens.weights, r, center_bin)
 
-    # Monte Carlo functionals of the frozen phase-density values: the phase
-    # volume each particle represents is weight/f, so int theta(f) becomes
-    # sum (w/f) theta(f). Exactly conserved; approximate as continuum values.
-    pos = ens.f_values > 0
-    mj_est = 0.0
-    if spec is not None and np.any(pos):
-        mj_est = float(np.sum((ens.weights[pos] / ens.f_values[pos])
-                              * np.asarray(spec.j(ens.f_values[pos]), dtype=float)))
-    l2 = float(np.sum(ens.weights[pos] * ens.f_values[pos]) ** 0.5)
-
     dist = None
     if ref_masses is not None and ref_edges is not None:
-        dist = float(np.sum(np.abs(_binned_shell_masses(ens, ref_edges, r) - ref_masses)))
-    return DiagnosticsRecord(t=t, hc=hc, m1=ens.total_mass, mj_estimate=mj_est,
-                             ekin=ekin, epot=epot, virial=virial,
-                             rho_center=rho_center, ej_dist_to_ref=dist,
-                             lq_norms=(l2,))
+        masses = _binned_shell_masses(ens.weights, ref_edges, order, r_sorted)
+        dist = float(np.sum(np.abs(masses - ref_masses)))
+    return DiagnosticsRecord(t=t, hc=hc, m1=ens.total_mass, ekin=ekin,
+                             epot=epot, virial=virial, rho_center=rho_center,
+                             ej_dist_to_ref=dist)
 
 
 def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
-           spec: Optional[CasimirSpec] = None,
            reference: Optional[GroundState] = None,
            center_bin: Optional[float] = None,
            stop_condition: Optional[Callable] = None):
     """Run the leapfrog loop, collecting diagnostics every ``diag_every`` steps.
 
-    The Casimir estimate and the L^2 norm are Monte Carlo functionals of the
-    frozen per-particle values (exactly conserved by construction, approximate
-    as estimates of the continuum integrals). Returns (records, ensemble).
+    Weights and f values ride along unchanged, so the Monte Carlo estimate of
+    every Casimir functional is conserved exactly and is not recorded.
+    Returns (records, ensemble).
     """
     if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+        raise PreconditionError("dt and t_end must be positive")
     if center_bin is None:
         center_bin = (reference.r_support / 20.0 if reference is not None
                       else float(np.percentile(ens.radii(), 50)) / 10.0)
@@ -386,14 +379,13 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     if reference is not None:
         ref_edges, ref_masses = _reference_shell_masses(reference)
 
-    records = [_diagnostics(ens, 0.0, center_bin, spec, ref_masses, ref_edges)]
+    records = [_diagnostics(ens, 0.0, center_bin, ref_masses, ref_edges)]
     steps = int(round(t_end / dt))
     accel = None
     for k in range(1, steps + 1):
         ens, accel = push(ens, dt, accel=accel)
         if k % diag_every == 0 or k == steps:
-            rec = _diagnostics(ens, k * dt, center_bin, spec, ref_masses,
-                               ref_edges)
+            rec = _diagnostics(ens, k * dt, center_bin, ref_masses, ref_edges)
             records.append(rec)
             if stop_condition is not None and stop_condition(rec, ens):
                 break
@@ -428,7 +420,7 @@ def _perturb(ens: ParticleEnsemble, delta: float, mode: str) -> ParticleEnsemble
     if mode == "kick":
         return replace(ens, velocities=ens.velocities * (1.0 + delta),
                        f_values=ens.f_values / (1.0 + delta) ** 3)
-    raise ValueError(f"unknown perturbation mode {mode!r}")
+    raise PreconditionError(f"unknown perturbation mode {mode!r}")
 
 
 def stability_experiment(state: GroundState, deltas: Sequence[float], mode: str,
@@ -443,8 +435,8 @@ def stability_experiment(state: GroundState, deltas: Sequence[float], mode: str,
     """
     deltas = tuple(sorted(float(d) for d in deltas))
     if not deltas or deltas[0] < 0 or deltas[-1] <= 0:
-        raise ValueError("perturbation sizes must be nonnegative, "
-                         "at least one positive")
+        raise PreconditionError("perturbation sizes must be nonnegative, "
+                                "at least one positive")
     if dt is None:
         dt = 0.01 * dynamical_time(state.rho.values[0])
     base = sample_state(state, n, seed)
@@ -454,7 +446,7 @@ def stability_experiment(state: GroundState, deltas: Sequence[float], mode: str,
             continue
         ens = _perturb(base, d, mode)
         records, _ = evolve(ens, t_end, dt, diag_every=_STABILITY_DIAG_EVERY,
-                            spec=state.spec, reference=state)
+                            reference=state)
         runs[d] = records
 
     def series(d, attr):
@@ -526,7 +518,7 @@ def blowup_experiment(spec: CasimirSpec, params: ModelParams,
         return False
 
     records, _ = evolve(ens, t_end, dt, diag_every=_BLOWUP_DIAG_EVERY,
-                        spec=spec, center_bin=center_bin, stop_condition=guard)
+                        center_bin=center_bin, stop_condition=guard)
     peak = max(rec.rho_center for rec in records)
     # a crossing stops the run, so only the last record can cross
     conc_time = records[-1].t if records[-1].rho_center >= threshold else None

@@ -234,14 +234,13 @@ def test_criterion_08_bootstrap():
 
 def test_criterion_09_conservation(rel_state_1025):
     st = rel_state_1025
-    spec = st.spec
     td = dynamical_time(st.rho.values[0])
     t_start = time.time()
 
     n = 100_000
     ens = sample_state(st, n, seed=42)
     f0 = ens.f_values.copy()
-    records, final = evolve(ens, 10.0 * td, 0.1 * td, diag_every=10, spec=spec)
+    records, final = evolve(ens, 10.0 * td, 0.1 * td, diag_every=10)
     hc0 = records[0].hc
     drift = max(abs(r.hc - hc0) / abs(hc0) for r in records)
     m1_drift = max(abs(r.m1 - records[0].m1) for r in records)
@@ -252,7 +251,7 @@ def test_criterion_09_conservation(rel_state_1025):
     drifts = {}
     for frac in (0.64, 0.32):
         ens2 = sample_state(st, n, seed=42)
-        recs, _ = evolve(ens2, 10.0 * td, frac * td, diag_every=1, spec=spec)
+        recs, _ = evolve(ens2, 10.0 * td, frac * td, diag_every=1)
         drifts[frac] = max(abs(r.hc - recs[0].hc) / abs(recs[0].hc)
                            for r in recs)
     order = math.log2(drifts[0.64] / drifts[0.32])
