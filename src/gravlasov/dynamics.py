@@ -331,7 +331,8 @@ def _reference_shell_masses(state: GroundState):
 
 def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
                  ref_masses: Optional[np.ndarray] = None,
-                 ref_edges: Optional[np.ndarray] = None) -> DiagnosticsRecord:
+                 ref_edges: Optional[np.ndarray] = None):
+    """The record at time t and the sorted radii it was computed from."""
     r = ens.radii()
     order, r_sorted, w_sorted, m_half = _sorted_shell_data(ens.weights, r)
     speeds = ens.speeds()
@@ -357,7 +358,7 @@ def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
         dist = float(np.sum(np.abs(masses - ref_masses)))
     return DiagnosticsRecord(t=t, hc=hc, m1=ens.total_mass, ekin=ekin,
                              epot=epot, virial=virial, rho_center=rho_center,
-                             ej_dist_to_ref=dist)
+                             ej_dist_to_ref=dist), r_sorted
 
 
 def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
@@ -368,6 +369,7 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
 
     Weights and f values ride along unchanged, so the Monte Carlo estimate of
     every Casimir functional is conserved exactly and is not recorded.
+    ``stop_condition(record, sorted_radii)`` returns True to end the run.
     Returns (records, ensemble).
     """
     if dt <= 0 or t_end <= 0:
@@ -379,16 +381,17 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     if reference is not None:
         ref_edges, ref_masses = _reference_shell_masses(reference)
 
-    records = [_diagnostics(ens, 0.0, center_bin, ref_masses, ref_edges)]
+    records = [_diagnostics(ens, 0.0, center_bin, ref_masses, ref_edges)[0]]
     steps = int(round(t_end / dt))
     accel = None
     for k in range(1, steps + 1):
         ens, accel = push(ens, dt, accel=accel)
         if k % diag_every == 0 or k == steps:
-            rec = _diagnostics(ens, k * dt, center_bin, ref_masses, ref_edges)
+            rec, r_sorted = _diagnostics(ens, k * dt, center_bin, ref_masses, ref_edges)
             records.append(rec)
-            if stop_condition is not None and stop_condition(rec, ens):
+            if stop_condition is not None and stop_condition(rec, r_sorted):
                 break
+            del r_sorted  # not held through the next pushes
     return records, ens
 
 
@@ -475,6 +478,11 @@ class BlowupReport:
     records: tuple
 
 
+def _one_percent_radius(r_sorted: np.ndarray) -> float:
+    """The radius inside which 1% of the particles lie, from sorted radii."""
+    return r_sorted[max(int(0.01 * len(r_sorted)) - 1, 0)]
+
+
 def blowup_experiment(spec: CasimirSpec, params: ModelParams,
                       initial: PhaseDensity, n: int, t_end: float,
                       dt: Optional[float] = None,
@@ -505,14 +513,11 @@ def blowup_experiment(spec: CasimirSpec, params: ModelParams,
     threshold = _GROWTH_THRESHOLD * max(rho0, 1e-300)
     halted_at = None
 
-    def guard(rec, ens_now):
+    def guard(rec, r_sorted):
         nonlocal halted_at
         if rec.rho_center >= threshold:
             return True
-        r = ens_now.radii()
-        k = max(int(0.01 * len(r)) - 1, 0)
-        r_one_percent = np.partition(r, k)[k]
-        if r_one_percent < 1.5 * ens_now.eps_soft:
+        if _one_percent_radius(r_sorted) < 1.5 * ens.eps_soft:
             halted_at = rec.t
             return True
         return False

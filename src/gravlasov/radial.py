@@ -41,7 +41,6 @@ __all__ = [
     "write_radial_field",
     "read_radial_field",
     "write_phase_density",
-    "read_phase_density",
 ]
 
 
@@ -386,32 +385,7 @@ def read_radial_field(path) -> RadialField:
 
 
 def write_phase_density(path, f: PhaseDensity) -> None:
-    """Write one r,u,f line per grid node, r slowest, in write_csv's bytes.
-
-    Compact support leaves most entries +0.0, so each node is formatted once
-    and only the other entries are formatted at all: a +0.0 entry reuses its
-    precomputed ",<u>,0" tail. Each r row's lines are joined into one block
-    and written at once, so the table streams a row at a time.
-    """
-    values = np.asarray(f.values, dtype=float)
-    bits = values.view(np.uint64)  # +0.0 is the one all-zero bit pattern
-    u_mids = [_SEP + _FLOAT.format(u) + _SEP for u in f.grid_u.nodes.tolist()]
-    zero_tails = [mid + "0" + _EOL for mid in u_mids]
-    with _csv_file(path, ["r", "u", "f"]) as (fh, _):
-        for r, row, row_bits in zip(f.grid_r.nodes.tolist(), values, bits):
-            tails = zero_tails.copy()
-            nonzero = np.flatnonzero(row_bits)
-            for j, v in zip(nonzero.tolist(), row[nonzero].tolist()):
-                tails[j] = u_mids[j] + _FLOAT.format(v) + _EOL
-            head = _FLOAT.format(r)
-            fh.write(head + head.join(tails))
-
-
-def read_phase_density(path) -> PhaseDensity:
-    data = read_csv(path, ["r", "u", "f"])
-    r_nodes = np.unique(data[:, 0])
-    u_nodes = np.unique(data[:, 1])
-    grid_r = RadialGrid(r_max=float(r_nodes[-1]), n=len(r_nodes), nodes=r_nodes)
-    grid_u = SpeedGrid(u_max=float(u_nodes[-1]), m=len(u_nodes), nodes=u_nodes)
-    vals = data[:, 2].reshape(len(r_nodes), len(u_nodes))
-    return PhaseDensity(grid_r=grid_r, grid_u=grid_u, values=vals)
+    """Write one r,u,f line per grid node, r slowest."""
+    r, u = np.meshgrid(f.grid_r.nodes, f.grid_u.nodes, indexing="ij")
+    write_float_table(path, ["r", "u", "f"],
+                      np.column_stack((r.ravel(), u.ravel(), f.values.ravel())))

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,6 +44,7 @@ from .errors import (
     GravlasovError,
     NonNegativeLambdaError,
     NumericsError,
+    PreconditionError,
     ResolutionError,
     SupportExceedsGridError,
     TargetsUnreachableError,
@@ -54,6 +56,7 @@ from .kernel import (
     kinetic_weight_inverse,
     make_polytrope,
 )
+from . import radial
 from .radial import (
     PhaseDensity,
     RadialField,
@@ -61,9 +64,10 @@ from .radial import (
     SpeedGrid,
     poisson_operator,
     read_radial_field,
-    write_phase_density,
     write_radial_field,
 )
+
+write_phase_density = radial.write_phase_density  # bench/tracing.py times it
 
 __all__ = [
     "GroundState",
@@ -183,20 +187,41 @@ class _MomentTable:
 
     def __init__(self, spec, params, mu, a_max, kinds=("rho",), n_tab=1025):
         self.a_max = float(a_max) * (1.0 + 1e-9) + _TINY
+        self._a_limit = self.a_max * (1.0 + 1e-8)
         zeta = np.linspace(0.0, math.sqrt(self.a_max), n_tab)
         a_nodes = zeta * zeta
-        self._splines = {}
+        self._zeta, self._nodes = zeta, zeta.tolist()
+        self._splines, self._rows = {}, {}
         for kind in kinds:
             vals = _moment_profile(spec, params, mu, a_nodes, kind)
             self._splines[kind] = CubicSpline(zeta, vals)
+            self._rows[kind] = self._splines[kind].c.T.tolist()
 
     def __call__(self, a_depth, kind: str = "rho"):
-        # node 0 sits at A = 0, where every tabulated moment is exactly 0, so
-        # clamping A to [0, a_max] gives 0 outside the support
-        if np.any(a_depth > self.a_max * (1.0 + 1e-8)):
-            raise ValueError("depth outside tabulated range")
-        return np.maximum(
-            self._splines[kind](np.sqrt(np.clip(a_depth, 0.0, self.a_max))), 0.0)
+        """max(spline(sqrt(clip(A, 0, a_max))), 0) for a float or an array A,
+        bit for bit as scipy gives it: the same interval [x_k, x_k+1) (the
+        last one closed) and scipy's sum c3 + c2 d + c1 d^2 + c0 d^3 (Horner's
+        order rounds otherwise). A float stays a Python float, so a shooting
+        stage pays no numpy call. Node 0 sits at A = 0, where moments are 0.
+        """
+        array, top = isinstance(a_depth, np.ndarray), len(self._nodes) - 1
+        if np.any(a_depth > self._a_limit) if array else a_depth > self._a_limit:
+            raise PreconditionError("depth outside tabulated range")
+        if array:
+            zeta = np.sqrt(np.clip(a_depth, 0.0, self.a_max))
+            k = np.minimum(np.searchsorted(self._zeta, zeta, side="right"), top) - 1
+            c0, c1, c2, c3 = self._splines[kind].c[:, k]
+            d = zeta - self._zeta[k]
+        else:
+            a_max = self.a_max
+            zeta = math.sqrt(0.0 if a_depth < 0.0 else a_max if a_depth > a_max else a_depth)
+            k = min(bisect_right(self._nodes, zeta), top) - 1
+            c0, c1, c2, c3 = self._rows[kind][k]
+            d = zeta - self._nodes[k]
+        value = c3 + c2 * d + c1 * (d * d) + c0 * ((d * d) * d)
+        if array:
+            return np.maximum(value, 0.0)
+        return 0.0 if value <= 0.0 else value
 
     def derivative(self, a_depth):
         """d(density)/dA, finite where the profile is (zero outside support)."""
@@ -383,7 +408,7 @@ def _shoot(psi0, mu, grid: RadialGrid, table: _MomentTable):
 
     def accel(rr, z):
         p = z / rr if rr > 0.0 else psi0
-        return rr * float(table(-p / mu_abs)) if p < 0.0 else 0.0
+        return rr * table(-p / mu_abs) if p < 0.0 else 0.0
 
     def rk4(rr, z, v, step):
         k1z, k1v = v, accel(rr, z)
@@ -778,15 +803,14 @@ def support_check(state: GroundState) -> SupportReport:
 # --- serialization ---------------------------------------------------------------
 
 def state_to_dir(state: GroundState, outdir) -> dict:
-    """Write state.json plus CSV profiles (phi, rho, f) under outdir.
+    """Write state.json plus CSV profiles (phi, rho) under outdir.
 
     Returns the state's scalars and identity residuals (none for the trivial
     state); state.json holds them with the model, the trivial flag and the
-    profile paths.
+    profile paths. f is not written: state_from_dir rebuilds it from these.
     """
     write_radial_field(os.path.join(outdir, "profiles", "phi.csv"), state.phi)
     write_radial_field(os.path.join(outdir, "profiles", "rho.csv"), state.rho)
-    write_phase_density(os.path.join(outdir, "profiles", "f.csv"), state.f)
     results = {
         "lambda": state.lam,
         "mu": state.mu,
@@ -805,8 +829,7 @@ def state_to_dir(state: GroundState, outdir) -> dict:
         "casimir": state.spec.name,
         "p": state.spec.p,
         "trivial": state.trivial,
-        "profiles": {"phi": "profiles/phi.csv", "rho": "profiles/rho.csv",
-                     "f": "profiles/f.csv"},
+        "profiles": {"phi": "profiles/phi.csv", "rho": "profiles/rho.csv"},
     }
     with open(os.path.join(outdir, "state.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

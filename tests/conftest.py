@@ -5,8 +5,7 @@ import pytest
 from hypothesis import settings
 
 from gravlasov.kernel import CasimirSpec, ModelParams, make_polytrope
-from gravlasov.radial import (RadialGrid, SpeedGrid, bump_density,
-                              read_phase_density, write_phase_density)
+from gravlasov.radial import PhaseDensity, RadialGrid, SpeedGrid, bump_density
 from gravlasov.steady import integrate_state
 
 # the same draws on every run: a failure repeats, and no run depends on an
@@ -46,14 +45,12 @@ def grid_20():
 
 
 @pytest.fixture(scope="session")
-def bump_and_table(tmp_path_factory):
-    """A bump density and its table read back from CSV; the table alone
-    evaluates off its grids by linear interpolation."""
+def bump_and_table():
+    """A bump density and a density of its table alone, which evaluates off
+    its grids by linear interpolation."""
     f = bump_density(RadialGrid(r_max=4.0, n=65), SpeedGrid(u_max=3.0, m=49),
                      0.7, 0.5)
-    path = tmp_path_factory.mktemp("bump") / "f.csv"
-    write_phase_density(path, f)
-    return f, read_phase_density(path)
+    return f, PhaseDensity(grid_r=f.grid_r, grid_u=f.grid_u, values=f.values.copy())
 
 
 @pytest.fixture(scope="session")

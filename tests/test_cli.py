@@ -102,7 +102,8 @@ def test_solve_verify_pipeline(tmp_path):
     assert state_doc["mu"] == -1.0
     assert os.path.exists(os.path.join(out, "profiles", "phi.csv"))
     assert os.path.exists(os.path.join(out, "profiles", "rho.csv"))
-    assert os.path.exists(os.path.join(out, "profiles", "f.csv"))
+    assert not os.path.exists(os.path.join(out, "profiles", "f.csv"))
+    assert state_doc["profiles"] == {"phi": "profiles/phi.csv", "rho": "profiles/rho.csv"}
     # the summary reports the record state.json holds, minus model and paths
     model_keys = ("c", "casimir", "p", "trivial", "profiles")
     assert read_summary(out)["results"] == {

@@ -291,7 +291,8 @@ def test_record_matches_two_pass_reference(state_p2_rel):
     # the sampled edges end at infinity; finite ones clip into the last bin
     finite = np.array([0.0, 0.5 * edges[1], edges[-2]])
     for edges_k, masses_k in ((edges, ref_masses), (finite, np.array([0.1, 0.2]))):
-        rec = dynamics._diagnostics(ens, 0.0, 0.1, masses_k, edges_k)
+        rec, r_sorted = dynamics._diagnostics(ens, 0.0, 0.1, masses_k, edges_k)
+        assert r_sorted.tobytes() == np.sort(ens.radii()).tobytes()
         assert (rec.epot, rec.ej_dist_to_ref) == two_pass_record(ens, edges_k,
                                                                  masses_k)
 
@@ -485,3 +486,16 @@ def test_blowup_smoke_concentrating(spec_p2):
     assert report.hc_initial < 0
     assert report.verdict in ("concentrating", "resolution-halt")
     assert report.growth_factor > 10.0
+
+
+@settings(max_examples=30)
+@given(n=strategies.integers(1, 400), distinct=strategies.integers(1, 20),
+       seed=strategies.integers(0, 2 ** 16))
+def test_one_percent_radius_is_the_partition_statistic(n, distinct, seed):
+    # blowup_experiment's guard reads the record's sort, not a partition of
+    # its own; few distinct radii among many particles make exact ties
+    rng = np.random.default_rng(seed)
+    r = rng.choice(rng.uniform(0.0, 2.0, distinct), size=n)
+    k = max(int(0.01 * n) - 1, 0)
+    _, r_sorted, _, _ = dynamics._sorted_shell_data(np.ones(n), r)
+    assert dynamics._one_percent_radius(r_sorted) == np.partition(r, k)[k]

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies
 from numpy.testing import assert_allclose
 
 from gravlasov import steady
-from gravlasov.errors import (ResolutionError, SupportExceedsGridError,
-                             TargetsUnreachableError)
+from gravlasov.errors import (PreconditionError, ResolutionError,
+                             SupportExceedsGridError, TargetsUnreachableError)
 from gravlasov.kernel import ModelParams, kinetic_weight, make_polytrope
 from gravlasov.radial import RadialGrid
 from gravlasov.steady import (SolveTargets, density_from_potential,
@@ -412,7 +412,49 @@ def test_moment_table_lookup_matches_masked_lookup(spec_p2, c):
         assert scalars.tobytes() == ref.tobytes()
     assert table.derivative(a).tobytes() == _reference_derivative(table, a).tobytes()
     assert np.all(table.derivative(a)[a <= 0.0] == 0.0)
-    with pytest.raises(ValueError, match="outside tabulated range"):
+    with pytest.raises(PreconditionError, match="outside tabulated range"):
         table(table.a_max * (1.0 + 2e-8))
-    with pytest.raises(ValueError, match="outside tabulated range"):
+    with pytest.raises(PreconditionError, match="outside tabulated range"):
         table(np.array([0.0, table.a_max * (1.0 + 2e-8)]))
+
+
+@lru_cache(maxsize=None)
+def _lookup_table(c, planted):
+    table = _shot_table(make_polytrope(2.0), ModelParams(c=c), -0.814, -0.829)
+    if planted:
+        # no built table sums a piece to -0.0 (node 0 holds +0.0), so plant one:
+        # np.maximum(-0.0, 0.0) is +0.0, where max(-0.0, 0.0) would keep -0.0
+        for kind in ("rho", "cas"):
+            table._splines[kind].c[:, 0] = -0.0
+            table._rows[kind][0] = [-0.0] * 4
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=strategies.sampled_from([1.0, math.inf]), planted=strategies.booleans(),
+       kind=strategies.sampled_from(["rho", "cas"]),
+       fractions=strategies.lists(strategies.floats(-0.5, 1.0 + 1e-8), max_size=64))
+def test_power_sum_lookup_is_scipy_to_the_bit(c, planted, kind, fractions):
+    table = _lookup_table(c, planted)
+    a_max, zeta = table.a_max, table._splines[kind].x
+    breakpoints = zeta * zeta                  # sqrt gives each node back exactly
+    a = np.concatenate([
+        [-1.0, -0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308],
+        breakpoints, np.nextafter(breakpoints, -1.0), np.nextafter(breakpoints, 2.0 * a_max),
+        [a_max, a_max * (1.0 + 5e-9), np.nextafter(a_max * (1.0 + 1e-8), 0.0)],
+        np.asarray(fractions, dtype=float) * a_max])
+    ref = np.maximum(table._splines[kind](np.sqrt(np.clip(a, 0.0, a_max))), 0.0)
+    assert table(a, kind).tobytes() == ref.tobytes()
+    assert np.array([table(x, kind) for x in a.tolist()]).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["state_p2_cl", "state_p2_rel"])
+def test_state_from_dir_rebuilds_f(tmp_path, request, fixture):
+    st = request.getfixturevalue(fixture)
+    state_to_dir(st, tmp_path)
+    assert sorted(p.name for p in (tmp_path / "profiles").iterdir()) == ["phi.csv", "rho.csv"]
+    back = state_from_dir(tmp_path)
+    assert back.f.grid_r.nodes.tobytes() == st.f.grid_r.nodes.tobytes()
+    assert back.f.grid_u.nodes.tobytes() == st.f.grid_u.nodes.tobytes()
+    # phi.csv holds phi to the bit, but psi = phi - lambda and w are re-derived
+    assert_allclose(back.f.values, st.f.values, rtol=0, atol=1e-14 * st.f.values.max())
