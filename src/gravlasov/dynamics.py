@@ -13,8 +13,8 @@ construction; only the energy balance carries integrator error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -44,10 +44,27 @@ __all__ = [
 ]
 
 
+class _Shells(NamedTuple):
+    """One sort of an ensemble's radii: the radii in particle order, the
+    sorting permutation, the sorted radii and weights, and the half-self
+    enclosed mass at each sorted radius."""
+
+    r: np.ndarray
+    order: np.ndarray
+    r_sorted: np.ndarray
+    w_sorted: np.ndarray
+    m_half: np.ndarray
+
+
 @dataclass
 class ParticleEnsemble:
     """Weighted characteristics: positions, momentum-like velocities, constant
-    weights summing to the represented mass, and frozen phase-density values."""
+    weights summing to the represented mass, and frozen phase-density values.
+
+    Positions and velocities are stored column-major, so a per-particle
+    operation runs along the particles. The arrays are never modified in
+    place: a step builds a new ensemble, which sorts its radii at most once.
+    """
 
     positions: np.ndarray     # (n, 3)
     velocities: np.ndarray    # (n, 3)
@@ -55,6 +72,19 @@ class ParticleEnsemble:
     f_values: np.ndarray      # (n,)
     params: ModelParams
     eps_soft: float = 0.0
+    _shells: Optional[_Shells] = field(default=None, init=False, repr=False,
+                                       compare=False)
+
+    def __post_init__(self):
+        n = len(self.weights)
+        for name, shape in (("weights", (n,)), ("f_values", (n,)),
+                            ("positions", (n, 3)), ("velocities", (n, 3))):
+            if np.shape(getattr(self, name)) != shape:
+                raise PreconditionError(
+                    f"{name} must have shape {shape} for {n} weights, "
+                    f"got {np.shape(getattr(self, name))}")
+        self.positions = np.asfortranarray(self.positions, dtype=float)
+        self.velocities = np.asfortranarray(self.velocities, dtype=float)
 
     @property
     def n(self) -> int:
@@ -69,6 +99,13 @@ class ParticleEnsemble:
 
     def speeds(self) -> np.ndarray:
         return np.sqrt(_row_norm2(self.velocities))
+
+    def shells(self) -> _Shells:
+        """The radii and their sort, computed on first use and kept."""
+        if self._shells is None:
+            r = self.radii()
+            self._shells = _Shells(r, *_sorted_shell_data(self.weights, r))
+        return self._shells
 
 
 def _row_norm2(a: np.ndarray) -> np.ndarray:
@@ -165,12 +202,23 @@ def sample_density(f: PhaseDensity, params: ModelParams, n: int,
 
 def _sorted_shell_data(weights: np.ndarray, r: np.ndarray):
     """Radii sorted ascending (tied radii keep index order), matching weights,
-    and half-self enclosed mass."""
-    order = np.argsort(r)
+    and half-self enclosed mass.
+
+    Nonnegative doubles order like their bit patterns, so one value sort of
+    uint64 keys, each a radius's bits with the low bits replaced by the
+    particle's index, yields a permutation. When it sorts the radii strictly
+    increasing, it is the only permutation that does. Otherwise (ties, radii
+    that agree in their kept bits, -0.0, negative values, nan) the stable
+    argsort gives the order: the same permutation on any nan-free input."""
+    n = len(r)
+    low = np.uint64((1 << max((n - 1).bit_length(), 1)) - 1)
+    keys = r.view(np.uint64) & ~low
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()
+    keys &= low
+    order = keys.view(np.int64)
     r_sorted = r[order]
-    if np.any(r_sorted[1:] == r_sorted[:-1]):
-        # the default sort may reorder exact ties; the stable one keeps them
-        # in index order, so the result is the same permutation on any input
+    if not np.all(r_sorted[1:] > r_sorted[:-1]):
         order = np.argsort(r, kind="stable")
         r_sorted = r[order]
     w_sorted = weights[order]
@@ -189,12 +237,12 @@ def field_from_particles(ens: ParticleEnsemble) -> np.ndarray:
     counts the other as outside and the higher index counts it as enclosed.
     No radius is cut off, so escapers stay part of the mass budget.
     """
-    order, r_sorted, _, m_half = _sorted_shell_data(ens.weights, ens.radii())
-    soft_r3 = (r_sorted ** 2 + ens.eps_soft ** 2) ** 1.5
+    shells = ens.shells()
+    soft_r3 = (shells.r_sorted ** 2 + ens.eps_soft ** 2) ** 1.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        pull = np.where(soft_r3 > 0, m_half / (4.0 * np.pi * soft_r3), 0.0)
+        pull = np.where(soft_r3 > 0, shells.m_half / (4.0 * np.pi * soft_r3), 0.0)
     pull_p = np.empty_like(pull)
-    pull_p[order] = pull
+    pull_p[shells.order] = pull
     return -pull_p[:, None] * ens.positions
 
 
@@ -213,7 +261,8 @@ def push(ens: ParticleEnsemble, dt: float,
 
     With ``external`` set (a positions -> accelerations callable) the field is
     frozen to that rule and the step is exactly time-reversible; otherwise
-    field_from_particles is recomputed on the drifted ensemble.
+    field_from_particles is recomputed on the drifted ensemble, and the
+    returned ensemble keeps the sort that force call made.
     """
     if dt == 0.0:
         raise PreconditionError("dt must be nonzero")
@@ -246,7 +295,9 @@ def push(ens: ParticleEnsemble, dt: float,
             raise NumericsError(
                 f"drift speed reached c={c} after push (dt={dt}, "
                 f"max|v|={math.sqrt(u2):.3e})")
-    return replace(drifted, velocities=v_new), accel_new
+    out = replace(drifted, velocities=v_new)
+    out._shells = drifted._shells   # same positions and weights, same sort
+    return out, accel_new
 
 
 _ENSEMBLE_HEADER = ["x", "y", "z", "vx", "vy", "vz", "w", "f"]
@@ -262,8 +313,7 @@ def ensemble_to_csv(path, ens: ParticleEnsemble) -> None:
 def ensemble_from_csv(path, params: ModelParams) -> ParticleEnsemble:
     """Load a snapshot written by ensemble_to_csv (unsoftened)."""
     data = read_csv(path, _ENSEMBLE_HEADER)
-    return ParticleEnsemble(positions=data[:, 0:3].copy(),
-                            velocities=data[:, 3:6].copy(),
+    return ParticleEnsemble(positions=data[:, 0:3], velocities=data[:, 3:6],
                             weights=data[:, 6].copy(),
                             f_values=data[:, 7].copy(),
                             params=params)
@@ -331,10 +381,9 @@ def _reference_shell_masses(state: GroundState):
 
 def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
                  ref_masses: Optional[np.ndarray] = None,
-                 ref_edges: Optional[np.ndarray] = None):
-    """The record at time t and the sorted radii it was computed from."""
-    r = ens.radii()
-    order, r_sorted, w_sorted, m_half = _sorted_shell_data(ens.weights, r)
+                 ref_edges: Optional[np.ndarray] = None) -> DiagnosticsRecord:
+    """The record at time t, from the ensemble's sort."""
+    r, order, r_sorted, w_sorted, m_half = ens.shells()
     speeds = ens.speeds()
     gam = kinetic_weight(ens.params, speeds)
     ekin = float(np.sum(ens.weights * gam))
@@ -358,7 +407,7 @@ def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
         dist = float(np.sum(np.abs(masses - ref_masses)))
     return DiagnosticsRecord(t=t, hc=hc, m1=ens.total_mass, ekin=ekin,
                              epot=epot, virial=virial, rho_center=rho_center,
-                             ej_dist_to_ref=dist), r_sorted
+                             ej_dist_to_ref=dist)
 
 
 def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
@@ -371,6 +420,12 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     every Casimir functional is conserved exactly and is not recorded.
     ``stop_condition(record, sorted_radii)`` returns True to end the run.
     Returns (records, ensemble).
+
+    Each force call sorts once, and a record reads the sort of its step's
+    force call. The run works on its own copy of ``ens`` and takes over any
+    sort ``ens`` holds; that sort serves the first record and the first force.
+    Each step's sort is dropped before the next push, so none outlives its
+    record.
     """
     if dt <= 0 or t_end <= 0:
         raise PreconditionError("dt and t_end must be positive")
@@ -381,18 +436,22 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     if reference is not None:
         ref_edges, ref_masses = _reference_shell_masses(reference)
 
-    records = [_diagnostics(ens, 0.0, center_bin, ref_masses, ref_edges)[0]]
+    run = replace(ens)
+    run._shells, ens._shells = ens._shells, None   # the caller keeps no sort
+    records = [_diagnostics(run, 0.0, center_bin, ref_masses, ref_edges)]
     steps = int(round(t_end / dt))
     accel = None
     for k in range(1, steps + 1):
-        ens, accel = push(ens, dt, accel=accel)
+        run, accel = push(run, dt, accel=accel)
+        stop = False
         if k % diag_every == 0 or k == steps:
-            rec, r_sorted = _diagnostics(ens, k * dt, center_bin, ref_masses, ref_edges)
-            records.append(rec)
-            if stop_condition is not None and stop_condition(rec, r_sorted):
-                break
-            del r_sorted  # not held through the next pushes
-    return records, ens
+            records.append(_diagnostics(run, k * dt, center_bin, ref_masses, ref_edges))
+            stop = (stop_condition is not None
+                    and stop_condition(records[-1], run.shells().r_sorted))
+        run._shells = None
+        if stop:
+            break
+    return records, run
 
 
 # --- experiments -----------------------------------------------------------------
@@ -502,13 +561,13 @@ def blowup_experiment(spec: CasimirSpec, params: ModelParams,
     ens.eps_soft *= 0.5   # concentration runs need extra force resolution
     # the central bin starts with ~0.2% of the mass so a 100x density growth
     # has headroom; a quarter-mass bin would saturate long before that
-    radii = ens.radii()
-    radii_sorted = np.sort(radii)
-    center_bin = float(radii_sorted[max(int(0.002 * n), 50)])
-    rho0 = _ball_density(ens.weights, radii, center_bin)
+    shells = ens.shells()
+    center_bin = float(shells.r_sorted[max(int(0.002 * n), 50)])
+    rho0 = _ball_density(ens.weights, shells.r, center_bin)
     if dt is None:
-        bulk = _ball_density(ens.weights, radii, radii_sorted[n // 2])
+        bulk = _ball_density(ens.weights, shells.r, shells.r_sorted[n // 2])
         dt = 0.01 * dynamical_time(max(bulk, 1e-12))
+    del shells   # evolve takes the sort over and drops it after its first push
 
     threshold = _GROWTH_THRESHOLD * max(rho0, 1e-300)
     halted_at = None

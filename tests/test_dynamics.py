@@ -1,8 +1,10 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
@@ -93,6 +95,53 @@ def test_sample_density_rejects_zero_density():
     zero = PhaseDensity(grid_r=grid_r, grid_u=grid_u, values=np.zeros((65, 49)))
     with pytest.raises(PreconditionError, match="zero density"):
         sample_density(zero, REL, 2000, seed=1)
+
+
+def assert_column_major(ens, n):
+    for name in ("positions", "velocities"):
+        a = getattr(ens, name)
+        assert a.shape == (n, 3) and a.dtype == np.float64
+        assert a.flags.f_contiguous and not a.flags.c_contiguous, name
+    assert ens.weights.shape == ens.f_values.shape == (n,)
+
+
+def test_every_constructor_stores_column_major(state_p2_rel, bump_and_table,
+                                              tmp_path):
+    from gravlasov.dynamics import _perturb, ensemble_from_csv, ensemble_to_csv
+    ens = sample_state(state_p2_rel, 1200, seed=8)
+    assert_column_major(ens, 1200)
+    assert_column_major(sample_density(bump_and_table[0], REL, 1100, seed=2), 1100)
+    path = tmp_path / "ens.csv"
+    ensemble_to_csv(path, ens)
+    assert_column_major(ensemble_from_csv(path, REL), 1200)
+    for mode in ("amplitude", "dilation", "kick"):
+        assert_column_major(_perturb(ens, 0.02, mode), 1200)
+    out, accel = push(ens, 0.01)
+    assert_column_major(out, 1200)
+    assert accel.flags.f_contiguous
+    out, _ = push(ens, 0.01, external=central_mass_accel(1.0))
+    assert_column_major(out, 1200)
+    rng = np.random.default_rng(0)
+    x, v = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+    assert x.flags.c_contiguous
+    direct = ParticleEnsemble(positions=x, velocities=v, weights=np.ones(7),
+                              f_values=np.ones(7), params=CL)
+    assert_column_major(direct, 7)
+    assert np.array_equal(direct.positions, x)
+    assert np.array_equal(direct.velocities, v)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("positions", np.zeros((5, 2))), ("positions", np.zeros(15)),
+    ("velocities", np.zeros((6, 3))), ("weights", np.ones((5, 1))),
+    ("f_values", np.ones(4))])
+def test_ensemble_shapes_checked_where_built(name, bad):
+    arrays_ok = dict(positions=np.zeros((5, 3)), velocities=np.zeros((5, 3)),
+                     weights=np.ones(5), f_values=np.ones(5))
+    arrays_ok[name] = bad
+    with pytest.raises(PreconditionError,
+                       match=rf"^{name} must have shape .*got {re.escape(str(bad.shape))}$"):
+        ParticleEnsemble(params=CL, **arrays_ok)
 
 
 # --- row norms -----------------------------------------------------------------
@@ -253,9 +302,108 @@ def test_evolve_sorts_once_per_force_call_and_record(state_p2_rel, monkeypatch):
     monkeypatch.setattr(dynamics, "_sorted_shell_data", counted)
     ens = sample_state(state_p2_rel, 1500, seed=6)
     steps = 7
-    records, _ = evolve(ens, steps * 0.01, 0.01, diag_every=3,
-                        reference=state_p2_rel)
-    assert len(sorts) == steps + 1 + len(records)
+    records, final = evolve(ens, steps * 0.01, 0.01, diag_every=3,
+                            reference=state_p2_rel)
+    assert len(records) == 4
+    # one sort per force evaluation: the first record and the first force
+    # share the start's sort, and each later record reads its push's sort
+    assert len(sorts) == steps + 1
+    assert ens._shells is None and final._shells is None   # none outlives its run
+
+
+def test_blowup_sorts_once_per_force_call(spec_p2, monkeypatch):
+    # the set-up reads the first record's sort instead of sorting on its own
+    deep = bump_density(RadialGrid(r_max=10.0, n=257), SpeedGrid(u_max=10.0, m=257),
+                        1.0, 1.5, amplitude=1.0159)
+    sorts, pushes = [], []
+    exact_sort, exact_push = dynamics._sorted_shell_data, dynamics.push
+
+    def counted_sort(weights, r):
+        sorts.append(len(r))
+        return exact_sort(weights, r)
+
+    def counted_push(*args, **kwargs):
+        pushes.append(1)
+        return exact_push(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_sorted_shell_data", counted_sort)
+    monkeypatch.setattr(dynamics, "push", counted_push)
+    report = blowup_experiment(spec_p2, REL, deep, n=2000, t_end=0.2, seed=9)
+    assert len(report.records) >= 2
+    assert len(sorts) == len(pushes) + 1
+
+
+def test_record_after_replace_matches_fresh_ensemble(state_p2_rel):
+    # a new ensemble never carries the sort of the one it was built from
+    from gravlasov.dynamics import _perturb
+    ens = sample_state(state_p2_rel, 2000, seed=4)
+    edges, ref_masses = dynamics._reference_shell_masses(state_p2_rel)
+    ens.shells()
+    rng = np.random.default_rng(3)
+    variants = [replace(ens, weights=rng.uniform(0.5, 1.5, ens.n) * ens.weights),
+                _perturb(ens, 0.03, "amplitude"),
+                replace(ens, positions=1.05 * ens.positions)]
+    for variant in variants:
+        fresh = ParticleEnsemble(
+            positions=variant.positions.copy(), velocities=variant.velocities.copy(),
+            weights=variant.weights.copy(), f_values=variant.f_values.copy(),
+            params=variant.params, eps_soft=variant.eps_soft)
+        got = dynamics._diagnostics(variant, 0.0, 0.1, ref_masses, edges)
+        want = dynamics._diagnostics(fresh, 0.0, 0.1, ref_masses, edges)
+        assert repr(got) == repr(want)
+        assert got != dynamics._diagnostics(ens, 0.0, 0.1, ref_masses, edges)
+        assert np.array_equal(field_from_particles(variant),
+                              field_from_particles(fresh))
+
+
+def stable_shell_data(weights, r):
+    """_sorted_shell_data written with the stable argsort alone."""
+    order = np.argsort(r, kind="stable")
+    w_sorted = weights[order]
+    return order, r[order], w_sorted, np.cumsum(w_sorted) - 0.5 * w_sorted
+
+
+# n at the widths of the packed index field: 0, 1, 2 and 2^k +- 1
+_SORT_SIZES = [0, 1, 2] + [2 ** k + d for k in range(2, 11) for d in (-1, 1)]
+_SORT_SPECIALS = [0.0, math.inf, 5e-324, 1e-310, 2.2250738585072014e-308]
+
+
+@strategies.composite
+def shell_radii(draw):
+    n = draw(strategies.sampled_from(_SORT_SIZES))
+    r = draw(arrays(np.float64, n, elements=strategies.one_of(
+        strategies.sampled_from(_SORT_SPECIALS),
+        strategies.floats(0.0, 10.0), strategies.floats(0.0, 1e300))))
+    if n >= 2:
+        low = (1 << max((n - 1).bit_length(), 1)) - 1
+        for _ in range(draw(strategies.integers(0, 3))):
+            # a chain of nextafter steps down from x that agree in the kept
+            # high bits, planted in reverse index order
+            where = sorted(draw(strategies.sets(strategies.integers(0, n - 1),
+                                                min_size=2, max_size=min(n, 6))))
+            x = draw(strategies.floats(1e-300, 1e300))
+            top = (int(np.float64(x).view(np.uint64)) & ~low) | low
+            chain = np.arange(top, top - len(where), -1, dtype=np.uint64)
+            r[where] = chain.view(np.float64)
+        for _ in range(draw(strategies.integers(0, 3))):
+            i, j = draw(strategies.integers(0, n - 1)), draw(strategies.integers(0, n - 1))
+            r[i] = r[j]                                        # an exact tie
+    if draw(strategies.booleans()) and n:
+        # values a radius never takes: the fallback keeps the reference order
+        i = draw(strategies.integers(0, n - 1))
+        r[i] = draw(strategies.sampled_from([-0.0, -1.0, math.nan]))
+    return r
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=shell_radii(), seed=strategies.integers(0, 2 ** 16))
+@example(r=np.array([-0.0, 0.0, 0.0]), seed=0)   # -0.0 == 0.0, with other bits
+@example(r=np.array([2.0, np.nextafter(2.0, 0.0)]), seed=0)
+def test_packed_sort_is_the_stable_argsort(r, seed):
+    weights = np.random.default_rng(seed).uniform(0.5, 1.5, len(r))
+    got = dynamics._sorted_shell_data(weights, r)
+    for a, b in zip(got, stable_shell_data(weights, r)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def two_pass_record(ens, edges, ref_masses):
@@ -291,8 +439,8 @@ def test_record_matches_two_pass_reference(state_p2_rel):
     # the sampled edges end at infinity; finite ones clip into the last bin
     finite = np.array([0.0, 0.5 * edges[1], edges[-2]])
     for edges_k, masses_k in ((edges, ref_masses), (finite, np.array([0.1, 0.2]))):
-        rec, r_sorted = dynamics._diagnostics(ens, 0.0, 0.1, masses_k, edges_k)
-        assert r_sorted.tobytes() == np.sort(ens.radii()).tobytes()
+        rec = dynamics._diagnostics(ens, 0.0, 0.1, masses_k, edges_k)
+        assert ens.shells().r_sorted.tobytes() == np.sort(ens.radii()).tobytes()
         assert (rec.epot, rec.ej_dist_to_ref) == two_pass_record(ens, edges_k,
                                                                  masses_k)
 
