@@ -12,12 +12,11 @@ identical bytes. Exit codes: 0 success, 1 numerical failure, 2 config error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -25,12 +24,8 @@ import numpy as np
 from . import dynamics, rigidity, steady
 from .errors import ConfigError, GravlasovError, PreconditionError
 from .kernel import ModelParams, check_casimir, make_polytrope
-from .radial import RadialGrid, SpeedGrid, bump_density, write_csv
+from .radial import RadialGrid, SpeedGrid, bump_density, write_csv, write_json
 from .steady import SolveTargets
-
-COMMANDS = ("check-casimir", "solve", "verify", "kj", "scan", "equimeasure",
-            "froots", "bootstrap", "evolve", "stability", "blowup")
-
 
 def _finite(raw: str) -> float:
     value = float(raw)
@@ -187,35 +182,15 @@ def parse_config(command: str, path=None, overrides=None) -> RunConfig:
 
 # --- output helpers -------------------------------------------------------------
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj
-
-
 def _write_summary(outdir, config: RunConfig, payload: dict) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    doc = {"config": _jsonable(config.values | {"command": config.command}),
-           "results": _jsonable(payload)}
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "summary.json"),
+               {"config": config.values | {"command": config.command},
+                "results": payload})
 
 
-def _diag_rows(records):
-    return [(r.t, r.hc, r.m1, r.ekin, r.epot, r.virial, r.rho_center,
-             r.ej_dist_to_ref if r.ej_dist_to_ref is not None else math.nan)
-            for r in records]
-
-_DIAG_HEADER = ["t", "hc", "m1", "ekin", "epot", "virial", "rho_center", "dist_rho"]
+def _write_diagnostics(path, records) -> None:
+    write_csv(path, [f.name for f in fields(dynamics.DiagnosticsRecord)],
+              (astuple(rec) for rec in records))
 
 
 # --- command implementations -------------------------------------------------------
@@ -348,8 +323,7 @@ def _cmd_evolve(config: RunConfig, outdir: str) -> dict:
     t_end = config.get("dynamics.t_end", 10.0 * td)
     ens = dynamics.sample_state(state, n, seed)
     records, final = dynamics.evolve(ens, t_end, dt, reference=state)
-    write_csv(os.path.join(outdir, "diagnostics.csv"), _DIAG_HEADER,
-              _diag_rows(records))
+    _write_diagnostics(os.path.join(outdir, "diagnostics.csv"), records)
     if config["dynamics.snapshot"]:
         dynamics.ensemble_to_csv(os.path.join(outdir, "ensemble.csv"), final)
     hc0 = records[0].hc
@@ -371,8 +345,8 @@ def _cmd_stability(config: RunConfig, outdir: str) -> dict:
         dt=config.get("dynamics.dt"),
         seed=config["dynamics.seed"])
     for delta, records in runs.items():
-        write_csv(os.path.join(outdir, f"diagnostics_delta_{delta:g}.csv"),
-                  _DIAG_HEADER, _diag_rows(records))
+        _write_diagnostics(os.path.join(outdir, f"diagnostics_delta_{delta:g}.csv"),
+                           records)
     return asdict(report) | {"seed": config["dynamics.seed"]}
 
 
@@ -390,8 +364,7 @@ def _cmd_blowup(config: RunConfig, outdir: str) -> dict:
         t_end=config.get("dynamics.t_end", 5.0),
         dt=config.get("dynamics.dt"),
         seed=config["dynamics.seed"])
-    write_csv(os.path.join(outdir, "diagnostics.csv"), _DIAG_HEADER,
-              _diag_rows(report.records))
+    _write_diagnostics(os.path.join(outdir, "diagnostics.csv"), report.records)
     return {key: value for key, value in asdict(report).items()
             if key != "records"} | {"seed": config["dynamics.seed"]}
 
@@ -409,6 +382,8 @@ _HANDLERS = {
     "stability": _cmd_stability,
     "blowup": _cmd_blowup,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 def dispatch(config: RunConfig) -> int:
@@ -438,21 +413,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gravlasov",
         description="Steady states and stability experiments for the "
                     "self-gravitating kinetic equation")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        cp = sub.add_parser(command)
-        cp._negative_number_matcher = _NEGATIVE_NUMBER
-        cp.add_argument("--config", default=None, help="key=value config file")
-        for flag in _FLAG_TO_KEY:
-            cp.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
-                            default=None)
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="key=value config file")
+    for flag in _FLAG_TO_KEY:
+        parser.add_argument(f"--{flag.replace('_', '-')}", dest=flag, default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {key: getattr(args, flag) for flag, key in _FLAG_TO_KEY.items()
-                 if getattr(args, flag, None) is not None}
+                 if getattr(args, flag) is not None}
     try:
         config = parse_config(args.command, path=args.config,
                               overrides=overrides)

@@ -21,8 +21,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import NumericsError, PreconditionError
 from .kernel import CasimirSpec, ModelParams, kinetic_weight
-from .radial import (PhaseDensity, _phase_integral, functionals, read_csv,
-                     write_float_table)
+from .radial import PhaseDensity, _phase_integral, functionals, read_csv, write_csv
 from .steady import GroundState
 
 __all__ = [
@@ -56,14 +55,15 @@ class _Shells(NamedTuple):
     m_half: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParticleEnsemble:
     """Weighted characteristics: positions, momentum-like velocities, constant
     weights summing to the represented mass, and frozen phase-density values.
 
     Positions and velocities are stored column-major, so a per-particle
-    operation runs along the particles. The arrays are never modified in
-    place: a step builds a new ensemble, which sorts its radii at most once.
+    operation runs along the particles. An ensemble is frozen and its arrays
+    are never modified in place: a step builds a new ensemble, which sorts its
+    radii at most once. The held sort is the one attribute that changes.
     """
 
     positions: np.ndarray     # (n, 3)
@@ -83,8 +83,9 @@ class ParticleEnsemble:
                 raise PreconditionError(
                     f"{name} must have shape {shape} for {n} weights, "
                     f"got {np.shape(getattr(self, name))}")
-        self.positions = np.asfortranarray(self.positions, dtype=float)
-        self.velocities = np.asfortranarray(self.velocities, dtype=float)
+        for name in ("positions", "velocities"):
+            object.__setattr__(self, name,
+                               np.asfortranarray(getattr(self, name), dtype=float))
 
     @property
     def n(self) -> int:
@@ -104,8 +105,12 @@ class ParticleEnsemble:
         """The radii and their sort, computed on first use and kept."""
         if self._shells is None:
             r = self.radii()
-            self._shells = _Shells(r, *_sorted_shell_data(self.weights, r))
+            self._hold(_Shells(r, *_sorted_shell_data(self.weights, r)))
         return self._shells
+
+    def _hold(self, shells: Optional[_Shells]) -> None:
+        """Keep shells as this ensemble's sort (None drops it)."""
+        object.__setattr__(self, "_shells", shells)
 
 
 def _row_norm2(a: np.ndarray) -> np.ndarray:
@@ -296,7 +301,7 @@ def push(ens: ParticleEnsemble, dt: float,
                 f"drift speed reached c={c} after push (dt={dt}, "
                 f"max|v|={math.sqrt(u2):.3e})")
     out = replace(drifted, velocities=v_new)
-    out._shells = drifted._shells   # same positions and weights, same sort
+    out._hold(drifted._shells)   # same positions and weights, same sort
     return out, accel_new
 
 
@@ -307,7 +312,7 @@ def ensemble_to_csv(path, ens: ParticleEnsemble) -> None:
     """Snapshot the ensemble as plain CSV: x,y,z,vx,vy,vz,w,f per particle."""
     table = np.column_stack((ens.positions, ens.velocities, ens.weights,
                              ens.f_values))
-    write_float_table(path, _ENSEMBLE_HEADER, table)
+    write_csv(path, _ENSEMBLE_HEADER, table)
 
 
 def ensemble_from_csv(path, params: ModelParams) -> ParticleEnsemble:
@@ -344,7 +349,7 @@ class DiagnosticsRecord:
     epot: float
     virial: float
     rho_center: float
-    ej_dist_to_ref: Optional[float] = None
+    dist_rho: float = math.nan   # binned-rho L1 distance to the reference, if any
 
 
 def _ball_density(weights: np.ndarray, r: np.ndarray, radius: float) -> float:
@@ -401,13 +406,13 @@ def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
 
     rho_center = _ball_density(ens.weights, r, center_bin)
 
-    dist = None
+    dist = math.nan
     if ref_masses is not None and ref_edges is not None:
         masses = _binned_shell_masses(ens.weights, ref_edges, order, r_sorted)
         dist = float(np.sum(np.abs(masses - ref_masses)))
     return DiagnosticsRecord(t=t, hc=hc, m1=ens.total_mass, ekin=ekin,
                              epot=epot, virial=virial, rho_center=rho_center,
-                             ej_dist_to_ref=dist)
+                             dist_rho=dist)
 
 
 def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
@@ -437,7 +442,8 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
         ref_edges, ref_masses = _reference_shell_masses(reference)
 
     run = replace(ens)
-    run._shells, ens._shells = ens._shells, None   # the caller keeps no sort
+    run._hold(ens._shells)
+    ens._hold(None)   # the caller keeps no sort
     records = [_diagnostics(run, 0.0, center_bin, ref_masses, ref_edges)]
     steps = int(round(t_end / dt))
     accel = None
@@ -448,7 +454,7 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
             records.append(_diagnostics(run, k * dt, center_bin, ref_masses, ref_edges))
             stop = (stop_condition is not None
                     and stop_condition(records[-1], run.shells().r_sorted))
-        run._shells = None
+        run._hold(None)
         if stop:
             break
     return records, run
@@ -514,9 +520,9 @@ def stability_experiment(state: GroundState, deltas: Sequence[float], mode: str,
     def series(d, attr):
         return [getattr(rec, attr) for rec in runs[d]]
 
-    noise_floor = max(series(0.0, "ej_dist_to_ref"))
-    max_d = tuple(max(series(d, "ej_dist_to_ref")) for d in deltas)
-    fin_d = tuple(series(d, "ej_dist_to_ref")[-1] for d in deltas)
+    noise_floor = max(series(0.0, "dist_rho"))
+    max_d = tuple(max(series(d, "dist_rho")) for d in deltas)
+    fin_d = tuple(series(d, "dist_rho")[-1] for d in deltas)
     max_h = tuple(max(abs(h - state.hc) for h in series(d, "hc")) for d in deltas)
     monotone = all(max_d[i] <= max_d[i + 1] * 1.25 for i in range(len(max_d) - 1))
     stable = monotone and noise_floor <= max_d[0]
@@ -558,7 +564,7 @@ def blowup_experiment(spec: CasimirSpec, params: ModelParams,
         raise PreconditionError(
             f"blow-up experiment needs negative energy, got hc = {rep.hc:.6g}")
     ens = sample_density(initial, params, n, seed)
-    ens.eps_soft *= 0.5   # concentration runs need extra force resolution
+    ens = replace(ens, eps_soft=0.5 * ens.eps_soft)   # concentration needs finer forces
     # the central bin starts with ~0.2% of the mass so a 100x density growth
     # has headroom; a quarter-mass bin would saturate long before that
     shells = ens.shells()

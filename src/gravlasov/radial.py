@@ -9,8 +9,10 @@ phi = -(1/(4 pi |x|)) * rho in convolution form.
 
 from __future__ import annotations
 
-import contextlib
 import csv
+import itertools
+import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -36,7 +38,7 @@ __all__ = [
     "ej_distance",
     "bump_density",
     "write_csv",
-    "write_float_table",
+    "write_json",
     "read_csv",
     "write_radial_field",
     "read_radial_field",
@@ -317,51 +319,67 @@ def bump_density(grid_r: RadialGrid, grid_u: SpeedGrid, r_scale: float,
     return PhaseDensity.from_callable(grid_r, grid_u, fn)
 
 
-# --- CSV serialization (17 significant digits, plot-ready) ---
+# --- CSV and JSON serialization (17 significant digits, plot-ready) ---
 
 # The one dialect of every table: csv.writer's default separator and line end,
 # floats with 17 significant digits.
 _SEP, _EOL, _FLOAT = ",", "\r\n", "{:.17g}"
-_CHUNK_ROWS = 256  # rows per write in write_float_table; larger chunks raise peak RSS
+_CHUNK_ROWS = 256  # rows per write; larger chunks raise peak RSS
 
 
-@contextlib.contextmanager
-def _csv_file(path, header):
-    """Open a new table at path and write its header line.
-
-    Yields the open file and a csv.writer on it; the parent directory is
-    created if needed.
-    """
+def _new_file(path):
+    """Open a new text file at path, creating its parent directory."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=_SEP, lineterminator=_EOL)
-        writer.writerow(header)
-        yield fh, writer
+    return open(path, "w", newline="")
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header and then each row, floats with 17 significant digits.
+    """Write a header line and then one line per row.
 
-    Rows are consumed one at a time, so a generator streams a large table
-    without holding it in memory. The parent directory is created if needed.
+    Floats get 17 significant digits, anything else its str(); the line
+    template is built from the first row's types, so each column keeps one
+    type. rows is any iterable of rows or a 2-D float array; either is
+    formatted a chunk of rows at a time, so a large table streams.
     """
-    with _csv_file(path, header) as (_, writer):
-        writer.writerows([_FLOAT.format(v) if isinstance(v, float) else v
-                          for v in row] for row in rows)
-
-
-def write_float_table(path, header, table) -> None:
-    """Write a header and then a 2-D float array, one line per row.
-
-    The bytes are those of write_csv on the rows' floats, but each row goes
-    through one line template instead of one format call per value and
-    csv.writer. Rows are formatted a chunk at a time, so a large table streams.
-    """
-    line = _SEP.join([_FLOAT] * table.shape[1]) + _EOL
-    with _csv_file(path, header) as (fh, _):
-        for start in range(0, len(table), _CHUNK_ROWS):
-            chunk = table[start:start + _CHUNK_ROWS].tolist()
+    if isinstance(rows, np.ndarray):
+        chunks = (rows[i:i + _CHUNK_ROWS].tolist()
+                  for i in range(0, len(rows), _CHUNK_ROWS))
+    else:
+        rows = iter(rows)
+        chunks = iter(lambda: list(itertools.islice(rows, _CHUNK_ROWS)), [])
+    with _new_file(path) as fh:
+        fh.write(_SEP.join(header) + _EOL)
+        line = None
+        for chunk in chunks:
+            if line is None:
+                line = _SEP.join([_FLOAT if isinstance(v, float) else "{}"
+                                  for v in chunk[0]]) + _EOL
             fh.write("".join([line.format(*row) for row in chunk]))
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    return obj
+
+
+def write_json(path, doc) -> None:
+    """Write doc as indented JSON with sorted keys and a final newline.
+
+    numpy scalars and arrays become plain numbers and lists, and an infinite
+    float becomes the string "inf" or "-inf", which float() reads back.
+    """
+    with _new_file(path) as fh:
+        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_csv(path, header) -> np.ndarray:
@@ -374,8 +392,8 @@ def read_csv(path, header) -> np.ndarray:
 
 
 def write_radial_field(path, field_: RadialField) -> None:
-    write_float_table(path, ["r", "value"],
-                      np.column_stack((field_.grid.nodes, field_.values)))
+    write_csv(path, ["r", "value"],
+              np.column_stack((field_.grid.nodes, field_.values)))
 
 
 def read_radial_field(path) -> RadialField:
@@ -387,5 +405,5 @@ def read_radial_field(path) -> RadialField:
 def write_phase_density(path, f: PhaseDensity) -> None:
     """Write one r,u,f line per grid node, r slowest."""
     r, u = np.meshgrid(f.grid_r.nodes, f.grid_u.nodes, indexing="ij")
-    write_float_table(path, ["r", "u", "f"],
-                      np.column_stack((r.ravel(), u.ravel(), f.values.ravel())))
+    write_csv(path, ["r", "u", "f"],
+              np.column_stack((r.ravel(), u.ravel(), f.values.ravel())))

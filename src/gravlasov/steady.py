@@ -64,6 +64,7 @@ from .radial import (
     SpeedGrid,
     poisson_operator,
     read_radial_field,
+    write_json,
     write_radial_field,
 )
 
@@ -480,7 +481,8 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
     if not psi0 < 0:
         raise ValueError("psi0 must be negative (0 gives the trivial state)")
 
-    table = _MomentTable(spec, params, mu, -psi0 / abs(mu), kinds=("rho", "cas"),
+    table = _MomentTable(spec, params, mu, -psi0 / abs(mu),
+                         kinds=("rho", "cas") if fast else ("rho",),
                          n_tab=513 if fast else 1025)
     psi, w, r_supp, w_r, lam = _shoot(psi0, mu, grid, table)
 
@@ -825,15 +827,13 @@ def state_to_dir(state: GroundState, outdir) -> dict:
         "residuals": {} if state.trivial else multiplier_identities(state).residuals,
     }
     doc = results | {
-        "c": "inf" if state.params.is_classical else state.params.c,
+        "c": state.params.c,
         "casimir": state.spec.name,
         "p": state.spec.p,
         "trivial": state.trivial,
         "profiles": {"phi": "profiles/phi.csv", "rho": "profiles/rho.csv"},
     }
-    with open(os.path.join(outdir, "state.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "state.json"), doc)
     return results
 
 
@@ -848,7 +848,7 @@ def state_from_dir(indir, m_speed: int = 257) -> GroundState:
     if not str(doc["casimir"]).startswith("polytrope"):
         raise ValueError("only a polytrope state can be rebuilt")
     spec = make_polytrope(float(doc["p"]))
-    params = ModelParams(c=math.inf if doc["c"] == "inf" else float(doc["c"]))
+    params = ModelParams(c=float(doc["c"]))
     phi = read_radial_field(os.path.join(indir, doc["profiles"]["phi"]))
     rho = read_radial_field(os.path.join(indir, doc["profiles"]["rho"]))
     grid = phi.grid

@@ -261,6 +261,12 @@ def test_exponent_negative_values_parse(tmp_path):
     assert (config["solve.psi0"], config["solve.mu"]) == (-0.5, -1.0)
 
 
+def test_flags_may_precede_the_command():
+    parser = build_parser()
+    assert parser.parse_args(["--psi0", "-5e-1", "--c", "1", "solve", "--mu", "-1"]) \
+        == parser.parse_args(["solve", "--mu", "-1", "--c", "1", "--psi0", "-5e-1"])
+
+
 # one out-of-range value per range-checked key, and a command that reads the key
 _OUT_OF_RANGE = {
     "model.c": ("0", "solve"),

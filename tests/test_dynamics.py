@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -142,6 +142,17 @@ def test_ensemble_shapes_checked_where_built(name, bad):
     with pytest.raises(PreconditionError,
                        match=rf"^{name} must have shape .*got {re.escape(str(bad.shape))}$"):
         ParticleEnsemble(params=CL, **arrays_ok)
+
+
+def test_ensemble_fields_are_frozen():
+    # a field assigned past construction would skip the shape check and leave
+    # a held sort stale; a new ensemble comes from replace instead
+    ens = single_particle()
+    ens.shells()
+    for name in ("positions", "velocities", "weights", "f_values", "eps_soft"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ens, name, getattr(ens, name))
+    assert replace(ens, eps_soft=0.5)._shells is None
 
 
 # --- row norms -----------------------------------------------------------------
@@ -441,8 +452,7 @@ def test_record_matches_two_pass_reference(state_p2_rel):
     for edges_k, masses_k in ((edges, ref_masses), (finite, np.array([0.1, 0.2]))):
         rec = dynamics._diagnostics(ens, 0.0, 0.1, masses_k, edges_k)
         assert ens.shells().r_sorted.tobytes() == np.sort(ens.radii()).tobytes()
-        assert (rec.epot, rec.ej_dist_to_ref) == two_pass_record(ens, edges_k,
-                                                                 masses_k)
+        assert (rec.epot, rec.dist_rho) == two_pass_record(ens, edges_k, masses_k)
 
 
 # --- pushes ----------------------------------------------------------------------

@@ -17,8 +17,8 @@ from gravlasov.radial import (PhaseDensity, RadialField, RadialGrid, SpeedGrid,
                               bump_density, density_moment,
                               distribution_function, ej_distance, functionals,
                               gradient_energy, poisson_solve, read_csv,
-                              read_radial_field, write_phase_density,
-                              write_radial_field)
+                              read_radial_field, write_csv,
+                              write_phase_density, write_radial_field)
 
 
 def box_density(grid_r, grid_u, r_edge=1.0, u_edge=1.0, amp=1.0):
@@ -414,3 +414,21 @@ def test_float_tables_match_reference(tmp_path):
     reference_csv(tmp_path / "ens_ref.csv", ["x", "y", "z", "vx", "vy", "vz", "w", "f"],
                   table.tolist())
     assert (tmp_path / "ens.csv").read_bytes() == (tmp_path / "ens_ref.csv").read_bytes()
+
+    # rows of mixed types, shaped as scan writes them, across a chunk boundary
+    def scan_rows():
+        for k in range(600):
+            error = "" if k % 3 else "SupportExceedsGridError"
+            yield (0.1 * k, math.nan, -0.0, np.float64(values[k]), error)
+
+    # and as bootstrap writes them; an empty table is its header alone
+    for name, header, rows in (
+            ("scan", ["psi0", "lambda", "m1", "mj", "error"], scan_rows),
+            ("boot", ["k", "q_k"], lambda: enumerate(values[:40].tolist())),
+            ("empty", ["a", "b"], lambda: iter(()))):
+        write_csv(tmp_path / f"{name}.csv", header, rows())
+        reference_csv(tmp_path / f"{name}_ref.csv", header, rows())
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}_ref.csv").read_bytes()
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\r\n"
+    assert b",nan,-0," in (tmp_path / "scan.csv").read_bytes()

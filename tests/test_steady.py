@@ -288,7 +288,7 @@ def test_solve_targets_propagates_defects(spec_p2, grid_20, monkeypatch):
         solve_targets(spec_p2, REL, SolveTargets(12.5, 1.9, 1e-6), grid_20)
 
 
-def test_state_serialization_roundtrip(tmp_path, state_p2_rel):
+def test_state_serialization_roundtrip(tmp_path, state_p2_rel, state_p2_cl):
     st = state_p2_rel
     outdir = tmp_path / "state"
     state_to_dir(st, outdir)
@@ -301,6 +301,37 @@ def test_state_serialization_roundtrip(tmp_path, state_p2_rel):
     assert back.hc == pytest.approx(st.hc, rel=1e-6)
     rep = multiplier_identities(back)
     assert rep.max_residual < 1e-4
+    # the bytes: indent 2, sorted keys, a final newline, c = inf as a string
+    state_to_dir(state_p2_cl, tmp_path / "cl")
+    for state_dir, c_line in ((outdir, b'\n  "c": 1.0,\n'),
+                              (tmp_path / "cl", b'\n  "c": "inf",\n')):
+        raw = (state_dir / "state.json").read_bytes()
+        assert c_line in raw
+        assert raw == (json.dumps(json.loads(raw), indent=2, sort_keys=True)
+                       + "\n").encode()
+    assert math.isinf(state_from_dir(tmp_path / "cl").params.c)
+
+
+def test_full_shot_tabulates_rho_only(spec_p2, grid_20, monkeypatch):
+    # the moment table is built before the shot; only a fast shot's masses
+    # read the Casimir moment from it
+    calls = []
+    profile, shoot = steady._moment_profile, steady._shoot
+
+    def counted_profile(spec, params, mu, a_values, kind="rho"):
+        calls.append(kind)
+        return profile(spec, params, mu, a_values, kind)
+
+    def counted_shoot(*args):
+        calls.append("shoot")
+        return shoot(*args)
+
+    monkeypatch.setattr(steady, "_moment_profile", counted_profile)
+    monkeypatch.setattr(steady, "_shoot", counted_shoot)
+    for fast, kinds in ((False, ["rho"]), (True, ["rho", "cas"])):
+        calls.clear()
+        integrate_state(spec_p2, REL, -1.0, -1.0, grid_20, fast=fast)
+        assert calls[:calls.index("shoot")] == kinds
 
 
 # --- the float shooting stage against the array stage it replaced -------------
