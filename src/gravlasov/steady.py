@@ -99,8 +99,7 @@ def _kind_factor(spec: CasimirSpec, params: ModelParams, mu_abs: float,
     """Kernel K(q, s) G(s) for the supported moment kinds.
 
     kinds: "rho" (plain density), "kin" (kinetic weight), "cas" (j(Q)),
-    "jpq" (j'(Q) Q, using j'(G(s)) = s), "vir" (u^2/sqrt(1+u^2/c^2)),
-    "ineg" (c^2 (1 - 1/sqrt(1+u^2/c^2))).
+    "jpq" (j'(Q) Q, using j'(G(s)) = s), "ineg" (c^2 (1 - 1/sqrt(1+u^2/c^2))).
     """
     if kind == "rho":
         return g_s
@@ -108,23 +107,13 @@ def _kind_factor(spec: CasimirSpec, params: ModelParams, mu_abs: float,
         return np.asarray(spec.j(g_s), dtype=float)
     if kind == "jpq":
         return s * g_s
-    if kind == "kin":
+    if kind == "kin" or (kind == "ineg" and params.is_classical):
         return mu_abs * q * g_s
-    if params.is_classical:
-        if kind == "vir":
-            return 2.0 * mu_abs * q * g_s
-        if kind == "ineg":
-            return mu_abs * q * g_s
-    else:
+    if kind == "ineg":
         c = params.c
         x = mu_abs * q / c ** 2
-        y = 1.0 + x
-        if kind == "vir":
-            # y^2 - 1 as x(2 + x): cancellation-free in the large-c regime
-            return c ** 2 * x * (2.0 + x) / y * g_s
-        if kind == "ineg":
-            return c ** 2 * x / y * g_s
-    raise ValueError(f"unknown moment kind {kind!r}")
+        return c ** 2 * x / (1.0 + x) * g_s
+    raise PreconditionError(f"unknown moment kind {kind!r}")
 
 
 def _q_weight(params: ModelParams, mu_abs: float, q):
@@ -137,13 +126,17 @@ def _q_weight(params: ModelParams, mu_abs: float, q):
 
 
 def _moment_integrand(spec: CasimirSpec, params: ModelParams, mu_abs: float,
-                      a_depth, t, kind: str):
-    """Integrand in t of the moment at depth A after the substitution q = A t^2."""
+                      a_depth, t, kinds):
+    """Integrands in t, one per kind, at depth A after the substitution q = A t^2."""
     q = a_depth * t * t
     s = a_depth - q
     g_s = np.asarray(spec.g_inv(np.maximum(s, 0.0)), dtype=float)
-    return (_kind_factor(spec, params, mu_abs, q, s, g_s, kind)
-            * _q_weight(params, mu_abs, q) * 2.0 * a_depth * t)
+    weight = _q_weight(params, mu_abs, q)
+    rows = []  # a loop: a comprehension's closure costs the scalar quad ~1 us a point
+    for kind in kinds:
+        rows.append(_kind_factor(spec, params, mu_abs, q, s, g_s, kind)
+                    * weight * 2.0 * a_depth * t)
+    return rows
 
 
 def _velocity_moment(spec: CasimirSpec, params: ModelParams, mu: float,
@@ -153,29 +146,29 @@ def _velocity_moment(spec: CasimirSpec, params: ModelParams, mu: float,
         return 0.0
     mu_abs = abs(mu)
     val, _ = quad(
-        lambda t: float(_moment_integrand(spec, params, mu_abs, a_depth, t, "rho")),
+        lambda t: float(_moment_integrand(spec, params, mu_abs, a_depth, t, ("rho",))[0]),
         0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=200)
     return 4.0 * np.pi * val
 
 
 def _moment_profile(spec: CasimirSpec, params: ModelParams, mu: float,
-                    a_values: np.ndarray, kind: str = "rho") -> np.ndarray:
-    """Vectorized moments at many depths A_i sharing one adaptive subdivision.
+                    a_values: np.ndarray, kinds) -> np.ndarray:
+    """Moments of every kind at many depths A_i, shape (len(kinds), len(A)).
 
     Substituting q = A t^2 maps every depth to the common interval t in [0, 1],
-    so quad_vec can integrate the whole profile at once.
+    so one quad_vec call integrates every kind and depth on one subdivision.
     """
     a = np.asarray(a_values, dtype=float)
-    out = np.zeros_like(a)
+    out = np.zeros((len(kinds), a.size))
     mask = a > 0
     if not np.any(mask):
         return out
     am = a[mask]
     mu_abs = abs(mu)
     val, _ = quad_vec(
-        lambda t: _moment_integrand(spec, params, mu_abs, am, t, kind),
+        lambda t: np.stack(_moment_integrand(spec, params, mu_abs, am, t, kinds)),
         0.0, 1.0, epsabs=1e-14, epsrel=1e-11, norm="max")
-    out[mask] = 4.0 * np.pi * np.maximum(val, 0.0)
+    out[:, mask] = 4.0 * np.pi * np.maximum(val, 0.0)
     return out
 
 
@@ -192,11 +185,9 @@ class _MomentTable:
         zeta = np.linspace(0.0, math.sqrt(self.a_max), n_tab)
         a_nodes = zeta * zeta
         self._zeta, self._nodes = zeta, zeta.tolist()
-        self._splines, self._rows = {}, {}
-        for kind in kinds:
-            vals = _moment_profile(spec, params, mu, a_nodes, kind)
-            self._splines[kind] = CubicSpline(zeta, vals)
-            self._rows[kind] = self._splines[kind].c.T.tolist()
+        self._splines = {kind: CubicSpline(zeta, vals) for kind, vals in
+                         zip(kinds, _moment_profile(spec, params, mu, a_nodes, kinds))}
+        self._rows = {kind: spl.c.T.tolist() for kind, spl in self._splines.items()}
 
     def __call__(self, a_depth, kind: str = "rho"):
         """max(spline(sqrt(clip(A, 0, a_max))), 0) for a float or an array A,
@@ -237,7 +228,7 @@ def density_from_potential(spec: CasimirSpec, params: ModelParams, lam: float,
                            mu: float, phi_val: float) -> float:
     """Spatial density of the steady profile at local potential value phi_val."""
     if not (lam < 0 and mu < 0):
-        raise ValueError("multipliers lambda and mu must be negative")
+        raise PreconditionError("multipliers lambda and mu must be negative")
     if phi_val >= lam:
         return 0.0
     return _velocity_moment(spec, params, mu, (phi_val - lam) / mu)
@@ -246,7 +237,7 @@ def density_from_potential(spec: CasimirSpec, params: ModelParams, lam: float,
 def ode_rhs(spec: CasimirSpec, params: ModelParams, mu: float, psi_val: float) -> float:
     """Right-hand side h(psi) of the radial ODE; zero for psi >= 0."""
     if not mu < 0:
-        raise ValueError("mu must be negative")
+        raise PreconditionError("mu must be negative")
     if psi_val >= 0.0:
         return 0.0
     return _velocity_moment(spec, params, mu, -psi_val / abs(mu))
@@ -277,9 +268,14 @@ class GroundState:
     trivial: bool = False
     # auxiliary moments used by the identity verifiers
     jpq: float = 0.0        # int j'(Q) Q
-    vir_kin: float = 0.0    # int u^2/sqrt(1+u^2/c^2) Q   (u^2 Q classically)
     ineg: float = 0.0       # int c^2 (1 - 1/sqrt(1+u^2/c^2)) Q
     phi_q: float = 0.0      # int phi Q dx dv = int phi rho dx
+
+    @property
+    def vir_kin(self) -> float:
+        """int u^2/sqrt(1+u^2/c^2) Q (u^2 Q classically), as ekin + ineg by the
+        kernel identity u^2/gamma = c^2 (gamma - 1) + c^2 (1 - 1/gamma)."""
+        return self.ekin + self.ineg
 
 
 @dataclass(frozen=True)
@@ -292,7 +288,7 @@ class SolveTargets:
 
     def __post_init__(self):
         if not (self.m1_target > 0 and self.mj_target > 0 and self.tol > 0):
-            raise ValueError("targets and tolerance must be positive")
+            raise PreconditionError("targets and tolerance must be positive")
 
 
 def _edge_exponent(spec: CasimirSpec) -> float:
@@ -309,8 +305,7 @@ def _radial_total(r: np.ndarray, dens: np.ndarray, k: int, r_supp: float,
 
 
 # moment kind -> the GroundState field holding its radial total
-_TOTALS = {"rho": "m1", "kin": "ekin", "cas": "mj", "jpq": "jpq",
-           "vir": "vir_kin", "ineg": "ineg"}
+_TOTALS = {"rho": "m1", "kin": "ekin", "cas": "mj", "jpq": "jpq", "ineg": "ineg"}
 
 
 def _finalize_state(spec, params, lam, mu, grid: RadialGrid, psi: np.ndarray,
@@ -325,8 +320,8 @@ def _finalize_state(spec, params, lam, mu, grid: RadialGrid, psi: np.ndarray,
     a_depth = np.zeros_like(r)
     a_depth[: k + 1] = np.maximum(-psi[: k + 1], 0.0) / mu_abs
 
-    prof = {kd: _moment_profile(spec, params, mu, a_depth[: k + 1], kd)
-            for kd in _TOTALS}
+    prof = dict(zip(_TOTALS, _moment_profile(spec, params, mu, a_depth[: k + 1],
+                                             tuple(_TOTALS))))
     rho = np.zeros_like(r)
     rho[: k + 1] = prof["rho"]
 
@@ -475,11 +470,11 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
     radius must satisfy R <= r_max/4 so the vacuum tail is well separated.
     """
     if not mu < 0:
-        raise ValueError("mu must be negative")
+        raise PreconditionError("mu must be negative")
     if psi0 == 0.0:
         return _trivial_state(spec, params, grid, mu, m_speed)
     if not psi0 < 0:
-        raise ValueError("psi0 must be negative (0 gives the trivial state)")
+        raise PreconditionError("psi0 must be negative (0 gives the trivial state)")
 
     table = _MomentTable(spec, params, mu, -psi0 / abs(mu),
                          kinds=("rho", "cas") if fast else ("rho",),
@@ -521,7 +516,7 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
     from scipy.sparse.linalg import LinearOperator, gmres
 
     if not (lam < 0 and mu < 0):
-        raise ValueError("multipliers lambda and mu must be negative")
+        raise PreconditionError("multipliers lambda and mu must be negative")
     r = grid.nodes
     n = grid.n
     mu_abs = abs(mu)
@@ -843,17 +838,22 @@ def state_from_dir(indir, m_speed: int = 257) -> GroundState:
     Profiles are re-derived from (lambda, mu, phi) so the identity verifiers
     run on a faithful state, not on stale numbers.
     """
-    with open(os.path.join(indir, "state.json")) as fh:
-        doc = json.load(fh)
-    if not str(doc["casimir"]).startswith("polytrope"):
-        raise ValueError("only a polytrope state can be rebuilt")
-    spec = make_polytrope(float(doc["p"]))
-    params = ModelParams(c=float(doc["c"]))
-    phi = read_radial_field(os.path.join(indir, doc["profiles"]["phi"]))
-    rho = read_radial_field(os.path.join(indir, doc["profiles"]["rho"]))
+    try:
+        with open(os.path.join(indir, "state.json")) as fh:
+            doc = json.load(fh)
+        if not str(doc["casimir"]).startswith("polytrope"):
+            raise PreconditionError(f"cannot rebuild a state from {indir}: "
+                                    "only a polytrope state can be rebuilt")
+        spec = make_polytrope(float(doc["p"]))
+        params = ModelParams(c=float(doc["c"]))
+        phi = read_radial_field(os.path.join(indir, doc["profiles"]["phi"]))
+        rho = read_radial_field(os.path.join(indir, doc["profiles"]["rho"]))
+        lam, mu = float(doc["lambda"]), float(doc["mu"])
+        r_supp = float(doc["r_support"])
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+        raise PreconditionError(f"cannot rebuild a state from {indir}: "
+                                f"{type(exc).__name__}: {exc}") from exc
     grid = phi.grid
-    lam, mu = float(doc["lambda"]), float(doc["mu"])
     psi = phi.values - lam
     w = cumulative_simpson(grid.nodes ** 2 * rho.values, x=grid.nodes, initial=0.0)
-    return _finalize_state(spec, params, lam, mu, grid, psi, w,
-                           float(doc["r_support"]), m_speed)
+    return _finalize_state(spec, params, lam, mu, grid, psi, w, r_supp, m_speed)

@@ -331,6 +331,67 @@ def test_verify_without_a_solve_is_config_error(tmp_path, capsys):
     assert "state.json" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def solve_dir(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("verify") / "solve")
+    assert run(["solve", "--c", "inf", "--p", "2", "--psi0", "-1", "--mu", "-1",
+                "--n", "257", "--out", out]) == 0
+    return out
+
+
+def _set_casimir_custom(out):
+    path = os.path.join(out, "state.json")
+    doc = json.loads(open(path).read())
+    with open(path, "w") as fh:
+        json.dump(doc | {"casimir": "custom"}, fh)
+
+
+def _rename_phi_header(out):
+    path = os.path.join(out, "profiles", "phi.csv")
+    lines = open(path).read().splitlines(keepends=True)
+    with open(path, "w") as fh:
+        fh.writelines(["x,y\n"] + lines[1:])
+
+
+def _truncate_state(out):
+    path = os.path.join(out, "state.json")
+    text = open(path).read()
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
+
+
+def _remove_rho(out):
+    os.remove(os.path.join(out, "profiles", "rho.csv"))
+
+
+def _empty_phi(out):
+    with open(os.path.join(out, "profiles", "phi.csv"), "w") as fh:
+        fh.write("r,value\n")
+
+
+@pytest.mark.parametrize("damage, cause", [
+    (_set_casimir_custom, "polytrope"),
+    (_rename_phi_header, "ValueError"),
+    (_truncate_state, "JSONDecodeError"),
+    (_remove_rho, "FileNotFoundError"),
+    # numpy warns on a table without rows before the guard names the error
+    pytest.param(_empty_phi, "IndexError", marks=pytest.mark.filterwarnings(
+        "ignore:loadtxt. input contained no data:UserWarning")),
+])
+def test_verify_on_a_damaged_solve_is_a_named_error(tmp_path, capsys, solve_dir,
+                                                    damage, cause):
+    out = str(tmp_path / "damaged")
+    shutil.copytree(solve_dir, out)
+    os.remove(os.path.join(out, "summary.json"))
+    damage(out)
+    assert run(["verify", "--out", out, "--n", "257"]) == 1
+    doc = read_summary(out)["results"]
+    assert doc["error"] == "PreconditionError"
+    assert out in doc["message"] and cause in doc["message"]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("args, error", [
     (["evolve", "--psi0", "0", "--mu", "-1", "--n", "65", "--n-particles", "1000",
       "--t-end", "0.1", "--dt", "0.1"], "PreconditionError"),    # trivial state

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 from numpy.testing import assert_allclose
+from scipy.integrate import quad_vec
 
 from gravlasov import steady
 from gravlasov.errors import (PreconditionError, ResolutionError,
@@ -24,9 +25,9 @@ REL = ModelParams(c=1.0)
 
 
 def test_density_negative_multipliers_required(spec_p2):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         density_from_potential(spec_p2, CL, 0.5, -1.0, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         density_from_potential(spec_p2, CL, -0.5, 1.0, -1.0)
 
 
@@ -206,7 +207,7 @@ def test_fixed_point_small_mass_state(spec_p2, grid_20):
 
 
 def test_fixed_point_rejects_bad_multipliers(spec_p2, grid_20):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         fixed_point_solve(spec_p2, CL, 0.1, -1.0, grid_20)
 
 
@@ -313,14 +314,15 @@ def test_state_serialization_roundtrip(tmp_path, state_p2_rel, state_p2_cl):
 
 
 def test_full_shot_tabulates_rho_only(spec_p2, grid_20, monkeypatch):
-    # the moment table is built before the shot; only a fast shot's masses
-    # read the Casimir moment from it
+    # one quadrature per table and per state: the table is built before the
+    # shot, and only a fast shot's masses read the Casimir moment from it; a
+    # full shot integrates every total in one call after the shot
     calls = []
     profile, shoot = steady._moment_profile, steady._shoot
 
-    def counted_profile(spec, params, mu, a_values, kind="rho"):
-        calls.append(kind)
-        return profile(spec, params, mu, a_values, kind)
+    def counted_profile(spec, params, mu, a_values, kinds):
+        calls.append(tuple(kinds))
+        return profile(spec, params, mu, a_values, kinds)
 
     def counted_shoot(*args):
         calls.append("shoot")
@@ -328,10 +330,63 @@ def test_full_shot_tabulates_rho_only(spec_p2, grid_20, monkeypatch):
 
     monkeypatch.setattr(steady, "_moment_profile", counted_profile)
     monkeypatch.setattr(steady, "_shoot", counted_shoot)
-    for fast, kinds in ((False, ["rho"]), (True, ["rho", "cas"])):
+    for fast, expected in ((True, [("rho", "cas"), "shoot"]),
+                           (False, [("rho",), "shoot", tuple(steady._TOTALS)])):
         calls.clear()
         integrate_state(spec_p2, REL, -1.0, -1.0, grid_20, fast=fast)
-        assert calls[:calls.index("shoot")] == kinds
+        assert calls == expected
+
+
+@pytest.mark.parametrize("c", [1.0, math.inf])
+def test_stacked_rows_equal_rows_integrated_alone(spec_p2, c):
+    params, kinds = ModelParams(c=c), tuple(steady._TOTALS)
+    zeta = np.linspace(0.0, math.sqrt(0.814 / 0.829), 513)
+    stacked = steady._moment_profile(spec_p2, params, -0.829, zeta * zeta, kinds)
+    assert stacked.shape == (len(kinds), len(zeta))
+    for kind, row in zip(kinds, stacked):
+        alone = steady._moment_profile(spec_p2, params, -0.829, zeta * zeta, (kind,))
+        assert row.tobytes() == alone[0].tobytes(), kind
+
+
+def test_stacked_rows_share_the_density_subdivision():
+    # at depth 1e-6 the Casimir moments are about 2e-14, below epsabs: each
+    # kind integrated alone stops early, stacked they ride on rho's accuracy
+    spec, params, mu_abs = make_polytrope(3.0), ModelParams(c=0.5), 1e3
+    zeta = np.linspace(0.0, math.sqrt(1e-3 / mu_abs), 65)[1:]
+    a_depth, kinds = zeta * zeta, tuple(steady._TOTALS)
+    stacked = steady._moment_profile(spec, params, -mu_abs, a_depth, kinds)
+    for kind, row in zip(kinds, stacked):
+        ref, _ = quad_vec(lambda t: steady._moment_integrand(
+            spec, params, mu_abs, a_depth, t, (kind,))[0],
+            0.0, 1.0, epsabs=0.0, epsrel=1e-14, norm="max")
+        assert_allclose(row, 4.0 * np.pi * ref, rtol=1e-10, atol=0, err_msg=kind)
+
+
+@settings(max_examples=200)
+# q = 0 or q >= 1e-200, so x = |mu| q / c^2 is 0 or a normal double: a
+# subnormal x keeps only a few significant bits, and no relative bound holds
+@given(q=strategies.one_of(strategies.just(0.0), strategies.floats(1e-200, 1e6)),
+       mu_abs=strategies.floats(1e-3, 1e3),
+       c=strategies.one_of(strategies.floats(0.1, 1e4), strategies.just(math.inf)),
+       g_s=strategies.floats(1e-3, 1e3))
+def test_kinetic_and_binding_moments_sum_to_the_virial_kernel(q, mu_abs, c, g_s):
+    # u^2/gamma = c^2 (gamma - 1) + c^2 (1 - 1/gamma), with gamma = 1 + x
+    params = ModelParams(c=c)
+    kin, ineg = (steady._kind_factor(None, params, mu_abs, q, 0.0, g_s, kind)
+                 for kind in ("kin", "ineg"))
+    if params.is_classical:
+        assert kin + ineg == 2.0 * mu_abs * q * g_s
+    else:
+        x = mu_abs * q / c ** 2
+        assert_allclose(kin + ineg, c ** 2 * x * (2.0 + x) / (1.0 + x) * g_s,
+                        rtol=1e-14, atol=0)
+
+
+def test_virial_moment_is_kinetic_plus_binding(state_p2_cl, state_p2_rel):
+    for st in (state_p2_cl, state_p2_rel):
+        assert st.vir_kin == st.ekin + st.ineg
+    with pytest.raises(PreconditionError, match="unknown moment kind"):
+        steady._kind_factor(state_p2_rel.spec, REL, 1.0, 1.0, 0.0, 1.0, "vir")
 
 
 # --- the float shooting stage against the array stage it replaced -------------
