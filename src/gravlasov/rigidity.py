@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,8 +63,6 @@ __all__ = [
 _TINY = 1e-300
 _ROOT_WINDOW = (1e-4, 1e4)   # f_roots searches |mu0| times this range
 _ROOT_SCAN = 64              # geometric scan points that bracket the roots
-_SHAPE_RANGE = (-2.0, 2.0)   # log10 of the trial shape parameter
-_GOLDEN_STEPS = 12
 _LEVEL_QUAD_NODES = 2000
 _BOOTSTRAP_MAX_ITER = 10_000
 
@@ -115,93 +114,62 @@ class KjEstimate:
     witness: str
 
 
-def _gaussian_trial(s: float) -> PhaseDensity:
-    """Isotropic Gaussian bump with shape parameter s = sigma_r * sigma_u."""
-    sigma = math.sqrt(s)
-    grid_r = RadialGrid(r_max=8.0 * sigma, n=257)
-    grid_u = SpeedGrid(u_max=8.0 * sigma, m=257)
-    return bump_density(grid_r, grid_u, r_scale=sigma, u_scale=sigma)
+def _gaussian_trial() -> PhaseDensity:
+    """Unit isotropic Gaussian bump, tabulated out to 8 on 257 x 257 nodes."""
+    return bump_density(RadialGrid(r_max=8.0, n=257), SpeedGrid(u_max=8.0, m=257),
+                        r_scale=1.0, u_scale=1.0)
 
 
-def _box_trial(s: float) -> PhaseDensity:
-    side = math.sqrt(s)
-    grid_r = RadialGrid(r_max=2.0 * side, n=257)
-    grid_u = SpeedGrid(u_max=2.0 * side, m=257)
+def _box_trial() -> PhaseDensity:
+    """Indicator of r < 1, u < 1, tabulated out to 2 on 257 x 257 nodes."""
+    return PhaseDensity.from_callable(
+        RadialGrid(r_max=2.0, n=257), SpeedGrid(u_max=2.0, m=257),
+        lambda r, u: ((r < 1.0) & (u < 1.0)).astype(float))
 
-    def fn(r, u):
-        return ((r < side) & (u < side)).astype(float)
 
-    return PhaseDensity.from_callable(grid_r, grid_u, fn)
+def _ground_trial(spec: CasimirSpec, params: ModelParams, psi0: float,
+                  mu: float) -> PhaseDensity:
+    return integrate_state(spec, params, psi0, mu, RadialGrid(r_max=24.0, n=513),
+                           m_speed=257).f
 
 
 def estimate_kj(spec: CasimirSpec, params: ModelParams,
                 trial_family: str = "default", budget: int = 60) -> KjEstimate:
-    """Minimize the interpolation quotient over parametric trial families.
+    """Smallest interpolation quotient over a fixed, ordered list of trials.
 
-    Families: "gaussian" and "box" run a golden-section search over the shape
-    parameter (the quotient is dilation- and, for polytropes, amplitude-
-    invariant, so one shape parameter spans each family); "ground" evaluates
-    a few solved steady profiles, which empirically sit lowest. "default"
-    combines all three within the evaluation budget.
+    The trials are the unit Gaussian ("gaussian"), the unit box ("box") and
+    the solved profiles at (psi0, mu) = (-1, -1) and (-0.5, -0.35)
+    ("ground"), which sit lowest; "default" takes all four in that order,
+    a named family only its own. The quotient is invariant under dilation
+    and, for a pure-power Casimir, under amplitude, so there one point covers
+    its whole family exactly. For any other weight one point is a single
+    trial, and its quotient is still a valid upper bound. At most budget
+    quotients are evaluated; a trial whose solve raises a GravlasovError is
+    skipped and does not count.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    families = (["gaussian", "box", "ground"] if trial_family == "default"
-                else [trial_family])
+    if trial_family not in ("default", "gaussian", "box", "ground"):
+        raise ValueError(f"unknown trial family {trial_family!r}")
+    trials = [("gaussian", "gaussian", _gaussian_trial), ("box", "box", _box_trial)]
+    trials += [("ground", f"ground(psi0={psi0},mu={mu})",
+                partial(_ground_trial, spec, params, psi0, mu))
+               for psi0, mu in ((-1.0, -1.0), (-0.5, -0.35))]
     evals = 0
     best = (math.inf, "none")
-
-    def consider(q, label):
-        nonlocal best
+    for family, label, make in trials:
+        if evals >= budget:
+            break
+        if trial_family not in ("default", family):
+            continue
+        try:
+            f = make()
+        except GravlasovError:
+            continue
+        evals += 1
+        q = interpolation_quotient(f, spec, params)
         if q < best[0]:
             best = (q, label)
-
-    def golden(make, label):
-        nonlocal evals
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = _SHAPE_RANGE
-        c_pt = b - gr * (b - a)
-        d_pt = a + gr * (b - a)
-        cache = {}
-
-        def value(t):
-            nonlocal evals
-            if t not in cache and evals < budget:
-                cache[t] = interpolation_quotient(make(10.0 ** t), spec, params)
-                evals += 1
-                consider(cache[t], f"{label}(s=10^{t:.3f})")
-            return cache.get(t, math.inf)
-
-        for _ in range(_GOLDEN_STEPS):
-            if evals >= budget:
-                break
-            if value(c_pt) < value(d_pt):
-                b, d_pt = d_pt, c_pt
-                c_pt = b - gr * (b - a)
-            else:
-                a, c_pt = c_pt, d_pt
-                d_pt = a + gr * (b - a)
-
-    for family in families:
-        if family == "gaussian":
-            golden(_gaussian_trial, "gaussian")
-        elif family == "box":
-            golden(_box_trial, "box")
-        elif family == "ground":
-            for psi0, mu in ((-1.0, -1.0), (-0.5, -0.35)):
-                if evals >= budget:
-                    break
-                try:
-                    st = integrate_state(spec, params, psi0, mu,
-                                         RadialGrid(r_max=24.0, n=513),
-                                         m_speed=257)
-                except GravlasovError:
-                    continue
-                evals += 1
-                consider(interpolation_quotient(st.f, spec, params),
-                         f"ground(psi0={psi0},mu={mu})")
-        else:
-            raise ValueError(f"unknown trial family {family!r}")
 
     if not math.isfinite(best[0]):
         raise NumericsError("no trial produced a finite quotient")

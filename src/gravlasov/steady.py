@@ -42,6 +42,7 @@ from scipy.optimize import brentq
 from .errors import (
     FixedPointDivergenceError,
     GravlasovError,
+    GridMismatchError,
     NonNegativeLambdaError,
     NumericsError,
     PreconditionError,
@@ -311,6 +312,10 @@ _TOTALS = {"rho": "m1", "kin": "ekin", "cas": "mj", "jpq": "jpq", "ineg": "ineg"
 def _finalize_state(spec, params, lam, mu, grid: RadialGrid, psi: np.ndarray,
                     w: np.ndarray, r_supp: float, m_speed: int) -> GroundState:
     """Tabulate profiles and functionals for a solved (psi, w) pair."""
+    if not lam < 0:
+        raise NonNegativeLambdaError(f"lambda must be negative, got {lam}")
+    if not mu < 0:
+        raise PreconditionError(f"mu must be negative, got {mu}")
     r = grid.nodes
     mu_abs = abs(mu)
     k = int(np.searchsorted(r, r_supp) - 1)  # last node strictly inside support
@@ -854,6 +859,9 @@ def state_from_dir(indir, m_speed: int = 257) -> GroundState:
         raise PreconditionError(f"cannot rebuild a state from {indir}: "
                                 f"{type(exc).__name__}: {exc}") from exc
     grid = phi.grid
+    if not np.array_equal(grid.nodes, rho.grid.nodes):
+        raise GridMismatchError(f"cannot rebuild a state from {indir}: "
+                                "phi and rho are tabulated on different nodes")
     psi = phi.values - lam
     w = cumulative_simpson(grid.nodes ** 2 * rho.values, x=grid.nodes, initial=0.0)
     return _finalize_state(spec, params, lam, mu, grid, psi, w, r_supp, m_speed)

@@ -392,6 +392,40 @@ def test_verify_on_a_damaged_solve_is_a_named_error(tmp_path, capsys, solve_dir,
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _set_state_value(key, value):
+    def damage(out):
+        path = os.path.join(out, "state.json")
+        doc = json.loads(open(path).read())
+        with open(path, "w") as fh:
+            json.dump(doc | {key: value}, fh)
+    return damage
+
+
+def _cut_phi_to_two_rows(out):
+    path = os.path.join(out, "profiles", "phi.csv")
+    lines = open(path).read().splitlines(keepends=True)
+    with open(path, "w") as fh:
+        fh.writelines(lines[:3])
+
+
+@pytest.mark.parametrize("damage, error", [
+    (_set_state_value("lambda", 0.5), "NonNegativeLambdaError"),
+    (_set_state_value("mu", 1.0), "PreconditionError"),
+    (_cut_phi_to_two_rows, "GridMismatchError"),
+])
+def test_verify_on_an_inconsistent_solve_is_a_named_error(tmp_path, capsys,
+                                                         solve_dir, damage, error):
+    # each read succeeds; the rebuilt state itself is impossible
+    out = str(tmp_path / "inconsistent")
+    shutil.copytree(solve_dir, out)
+    os.remove(os.path.join(out, "summary.json"))
+    damage(out)
+    assert run(["verify", "--out", out, "--n", "257"]) == 1
+    assert read_summary(out)["results"]["error"] == error
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("args, error", [
     (["evolve", "--psi0", "0", "--mu", "-1", "--n", "65", "--n-particles", "1000",
       "--t-end", "0.1", "--dt", "0.1"], "PreconditionError"),    # trivial state

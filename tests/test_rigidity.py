@@ -4,16 +4,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 from scipy.interpolate import RegularGridInterpolator
 
 from gravlasov.errors import NumericsError, SupportExceedsGridError
-from gravlasov.kernel import ModelParams
-from gravlasov.radial import RadialGrid, SpeedGrid, bump_density
+from gravlasov.kernel import ModelParams, make_polytrope
+from gravlasov.radial import PhaseDensity, RadialGrid, SpeedGrid, bump_density
 from gravlasov.rigidity import (alpha_rescale, bootstrap_exponents,
                                 dilate_transform, equimeasure_compare,
                                 estimate_kj, f_function, f_roots,
                                 interpolation_quotient, level_asymptotic,
-                                threshold_check, _resample)
+                                threshold_check, _box_trial, _gaussian_trial,
+                                _resample)
 
 CL = ModelParams()
 REL = ModelParams(c=1.0)
@@ -78,6 +80,32 @@ def test_estimate_kj_stable_under_rescaled_copies(spec_p2):
                          SpeedGrid(u_max=10.0, m=257))),
         spec_p2, REL)
     assert min(est1.best_quotient, q_scaled) >= est1.best_quotient * (1 - 1e-4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(log_s=strategies.floats(-2.0, 2.0), p=strategies.floats(1.6, 3.0))
+def test_trial_quotients_do_not_depend_on_the_shape(log_s, p):
+    # shape s = sigma_r sigma_u, grids scaled with the trial: the quotient's
+    # exponents cancel exactly, so one point stands for each family
+    side = math.sqrt(10.0 ** log_s)
+    gaussian = bump_density(RadialGrid(r_max=8.0 * side, n=257),
+                            SpeedGrid(u_max=8.0 * side, m=257), side, side)
+    box = PhaseDensity.from_callable(
+        RadialGrid(r_max=2.0 * side, n=257), SpeedGrid(u_max=2.0 * side, m=257),
+        lambda r, u: ((r < side) & (u < side)).astype(float))
+    spec = make_polytrope(p)
+    for trial, unit in ((gaussian, _gaussian_trial()), (box, _box_trial())):
+        assert interpolation_quotient(trial, spec, REL) == pytest.approx(
+            interpolation_quotient(unit, spec, REL), rel=1e-12, abs=0)
+
+
+def test_estimate_kj_evaluates_each_trial_once(spec_p2):
+    est = estimate_kj(spec_p2, REL)
+    assert est.trial_count == 4
+    assert est.best_quotient == 2.4697330679378644
+    assert est.witness == "ground(psi0=-1.0,mu=-1.0)"
+    first = estimate_kj(spec_p2, REL, budget=1)
+    assert (first.trial_count, first.witness) == (1, "gaussian")
 
 
 def test_ground_state_trials_beat_boxes(spec_p2):
