@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidCasimirError
+from .errors import InvalidCasimirError, PreconditionError
 
 __all__ = [
     "ModelParams",
@@ -35,7 +36,7 @@ class ModelParams:
 
     def __post_init__(self):
         if not self.c > 0:
-            raise ValueError("light speed c must be positive (use math.inf for classical)")
+            raise PreconditionError("light speed c must be positive (use math.inf for classical)")
 
     @property
     def is_classical(self) -> bool:
@@ -64,7 +65,7 @@ class CasimirSpec:
     def __post_init__(self):
         for label, value in (("p", self.p), ("p1", self.p1), ("p2", self.p2)):
             if not value > 1.5:
-                raise ValueError(f"{label} must exceed 3/2, got {value}")
+                raise InvalidCasimirError(f"{label} must exceed 3/2, got {value}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def kinetic_weight(params: ModelParams, speed):
     """
     u = np.asarray(speed, dtype=float)
     if np.any(u < 0):
-        raise ValueError("speed must be nonnegative")
+        raise PreconditionError("speed must be nonnegative")
     if params.is_classical:
         out = 0.5 * u * u
     else:
@@ -108,7 +109,7 @@ def kinetic_weight_inverse(params: ModelParams, energy):
     """Speed u with kinetic_weight(u) = energy (exact algebraic inversion)."""
     e = np.asarray(energy, dtype=float)
     if np.any(e < 0):
-        raise ValueError("energy must be nonnegative")
+        raise PreconditionError("energy must be nonnegative")
     if params.is_classical:
         out = np.sqrt(2.0 * e)
     else:
@@ -144,7 +145,7 @@ def check_casimir(spec: CasimirSpec, samples: int = 200) -> CasimirCheck:
     all other defects are reported as failed flags with worst-case ratios.
     """
     if samples < 2:
-        raise ValueError("samples must be at least 2")
+        raise PreconditionError("samples must be at least 2")
     t = np.logspace(-8, 8, samples)
     jt = np.asarray(spec.j(t), dtype=float)
     if np.any(jt <= 0):
@@ -180,10 +181,12 @@ def check_casimir(spec: CasimirSpec, samples: int = 200) -> CasimirCheck:
                         dichotomy_ok=dichotomy_ok, inverse_ok=inverse_ok, samples=samples)
 
 
+@lru_cache(maxsize=None, typed=True)
 def make_polytrope(p: float) -> CasimirSpec:
-    """Polytropic weight j(t) = t**p with exact derivative inverse."""
+    """Polytropic weight j(t) = t**p with exact derivative inverse; one spec per
+    p, so ``spec is make_polytrope(spec.p)`` marks a pure power."""
     if not p > 1.5:
-        raise ValueError(f"polytropic exponent must exceed 3/2, got {p}")
+        raise InvalidCasimirError(f"polytropic exponent must exceed 3/2, got {p}")
     expo = 1.0 / (p - 1.0)
 
     def j(t):

@@ -22,7 +22,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import quad_vec, simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -36,8 +36,9 @@ from .kernel import (
 )
 from .radial import (PhaseDensity, RadialGrid, SpeedGrid, bump_density,
                      distribution_function, functionals, _phase_integral)
-from .steady import (GroundState, SolveTargets, _monomial_exponents,
-                     _velocity_moment, integrate_state, solve_targets)
+from .steady import (GroundState, SolveTargets, _moment_integrand,
+                     _monomial_exponents, _velocity_moment, integrate_state,
+                     solve_targets)
 
 __all__ = [
     "ScalingReport",
@@ -374,14 +375,22 @@ def f_roots(params: ModelParams, a: float, spec: CasimirSpec, mu0: float) -> lis
         except NumericsError:
             return math.nan
 
-    vals = np.array([f_or_nan(s) for s in s_grid])
+    # one quad_vec call over every s, unless some F leaves double range
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale = 4.0 * math.pi * s_grid * s_grid
+        vals = quad_vec(lambda t: _moment_integrand(spec, params, s_grid, a, t, ("rho",))[0]
+                        / (s_grid * s_grid), 0.0, 1.0, epsabs=1e-14, epsrel=1e-11,
+                        norm="max")[0]
+    if not np.all(np.isfinite(vals) & (scale >= sys.float_info.min) & (scale < math.inf)):
+        vals = np.array([f_or_nan(s) for s in s_grid])
 
     roots = [mu0_abs]
     diff = vals - target
     for i in range(len(s_grid) - 1):
         if diff[i] == 0.0 and not math.isclose(s_grid[i], mu0_abs, rel_tol=1e-6):
             roots.append(float(s_grid[i]))
-        if diff[i] * diff[i + 1] < 0.0:
+        # a bracket around |mu0| holds |mu0| alone: convexity allows two roots
+        if diff[i] * diff[i + 1] < 0.0 and not s_grid[i] < mu0_abs < s_grid[i + 1]:
             root = brentq(lambda s: f_function(params, a, spec, s) - target,
                           s_grid[i], s_grid[i + 1], xtol=1e-14 * mu0_abs,
                           rtol=1e-12)

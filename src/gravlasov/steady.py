@@ -22,7 +22,15 @@ A = (lambda - phi)/|mu|, under which u^2 du = w(q) dq with
     w(q) = sqrt(2) |mu|^(3/2) sqrt(q)                             (classical)
 
 The sqrt(q) endpoint behaviour is absorbed by the substitution q = A t^2
-before adaptive Gauss-Kronrod integration.
+before adaptive Gauss-Kronrod integration. For a pure power G(s) = k s^m,
+m = 1/(p-1), it also shows the moment similarity: with beta = |mu| A / c^2,
+
+    moment_k(A; mu) = C_k |mu|^(3/2) A^(e_k) g_k(beta),  e_rho = m + 3/2, e_cas = m + 5/2,
+
+where g_k depends on beta alone, not on c, and g_k = 1 classically, the closed
+form C_k |mu|^(3/2) A^(e_k) with C_k = 4 pi sqrt(2) k^n B(3/2, e_k - 1/2)
+(n = 1 for rho, p for cas). So every shot, state and fixed point of one p
+reads one spline of g_k per kind, and a classical one needs no quadrature.
 """
 
 from __future__ import annotations
@@ -31,8 +39,9 @@ import json
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad, quad_vec, simpson
@@ -173,54 +182,94 @@ def _moment_profile(spec: CasimirSpec, params: ModelParams, mu: float,
     return out
 
 
-class _MomentTable:
-    """Cubic-spline tables of moment profiles in the variable sqrt(A).
+_POW = np.frompyfunc(pow, 2, 1)  # Python's float pow per element, as a float stage has it
 
-    The moments behave like A^(3/2 + 1/(p-1)) near A = 0, which the sqrt
-    substitution turns into a C^3-or-better function for every p > 3/2.
-    """
+
+@lru_cache(maxsize=None)
+def _similarity_table(p: float, classical: bool, bucket: int):
+    """(nodes, splines, spline rows, {kind: (C_k, e_k)}) of the shared g_k of
+    j = t^p on 2049 nodes of sqrt(beta), beta in [0, 64 4^bucket]."""
+    m = 1.0 / (p - 1.0)
+    base = 4.0 * math.pi * math.sqrt(2.0) * math.gamma(1.5) / p ** m
+    powers = {"rho": (base * math.gamma(m + 1.0) / math.gamma(m + 2.5), m + 1.5),
+              "cas": (base / p * math.gamma(m + 2.0) / math.gamma(m + 3.5), m + 2.5)}
+    zeta, g = np.array([0.0, 1.0]), np.ones((2, 2))
+    if not classical:
+        zeta = np.linspace(0.0, 8.0 * 2.0 ** bucket, 2049)
+        g = np.ones((2, zeta.size))
+        prof = _moment_profile(make_polytrope(p), ModelParams(c=1.0), -1.0,
+                               zeta[1:] ** 2, tuple(powers))
+        for row, vals, (coef, expo) in zip(g, prof, powers.values()):
+            row[1:] = vals / (coef * zeta[1:] ** (2.0 * expo))
+    splines = {kind: CubicSpline(zeta, row) for kind, row in zip(powers, g)}
+    return (zeta, zeta.tolist(), splines,
+            {kind: spl.c.T.tolist() for kind, spl in splines.items()}, powers)
+
+
+class _MomentTable:
+    """Moment profiles scale_k A^(e_k) g_k(sqrt(v A)) by kind, for A up to a_max:
+    a pure power (made by make_polytrope) reads the shared g_k of p (module
+    docstring), other weights tabulate the moment itself on n_tab nodes of
+    sqrt(A) (scale 1, e_k = 0, v = 1). The square root makes the
+    A^(3/2 + 1/(p-1)) onset C^3 or better."""
 
     def __init__(self, spec, params, mu, a_max, kinds=("rho",), n_tab=1025):
         self.a_max = float(a_max) * (1.0 + 1e-9) + _TINY
         self._a_limit = self.a_max * (1.0 + 1e-8)
+        if spec is make_polytrope(spec.p):
+            self._var = abs(mu) / params.c ** 2
+            # the smallest bucket with 64 4^bucket >= beta_max
+            bucket = max(0, (math.frexp(self._var * self.a_max / 64.0)[1] + 1) // 2)
+            self._zeta, self._nodes, self._splines, self._rows, powers = _similarity_table(
+                float(spec.p), params.is_classical, bucket)
+            self._power = {kind: (coef * abs(mu) ** 1.5, expo)
+                           for kind, (coef, expo) in powers.items()}
+            return
         zeta = np.linspace(0.0, math.sqrt(self.a_max), n_tab)
-        a_nodes = zeta * zeta
-        self._zeta, self._nodes = zeta, zeta.tolist()
+        self._zeta, self._nodes, self._var = zeta, zeta.tolist(), 1.0
         self._splines = {kind: CubicSpline(zeta, vals) for kind, vals in
-                         zip(kinds, _moment_profile(spec, params, mu, a_nodes, kinds))}
+                         zip(kinds, _moment_profile(spec, params, mu, zeta * zeta, kinds))}
         self._rows = {kind: spl.c.T.tolist() for kind, spl in self._splines.items()}
+        self._power = dict.fromkeys(kinds, (1.0, 0.0))
 
     def __call__(self, a_depth, kind: str = "rho"):
-        """max(spline(sqrt(clip(A, 0, a_max))), 0) for a float or an array A,
-        bit for bit as scipy gives it: the same interval [x_k, x_k+1) (the
-        last one closed) and scipy's sum c3 + c2 d + c1 d^2 + c0 d^3 (Horner's
-        order rounds otherwise). A float stays a Python float, so a shooting
-        stage pays no numpy call. Node 0 sits at A = 0, where moments are 0.
-        """
+        """max(scale A^e g(sqrt(v A)), 0) at A clipped to [0, a_max], a float or
+        an array A bit for bit alike, g as scipy gives it: the same interval
+        [x_k, x_k+1) (the last one closed) and scipy's sum c3 + c2 d + c1 d^2 +
+        c0 d^3 (Horner's order rounds otherwise). A float stays a Python float,
+        so a shooting stage pays no numpy call; an array takes A^e from Python's
+        pow too."""
         array, top = isinstance(a_depth, np.ndarray), len(self._nodes) - 1
         if np.any(a_depth > self._a_limit) if array else a_depth > self._a_limit:
             raise PreconditionError("depth outside tabulated range")
+        scale, expo = self._power[kind]
         if array:
-            zeta = np.sqrt(np.clip(a_depth, 0.0, self.a_max))
+            a = np.clip(a_depth, 0.0, self.a_max)
+            zeta = np.sqrt(self._var * a)
             k = np.minimum(np.searchsorted(self._zeta, zeta, side="right"), top) - 1
             c0, c1, c2, c3 = self._splines[kind].c[:, k]
-            d = zeta - self._zeta[k]
+            d, power = zeta - self._zeta[k], _POW(a, expo).astype(float)
         else:
             a_max = self.a_max
-            zeta = math.sqrt(0.0 if a_depth < 0.0 else a_max if a_depth > a_max else a_depth)
+            a = 0.0 if a_depth < 0.0 else a_max if a_depth > a_max else a_depth
+            zeta = math.sqrt(self._var * a)
             k = min(bisect_right(self._nodes, zeta), top) - 1
             c0, c1, c2, c3 = self._rows[kind][k]
-            d = zeta - self._nodes[k]
-        value = c3 + c2 * d + c1 * (d * d) + c0 * ((d * d) * d)
+            d, power = zeta - self._nodes[k], a ** expo
+        value = (c3 + c2 * d + c1 * (d * d) + c0 * ((d * d) * d)) * (scale * power)
         if array:
             return np.maximum(value, 0.0)
         return 0.0 if value <= 0.0 else value
 
     def derivative(self, a_depth):
-        """d(density)/dA, finite where the profile is (zero outside support)."""
-        zeta = np.sqrt(np.clip(a_depth, 0.0, self.a_max))
+        """d(density)/dA by the product rule, zero where A <= 0."""
+        (scale, expo), spline = self._power["rho"], self._splines["rho"]
+        a = np.clip(a_depth, 0.0, self.a_max)
+        zeta, power = np.sqrt(self._var * a), a ** expo
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(zeta > 0, self._splines["rho"](zeta, 1) / (2.0 * zeta), 0.0)
+            slope = spline(zeta, 1) * math.sqrt(self._var) / (2.0 * np.sqrt(a))  # dg/dA
+            return np.where(a > 0, scale * (power * slope + expo * spline(zeta) * power / a),
+                            0.0)
 
 
 # --- public pointwise operations --------------------------------------------
@@ -264,13 +313,15 @@ class GroundState:
     ekin: float
     epot: float
     hc: float
-    f: PhaseDensity
+    _build_f: Callable[[], PhaseDensity] = field(repr=False, compare=False)
     u_bound: float
     trivial: bool = False
     # auxiliary moments used by the identity verifiers
     jpq: float = 0.0        # int j'(Q) Q
     ineg: float = 0.0       # int c^2 (1 - 1/sqrt(1+u^2/c^2)) Q
     phi_q: float = 0.0      # int phi Q dx dv = int phi rho dx
+
+    f = cached_property(lambda self: self._build_f())  # tabulated when first read
 
     @property
     def vir_kin(self) -> float:
@@ -359,25 +410,24 @@ def _finalize_state(spec, params, lam, mu, grid: RadialGrid, psi: np.ndarray,
         arg = (-psi_r - kinetic_weight(params, uu)) / mu_abs
         return np.asarray(spec.g_inv(np.maximum(arg, 0.0)), dtype=float)
 
-    f = PhaseDensity.from_callable(grid, grid_u, profile)
-
     return GroundState(
         params=params, spec=spec, lam=float(lam), mu=float(mu), psi0=psi0,
         a=psi0 / mu, phi=RadialField(grid=grid, values=phi),
         rho=RadialField(grid=grid, values=rho), r_support=float(r_supp),
-        epot=epot, hc=hc, f=f, u_bound=u_bound, phi_q=phi_q, **totals,
+        epot=epot, hc=hc, _build_f=partial(PhaseDensity.from_callable, grid, grid_u, profile),
+        u_bound=u_bound, phi_q=phi_q, **totals,
     )
 
 
 def _trivial_state(spec, params, grid: RadialGrid, mu: float, m_speed: int) -> GroundState:
     zeros = np.zeros(grid.n)
-    f = PhaseDensity(grid_r=grid, grid_u=SpeedGrid(u_max=1.0, m=m_speed),
-                     values=np.zeros((grid.n, m_speed)))
+    f = partial(PhaseDensity, grid_r=grid, grid_u=SpeedGrid(u_max=1.0, m=m_speed),
+                values=np.zeros((grid.n, m_speed)))
     return GroundState(params=params, spec=spec, lam=0.0, mu=mu, psi0=0.0, a=0.0,
                        phi=RadialField(grid=grid, values=zeros),
                        rho=RadialField(grid=grid, values=zeros.copy()),
                        r_support=0.0, m1=0.0, mj=0.0, ekin=0.0, epot=0.0, hc=0.0,
-                       f=f, u_bound=0.0, trivial=True)
+                       _build_f=f, u_bound=0.0, trivial=True)
 
 
 # --- shooting solver ----------------------------------------------------------
@@ -847,15 +897,14 @@ def state_from_dir(indir, m_speed: int = 257) -> GroundState:
         with open(os.path.join(indir, "state.json")) as fh:
             doc = json.load(fh)
         if not str(doc["casimir"]).startswith("polytrope"):
-            raise PreconditionError(f"cannot rebuild a state from {indir}: "
-                                    "only a polytrope state can be rebuilt")
+            raise PreconditionError("only a polytrope state can be rebuilt")
         spec = make_polytrope(float(doc["p"]))
         params = ModelParams(c=float(doc["c"]))
         phi = read_radial_field(os.path.join(indir, doc["profiles"]["phi"]))
         rho = read_radial_field(os.path.join(indir, doc["profiles"]["rho"]))
         lam, mu = float(doc["lambda"]), float(doc["mu"])
         r_supp = float(doc["r_support"])
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError, GravlasovError) as exc:
         raise PreconditionError(f"cannot rebuild a state from {indir}: "
                                 f"{type(exc).__name__}: {exc}") from exc
     grid = phi.grid

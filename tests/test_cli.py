@@ -369,8 +369,19 @@ def _empty_phi(out):
         fh.write("r,value\n")
 
 
+def _set_state_value(key, value):
+    def damage(out):
+        path = os.path.join(out, "state.json")
+        doc = json.loads(open(path).read())
+        with open(path, "w") as fh:
+            json.dump(doc | {key: value}, fh)
+    return damage
+
+
 @pytest.mark.parametrize("damage, cause", [
     (_set_casimir_custom, "polytrope"),
+    (_set_state_value("p", 1.2), "InvalidCasimirError"),    # kernel's own checks
+    (_set_state_value("c", -1.0), "PreconditionError"),
     (_rename_phi_header, "ValueError"),
     (_truncate_state, "JSONDecodeError"),
     (_remove_rho, "FileNotFoundError"),
@@ -390,15 +401,6 @@ def test_verify_on_a_damaged_solve_is_a_named_error(tmp_path, capsys, solve_dir,
     assert out in doc["message"] and cause in doc["message"]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-
-
-def _set_state_value(key, value):
-    def damage(out):
-        path = os.path.join(out, "state.json")
-        doc = json.loads(open(path).read())
-        with open(path, "w") as fh:
-            json.dump(doc | {key: value}, fh)
-    return damage
 
 
 def _cut_phi_to_two_rows(out):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gravlasov.errors import InvalidCasimirError
+from gravlasov.errors import InvalidCasimirError, PreconditionError
 from gravlasov.kernel import (CasimirSpec, ModelParams, check_casimir,
                               kinetic_weight, kinetic_weight_inverse,
                               make_polytrope)
@@ -15,9 +15,9 @@ from gravlasov.kernel import (CasimirSpec, ModelParams, check_casimir,
 def test_model_params_validation():
     assert ModelParams(c=1.0).is_classical is False
     assert ModelParams().is_classical is True
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         ModelParams(c=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         ModelParams(c=-2.0)
 
 
@@ -30,9 +30,9 @@ def test_kinetic_weight_examples():
 
 
 def test_kinetic_weight_negative_speed_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         kinetic_weight(ModelParams(), -0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         kinetic_weight_inverse(ModelParams(c=2.0), -1e-9)
 
 
@@ -84,9 +84,9 @@ def test_make_polytrope_values():
 
 
 def test_make_polytrope_rejects_small_exponent():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCasimirError):
         make_polytrope(1.4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCasimirError):
         make_polytrope(1.5)
 
 
@@ -132,5 +132,5 @@ def test_check_casimir_reports_growth_constant():
 
 
 def test_check_casimir_needs_two_samples():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         check_casimir(make_polytrope(2.0), samples=1)

@@ -1,6 +1,11 @@
+import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -313,10 +318,8 @@ def test_state_serialization_roundtrip(tmp_path, state_p2_rel, state_p2_cl):
     assert math.isinf(state_from_dir(tmp_path / "cl").params.c)
 
 
-def test_full_shot_tabulates_rho_only(spec_p2, grid_20, monkeypatch):
-    # one quadrature per table and per state: the table is built before the
-    # shot, and only a fast shot's masses read the Casimir moment from it; a
-    # full shot integrates every total in one call after the shot
+def _counted_quadratures(monkeypatch):
+    """Record every _moment_profile call (its kinds) and every shot."""
     calls = []
     profile, shoot = steady._moment_profile, steady._shoot
 
@@ -330,11 +333,37 @@ def test_full_shot_tabulates_rho_only(spec_p2, grid_20, monkeypatch):
 
     monkeypatch.setattr(steady, "_moment_profile", counted_profile)
     monkeypatch.setattr(steady, "_shoot", counted_shoot)
-    for fast, expected in ((True, [("rho", "cas"), "shoot"]),
-                           (False, [("rho",), "shoot", tuple(steady._TOTALS)])):
-        calls.clear()
-        integrate_state(spec_p2, REL, -1.0, -1.0, grid_20, fast=fast)
-        assert calls == expected
+    steady._similarity_table.cache_clear()
+    return calls
+
+
+def test_full_shot_tabulates_rho_only(spec_p2, spec_cubic, grid_20, monkeypatch):
+    # only a fast shot's masses read the Casimir moment from the table; a
+    # full shot integrates every total in one call after the shot
+    calls = _counted_quadratures(monkeypatch)
+    for spec, c, fast_calls, full_calls in (
+            # any other weight: a table per shot, built before it, rho alone
+            # for a full shot
+            (spec_cubic, 1.0, [("rho", "cas"), "shoot"], [("rho",), "shoot"]),
+            # a pure power: the first table of p builds the shared spline, the
+            # next reads it; a classical one runs no table quadrature at all
+            (spec_p2, 1.0, [("rho", "cas"), "shoot"], ["shoot"]),
+            (spec_p2, math.inf, ["shoot"], ["shoot"])):
+        for fast, expected in ((True, fast_calls),
+                               (False, full_calls + [tuple(steady._TOTALS)])):
+            calls.clear()
+            integrate_state(spec, ModelParams(c=c), -1.0, -1.0, grid_20, fast=fast)
+            assert calls == expected
+
+
+@pytest.mark.parametrize("c, builds", [(1.0, 1), (math.inf, 0)])
+def test_solve_targets_builds_at_most_two_tables(spec_p2, grid_20, monkeypatch,
+                                                 c, builds):
+    calls = _counted_quadratures(monkeypatch)
+    targets = (12.5, 1.9) if c == 1.0 else (16.0, 2.6)
+    solve_targets(spec_p2, ModelParams(c=c), SolveTargets(*targets, 1e-8), grid_20)
+    tables = [kinds for kinds in calls if kinds not in ("shoot", tuple(steady._TOTALS))]
+    assert tables == [("rho", "cas")] * builds
 
 
 @pytest.mark.parametrize("c", [1.0, math.inf])
@@ -393,24 +422,36 @@ def test_virial_moment_is_kinetic_plus_binding(state_p2_cl, state_p2_rel):
 
 # --- the float shooting stage against the array stage it replaced -------------
 
+def _scipy_lookup(table, a, kind):
+    """scale A^e g(sqrt(v A)) at A clipped to [0, a_max], g as scipy
+    evaluates it and A^e by Python's pow."""
+    scale, expo = table._power[kind]
+    a = np.clip(a, 0.0, table.a_max)
+    power = np.array([x ** expo for x in a.tolist()])
+    return table._splines[kind](np.sqrt(table._var * a)) * (scale * power)
+
+
 def _reference_lookup(table, a_depth, kind="rho"):
-    """The masked moment lookup: 0 for A <= 0, the clamped spline above."""
+    """The masked moment lookup: 0 for A <= 0, the clamped view above."""
     a = np.atleast_1d(np.asarray(a_depth, dtype=float))
     if np.any(a > table.a_max * (1.0 + 1e-8)):
         raise ValueError("depth outside tabulated range")
     out = np.zeros_like(a)
     mask = a > 0
-    out[mask] = np.maximum(
-        table._splines[kind](np.sqrt(np.minimum(a[mask], table.a_max))), 0.0)
+    out[mask] = np.maximum(_scipy_lookup(table, a[mask], kind), 0.0)
     return out
 
 
 def _reference_derivative(table, a_depth):
+    """d/dA of scale A^e g(sqrt(v A)) by the product rule, 0 for A <= 0."""
     a = np.atleast_1d(np.asarray(a_depth, dtype=float))
     out = np.zeros_like(a)
     mask = a > 0
-    zeta = np.sqrt(np.minimum(a[mask], table.a_max))
-    out[mask] = table._splines["rho"](zeta, 1) / (2.0 * zeta)
+    am = np.minimum(a[mask], table.a_max)
+    (scale, expo), spline = table._power["rho"], table._splines["rho"]
+    zeta = np.sqrt(table._var * am)
+    slope = spline(zeta, 1) * math.sqrt(table._var) / (2.0 * np.sqrt(am))
+    out[mask] = scale * (am ** expo * slope + expo * spline(zeta) * am ** expo / am)
     return out
 
 
@@ -486,32 +527,54 @@ def test_shoot_errors(spec_p2):
         steady._shoot(-1.0, -1.0, RadialGrid(r_max=20.0, n=9), table)
 
 
-@pytest.mark.parametrize("c", [1.0, math.inf])
-def test_moment_table_lookup_matches_masked_lookup(spec_p2, c):
-    table = _shot_table(spec_p2, ModelParams(c=c), -0.814, -0.829)
+def _breakpoints(table):
+    """The depths of the spline's nodes and of their midpoints, up to a_max."""
     zeta = table._splines["rho"].x
-    a = np.concatenate([[-1.0, -0.0, 0.0, 5e-324, 1e-310], zeta * zeta,
-                        (0.5 * (zeta[1:] + zeta[:-1])) ** 2,
-                        [table.a_max, table.a_max * (1.0 + 5e-9)]])
-    for kind in ("rho", "cas"):
-        ref = _reference_lookup(table, a, kind)
-        assert table(a, kind).tobytes() == ref.tobytes()
-        scalars = np.array([table(float(x), kind) for x in a])
-        assert scalars.tobytes() == ref.tobytes()
-    assert table.derivative(a).tobytes() == _reference_derivative(table, a).tobytes()
-    assert np.all(table.derivative(a)[a <= 0.0] == 0.0)
-    with pytest.raises(PreconditionError, match="outside tabulated range"):
-        table(table.a_max * (1.0 + 2e-8))
-    with pytest.raises(PreconditionError, match="outside tabulated range"):
-        table(np.array([0.0, table.a_max * (1.0 + 2e-8)]))
+    a = np.concatenate([zeta * zeta, (0.5 * (zeta[1:] + zeta[:-1])) ** 2])
+    a = a / table._var if table._var > 0 else a[:0]   # a classical g is constant
+    return a[a <= table.a_max]
+
+
+@pytest.mark.parametrize("c", [1.0, math.inf])
+def test_moment_table_lookup_matches_masked_lookup(spec_p2, spec_cubic, c):
+    params = ModelParams(c=c)
+    for spec in (spec_p2, spec_cubic):
+        table = _shot_table(spec, params, -0.814, -0.829)
+        if spec is spec_cubic:  # not a pure power: a table per shot, on its own nodes
+            assert (table._var, table._power) == (
+                1.0, dict.fromkeys(("rho", "cas"), (1.0, 0.0)))
+            assert table._zeta.tobytes() == np.linspace(
+                0.0, math.sqrt(table.a_max), 1025).tobytes()
+        else:
+            assert table._var == 0.829 / c ** 2
+            assert len(table._nodes) == (2 if params.is_classical else 2049)
+        a = np.concatenate([[-1.0, -0.0, 0.0, 5e-324, 1e-310], _breakpoints(table),
+                            np.linspace(0.0, table.a_max, 257),
+                            [table.a_max, table.a_max * (1.0 + 5e-9)]])
+        for kind in ("rho", "cas"):
+            ref = _reference_lookup(table, a, kind)
+            assert table(a, kind).tobytes() == ref.tobytes()
+            scalars = np.array([table(float(x), kind) for x in a])
+            assert scalars.tobytes() == ref.tobytes()
+        assert table.derivative(a).tobytes() == _reference_derivative(table, a).tobytes()
+        assert np.all(table.derivative(a)[a <= 0.0] == 0.0)
+        with pytest.raises(PreconditionError, match="outside tabulated range"):
+            table(table.a_max * (1.0 + 2e-8))
+        with pytest.raises(PreconditionError, match="outside tabulated range"):
+            table(np.array([0.0, table.a_max * (1.0 + 2e-8)]))
 
 
 @lru_cache(maxsize=None)
-def _lookup_table(c, planted):
-    table = _shot_table(make_polytrope(2.0), ModelParams(c=c), -0.814, -0.829)
+def _lookup_table(c, planted, pure_power):
+    spec = make_polytrope(2.0)
+    table = _shot_table(spec if pure_power else replace(spec), ModelParams(c=c),
+                        -0.814, -0.829)
     if planted:
-        # no built table sums a piece to -0.0 (node 0 holds +0.0), so plant one:
-        # np.maximum(-0.0, 0.0) is +0.0, where max(-0.0, 0.0) would keep -0.0
+        # no built table sums a piece to -0.0 (the first piece holds +0.0 or
+        # +1.0), so plant one in a private copy of the spline: np.maximum(-0.0,
+        # 0.0) is +0.0, where max(-0.0, 0.0) would keep -0.0
+        table._splines = copy.deepcopy(table._splines)
+        table._rows = copy.deepcopy(table._rows)
         for kind in ("rho", "cas"):
             table._splines[kind].c[:, 0] = -0.0
             table._rows[kind][0] = [-0.0] * 4
@@ -520,20 +583,21 @@ def _lookup_table(c, planted):
 
 @settings(max_examples=40, deadline=None)
 @given(c=strategies.sampled_from([1.0, math.inf]), planted=strategies.booleans(),
-       kind=strategies.sampled_from(["rho", "cas"]),
+       pure_power=strategies.booleans(), kind=strategies.sampled_from(["rho", "cas"]),
        fractions=strategies.lists(strategies.floats(-0.5, 1.0 + 1e-8), max_size=64))
-def test_power_sum_lookup_is_scipy_to_the_bit(c, planted, kind, fractions):
-    table = _lookup_table(c, planted)
-    a_max, zeta = table.a_max, table._splines[kind].x
-    breakpoints = zeta * zeta                  # sqrt gives each node back exactly
+def test_power_sum_lookup_is_scipy_to_the_bit(c, planted, pure_power, kind, fractions):
+    table = _lookup_table(c, planted, pure_power)
+    a_max, breakpoints = table.a_max, _breakpoints(table)
     a = np.concatenate([
         [-1.0, -0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308],
         breakpoints, np.nextafter(breakpoints, -1.0), np.nextafter(breakpoints, 2.0 * a_max),
         [a_max, a_max * (1.0 + 5e-9), np.nextafter(a_max * (1.0 + 1e-8), 0.0)],
         np.asarray(fractions, dtype=float) * a_max])
-    ref = np.maximum(table._splines[kind](np.sqrt(np.clip(a, 0.0, a_max))), 0.0)
+    ref = np.maximum(_scipy_lookup(table, a, kind), 0.0)
     assert table(a, kind).tobytes() == ref.tobytes()
     assert np.array([table(x, kind) for x in a.tolist()]).tobytes() == ref.tobytes()
+    shared = steady._similarity_table(2.0, math.isinf(c), 0)[2]["rho"]
+    assert shared.c[:, 0].tobytes() != np.full(4, -0.0).tobytes()  # the plant stayed private
 
 
 @pytest.mark.parametrize("fixture", ["state_p2_cl", "state_p2_rel"])
@@ -546,3 +610,66 @@ def test_state_from_dir_rebuilds_f(tmp_path, request, fixture):
     assert back.f.grid_u.nodes.tobytes() == st.f.grid_u.nodes.tobytes()
     # phi.csv holds phi to the bit, but psi = phi - lambda and w are re-derived
     assert_allclose(back.f.values, st.f.values, rtol=0, atol=1e-14 * st.f.values.max())
+
+
+# --- the shared similarity table of a pure-power weight ---------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(c=strategies.sampled_from([0.5, 1.0, 3.0, math.inf]),
+       p=strategies.sampled_from([1.6, 2.0, 3.0]),
+       log_a=strategies.floats(math.log(1e-3), math.log(200.0)),
+       log_mu=strategies.floats(math.log(0.05), math.log(3.0)))
+def test_similarity_view_matches_a_direct_quadrature(c, p, log_a, log_mu):
+    # moment(A; mu) = C_k |mu|^(3/2) A^(e_k) g_k(|mu| A / c^2); g_k = 1
+    # classically. The reference is scalar quad at epsabs=0: _moment_profile's
+    # epsabs=1e-14 alone bounds a moment near 1e-8 to 1e-6 relative
+    spec, params, a, mu = make_polytrope(p), ModelParams(c=c), math.exp(log_a), -math.exp(log_mu)
+    table = steady._MomentTable(spec, params, mu, a)
+    for kind in ("rho", "cas"):
+        direct = 4.0 * math.pi * quad(lambda t: float(steady._moment_integrand(
+            spec, params, -mu, a, t, (kind,))[0]), 0.0, 1.0, epsabs=0.0,
+            epsrel=1e-13, limit=200)[0]
+        assert_allclose(table(a, kind), direct, atol=0,
+                        rtol=1e-14 if params.is_classical else 1e-10, err_msg=kind)
+
+
+def _table_error(table, truth, a, kinds):
+    return max(float(np.max(np.abs(table(a, kind) - row)) / np.max(row))
+               for kind, row in zip(kinds, truth))
+
+
+@pytest.mark.parametrize("c", [1.0, math.inf])
+def test_similarity_view_is_no_less_accurate_than_a_table_per_shot(spec_p2, c):
+    # the per-shot tables, built through the generic path for a copy of the spec:
+    # a fast shot's (513 nodes), a full shot's (1025) and the fixed point's
+    # (769 nodes over 8 times the depth), each against the shared view
+    params, generic = ModelParams(c=c), replace(spec_p2)
+    for psi0 in (math.exp(-3.5), 0.3, 1.0, 3.0, 10.0):
+        for mu_abs in (0.05, 0.7, 3.0):
+            for widen, kinds, n_tab in ((1.0, ("rho", "cas"), 513), (1.0, ("rho",), 1025),
+                                        (8.0, ("rho",), 769)):
+                a_max = widen * psi0 / mu_abs
+                a = np.linspace(0.0, math.sqrt(a_max), 1537) ** 2
+                truth = steady._moment_profile(spec_p2, params, -mu_abs, a, kinds)
+                view, per_shot = (steady._MomentTable(spec, params, -mu_abs, a_max, kinds, n_tab)
+                                  for spec in (spec_p2, generic))
+                assert per_shot._var == 1.0 and len(per_shot._nodes) == n_tab
+                assert (_table_error(view, truth, a, kinds)
+                        <= _table_error(per_shot, truth, a, kinds)), (psi0, mu_abs, n_tab)
+
+
+def test_solve_writes_the_same_bytes_after_other_solves(tmp_path):
+    # the shared tables are cached per process, keyed so that a solve in a
+    # fresh process and one after solves to other targets agree to the byte
+    from gravlasov import cli
+    argv = ["solve", "--c", "1", "--p", "2", "--n", "1025", "--r-max", "20",
+            "--m1", "12.5", "--mj", "1.9", "--out"]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    subprocess.run([sys.executable, "-m", "gravlasov.cli", *argv, str(tmp_path / "fresh")],
+                   check=True, env=os.environ | {"PYTHONPATH": src})
+    for c, m1, mj in (("1", "10", "1.2"), ("0.5", "8", "1"), ("1", "14", "2.4")):
+        assert cli.main(["solve", "--c", c, "--p", "2", "--n", "513", "--r-max", "20",
+                         "--m1", m1, "--mj", mj, "--out", str(tmp_path / f"o{c}{m1}")]) == 0
+    assert cli.main(argv + [str(tmp_path / "after")]) == 0
+    assert ((tmp_path / "fresh" / "state.json").read_bytes()
+            == (tmp_path / "after" / "state.json").read_bytes())
