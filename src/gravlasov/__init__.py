@@ -31,7 +31,6 @@ from .steady import (
     fixed_point_solve,
     integrate_state,
     multiplier_identities,
-    ode_rhs,
     solve_targets,
     support_check,
     virial_residual,

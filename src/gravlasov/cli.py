@@ -57,12 +57,12 @@ _LADDER = (lambda v: all(d >= 0 for d in v) and any(d > 0 for d in v),
 
 
 class _Key(NamedTuple):
-    """One config key: parser, default (None: unset), CLI flag (None: file
-    only) and range check (test, requirement), applied for every command."""
+    """One config key: parser, default (None: unset), CLI flag and range
+    check (test, requirement), applied for every command."""
 
     parse: Callable[[str], object]
-    default: object = None
-    flag: Optional[str] = None
+    default: object
+    flag: str
     check: Optional[tuple] = None
 
     def validate(self, name: str, value) -> None:
@@ -73,7 +73,6 @@ class _Key(NamedTuple):
 _KEYS = {
     "model.c": _Key(_float_or_inf, math.inf, "c",
                     (lambda v: v > 0, "must be positive or inf")),
-    "casimir.kind": _Key(str.strip, "polytrope", "casimir", _one_of("polytrope")),
     "casimir.p": _Key(_finite, 2.0, "p", _EXPONENT),
     "grid.r_max": _Key(_finite, 20.0, "r_max", _POSITIVE),
     "grid.n": _Key(int, 1025, "n", _at_least(2)),
@@ -103,7 +102,6 @@ _KEYS = {
     "froots.a": _Key(_finite, None, "a", _POSITIVE),
     "froots.mu0": _Key(_finite, None, "mu0", (lambda v: v != 0, "must be nonzero")),
     "equimeasure.lam": _Key(_finite, 2.0, "lam", _POSITIVE),
-    "bootstrap.p": _Key(_finite, None, None, _EXPONENT),
     "bootstrap.q0": _Key(_finite, 1.2, "q0",
                          (lambda v: 1.0 < v < 1.5, "must lie in (1, 3/2)")),
     "blowup.r_scale": _Key(_finite, 1.0, "r_scale", _POSITIVE),
@@ -112,7 +110,7 @@ _KEYS = {
     "output.directory": _Key(str.strip, "out", "out"),
 }
 
-_FLAG_TO_KEY = {row.flag: key for key, row in _KEYS.items() if row.flag}
+_FLAG_TO_KEY = {row.flag: key for key, row in _KEYS.items()}
 
 
 def _parse_value(key: str, raw: str):
@@ -307,8 +305,7 @@ def _cmd_froots(config: RunConfig, outdir: str) -> dict:
 
 
 def _cmd_bootstrap(config: RunConfig, outdir: str) -> dict:
-    p = config.get("bootstrap.p", config["casimir.p"])
-    res = rigidity.bootstrap_exponents(p, config["bootstrap.q0"])
+    res = rigidity.bootstrap_exponents(config["casimir.p"], config["bootstrap.q0"])
     write_csv(os.path.join(outdir, "bootstrap.csv"), ["k", "q_k"],
               enumerate(res.sequence))
     return asdict(res)

@@ -26,8 +26,8 @@ from scipy.integrate import quad_vec, simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .errors import (GravlasovError, NumericsError, ResolutionError,
-                     SupportExceedsGridError)
+from .errors import (GravlasovError, NumericsError, PreconditionError,
+                     ResolutionError, SupportExceedsGridError)
 from .kernel import (
     CasimirSpec,
     FunctionalReport,
@@ -77,32 +77,21 @@ THRESHOLD_CAVEAT = (
 # --- interpolation quotient and threshold -------------------------------------
 
 def interpolation_quotient(f: PhaseDensity, spec: CasimirSpec,
-                           params: ModelParams, form: str = "momentum") -> float:
-    """Quotient bounding |grad phi|^2 by moments of f.
+                           params: ModelParams) -> float:
+    """Quotient bounding |grad phi|^2 by moments of f, in the relativistic
+    shape, valid for all c:
 
-    form="momentum" (the relativistic shape, valid for all c):
         (int |v| f) m1^((2p-3)/(3(p-1))) mj^(1/(3(p-1))) / |grad phi|^2
-    form="energy" (the classical variant):
-        (int |v|^2 f)^(1/2) m1^((7p-9)/(6(p-1))) mj^(1/(3(p-1))) / |grad phi|^2
 
     Invariant under the dilation f(x/l, l v) and, for polytropes, under
     amplitude rescaling.
     """
     rep = functionals(f, spec, params)
     if rep.m1 <= 0:
-        raise ValueError("quotient undefined for the zero density")
-    u = f.grid_u.nodes
-    p = spec.p
-    e1, ej = _monomial_exponents(p)
-    grad_sq = 2.0 * rep.epot
-    if form == "momentum":
-        mom = _phase_integral(f, f.values * u[None, :])
-        return (mom * rep.m1 ** e1 * rep.mj ** ej) / grad_sq
-    if form == "energy":
-        mom2 = _phase_integral(f, f.values * (u * u)[None, :])
-        return (math.sqrt(mom2) * rep.m1 ** ((7 * p - 9) / (6 * (p - 1)))
-                * rep.mj ** ej) / grad_sq
-    raise ValueError(f"unknown quotient form {form!r}")
+        raise PreconditionError("quotient undefined for the zero density")
+    e1, ej = _monomial_exponents(spec.p)
+    mom = _phase_integral(f, f.values * f.grid_u.nodes[None, :])
+    return (mom * rep.m1 ** e1 * rep.mj ** ej) / (2.0 * rep.epot)
 
 
 @dataclass(frozen=True)
@@ -149,9 +138,9 @@ def estimate_kj(spec: CasimirSpec, params: ModelParams,
     skipped and does not count.
     """
     if budget < 1:
-        raise ValueError("budget must be at least 1")
+        raise PreconditionError("budget must be at least 1")
     if trial_family not in ("default", "gaussian", "box", "ground"):
-        raise ValueError(f"unknown trial family {trial_family!r}")
+        raise PreconditionError(f"unknown trial family {trial_family!r}")
     trials = [("gaussian", "gaussian", _gaussian_trial), ("box", "box", _box_trial)]
     trials += [("ground", f"ground(psi0={psi0},mu={mu})",
                 partial(_ground_trial, spec, params, psi0, mu))
@@ -198,7 +187,7 @@ def threshold_check(m1: float, mj: float, spec: CasimirSpec,
                                 subcritical_wrt_estimate=True,
                                 verdict="classical: no threshold")
     if kj is None:
-        raise ValueError("finite-c threshold check needs a constant estimate")
+        raise PreconditionError("finite-c threshold check needs a constant estimate")
     bound = 2.0 * params.c * kj.best_quotient
     sub = s_val < bound
     return ThresholdVerdict(s_value=s_val, bound=bound,
@@ -248,7 +237,7 @@ def dilate_transform(f: PhaseDensity, lam: float, spec: CasimirSpec,
     u^2/c^2) - lam) f for finite c and to ekin/lam^2 classically.
     """
     if not lam > 0:
-        raise ValueError("dilation parameter must be positive")
+        raise PreconditionError("dilation parameter must be positive")
     before = functionals(f, spec, params)
     f_new = _resample(f, map_r=lam, map_u=1.0 / lam, amp=1.0, grids=grids)
     after = functionals(f_new, spec, params)
@@ -277,7 +266,7 @@ def alpha_rescale(f: PhaseDensity, alpha: float, spec: CasimirSpec,
     below 1).
     """
     if not (alpha > 0 and k > 0):
-        raise ValueError("alpha and k must be positive")
+        raise PreconditionError("alpha and k must be positive")
     before = functionals(f, spec, params)
     scale = (alpha * k) ** (1.0 / 3.0)
     f_new = _resample(f, map_r=1.0 / scale, map_u=1.0, amp=alpha, grids=grids)
@@ -316,7 +305,7 @@ def monotonicity_check(state: GroundState, k_grid: Sequence[float],
     rows = []
     for k in k_grid:
         if not 0 < k <= 1:
-            raise ValueError("k must lie in (0, 1]")
+            raise PreconditionError("k must lie in (0, 1]")
         st_mj = solve_targets(spec, params,
                               SolveTargets(state.m1, k * state.mj, tol), use_grid)
         st_m1 = solve_targets(spec, params,
@@ -338,10 +327,10 @@ def f_function(params: ModelParams, a: float, spec: CasimirSpec, s: float) -> fl
     sq/c^2 << 1, which is the exact classical limit.
     """
     if params.is_classical:
-        raise ValueError("the multiplier function is defined for finite c; "
-                         "probe the classical limit with large c instead")
+        raise PreconditionError("the multiplier function is defined for finite c; "
+                                "probe the classical limit with large c instead")
     if not (a > 0 and s > 0):
-        raise ValueError("a and s must be positive")
+        raise PreconditionError("a and s must be positive")
     s = float(s)   # a numpy scalar would warn where a float overflows quietly
     # the density moment at depth a with |mu| = s carries the factor 4 pi s^2;
     # a subnormal factor has lost digits, and F with it
@@ -453,7 +442,7 @@ def level_asymptotic(state: GroundState, tau_fracs=None) -> LevelAsymptoticFit:
     (4 pi^3/3) (|mu| / sqrt(phi''(0)))^3.
     """
     if state.trivial:
-        raise ValueError("level asymptotics need a nontrivial state")
+        raise PreconditionError("level asymptotics need a nontrivial state")
     grid = state.phi.grid
     r = grid.nodes
     h = grid.h
@@ -527,9 +516,9 @@ def bootstrap_exponents(p: float, q0: float = 1.2) -> BootstrapResult:
     exactly (as happens at p = 2 from q0 = 6/5) is reported as a boundary hit.
     """
     if not p > 1.5:
-        raise ValueError("p must exceed 3/2")
+        raise PreconditionError("p must exceed 3/2")
     if not 1.0 < q0 < 1.5:
-        raise ValueError("q0 must lie in (1, 3/2)")
+        raise PreconditionError("q0 must lie in (1, 3/2)")
     seq = [q0]
     success = None
     boundary = False

@@ -86,7 +86,6 @@ __all__ = [
     "IdentityReport",
     "SupportReport",
     "density_from_potential",
-    "ode_rhs",
     "integrate_state",
     "fixed_point_solve",
     "solve_targets",
@@ -157,7 +156,7 @@ def _velocity_moment(spec: CasimirSpec, params: ModelParams, mu: float,
     mu_abs = abs(mu)
     val, _ = quad(
         lambda t: float(_moment_integrand(spec, params, mu_abs, a_depth, t, ("rho",))[0]),
-        0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=200)
+        0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)
     return 4.0 * np.pi * val
 
 
@@ -183,6 +182,7 @@ def _moment_profile(spec: CasimirSpec, params: ModelParams, mu: float,
 
 
 _POW = np.frompyfunc(pow, 2, 1)  # Python's float pow per element, as a float stage has it
+_TABLE_KINDS = ("rho", "cas")  # a shot reads rho, a fast shot's masses both
 
 
 @lru_cache(maxsize=None)
@@ -202,63 +202,58 @@ def _similarity_table(p: float, classical: bool, bucket: int):
         for row, vals, (coef, expo) in zip(g, prof, powers.values()):
             row[1:] = vals / (coef * zeta[1:] ** (2.0 * expo))
     splines = {kind: CubicSpline(zeta, row) for kind, row in zip(powers, g)}
-    return (zeta, zeta.tolist(), splines,
+    return (zeta.tolist(), splines,
             {kind: spl.c.T.tolist() for kind, spl in splines.items()}, powers)
 
 
 class _MomentTable:
-    """Moment profiles scale_k A^(e_k) g_k(sqrt(v A)) by kind, for A up to a_max:
-    a pure power (made by make_polytrope) reads the shared g_k of p (module
-    docstring), other weights tabulate the moment itself on n_tab nodes of
-    sqrt(A) (scale 1, e_k = 0, v = 1). The square root makes the
+    """Moment profiles scale_k A^(e_k) g_k(sqrt(v A)) of rho and cas, for A up
+    to a_max: a pure power (made by make_polytrope) reads the shared g_k of p
+    (module docstring), other weights tabulate the moment itself on 1025 nodes
+    of sqrt(A) (scale 1, e_k = 0, v = 1). The square root makes the
     A^(3/2 + 1/(p-1)) onset C^3 or better."""
 
-    def __init__(self, spec, params, mu, a_max, kinds=("rho",), n_tab=1025):
+    def __init__(self, spec, params, mu, a_max):
         self.a_max = float(a_max) * (1.0 + 1e-9) + _TINY
         self._a_limit = self.a_max * (1.0 + 1e-8)
         if spec is make_polytrope(spec.p):
             self._var = abs(mu) / params.c ** 2
             # the smallest bucket with 64 4^bucket >= beta_max
             bucket = max(0, (math.frexp(self._var * self.a_max / 64.0)[1] + 1) // 2)
-            self._zeta, self._nodes, self._splines, self._rows, powers = _similarity_table(
+            self._nodes, self._splines, self._rows, powers = _similarity_table(
                 float(spec.p), params.is_classical, bucket)
             self._power = {kind: (coef * abs(mu) ** 1.5, expo)
                            for kind, (coef, expo) in powers.items()}
             return
-        zeta = np.linspace(0.0, math.sqrt(self.a_max), n_tab)
-        self._zeta, self._nodes, self._var = zeta, zeta.tolist(), 1.0
-        self._splines = {kind: CubicSpline(zeta, vals) for kind, vals in
-                         zip(kinds, _moment_profile(spec, params, mu, zeta * zeta, kinds))}
+        zeta = np.linspace(0.0, math.sqrt(self.a_max), 1025)
+        self._nodes, self._var = zeta.tolist(), 1.0
+        self._splines = {kind: CubicSpline(zeta, vals) for kind, vals in zip(
+            _TABLE_KINDS, _moment_profile(spec, params, mu, zeta * zeta, _TABLE_KINDS))}
         self._rows = {kind: spl.c.T.tolist() for kind, spl in self._splines.items()}
-        self._power = dict.fromkeys(kinds, (1.0, 0.0))
+        self._power = dict.fromkeys(_TABLE_KINDS, (1.0, 0.0))
 
     def __call__(self, a_depth, kind: str = "rho"):
-        """max(scale A^e g(sqrt(v A)), 0) at A clipped to [0, a_max], a float or
-        an array A bit for bit alike, g as scipy gives it: the same interval
-        [x_k, x_k+1) (the last one closed) and scipy's sum c3 + c2 d + c1 d^2 +
-        c0 d^3 (Horner's order rounds otherwise). A float stays a Python float,
-        so a shooting stage pays no numpy call; an array takes A^e from Python's
-        pow too."""
-        array, top = isinstance(a_depth, np.ndarray), len(self._nodes) - 1
+        """max(scale A^e g(sqrt(v A)), 0) at A clipped to [0, a_max], g as scipy
+        gives it and A^e by Python's pow. An array goes through scipy; a float
+        stays a Python float, so a shooting stage pays no numpy call, and finds
+        scipy's interval [x_k, x_k+1) (the last one closed) and scipy's sum
+        c3 + c2 d + c1 d^2 + c0 d^3 (Horner's order rounds otherwise), so both
+        agree bit for bit."""
+        array = isinstance(a_depth, np.ndarray)
         if np.any(a_depth > self._a_limit) if array else a_depth > self._a_limit:
             raise PreconditionError("depth outside tabulated range")
         scale, expo = self._power[kind]
         if array:
             a = np.clip(a_depth, 0.0, self.a_max)
-            zeta = np.sqrt(self._var * a)
-            k = np.minimum(np.searchsorted(self._zeta, zeta, side="right"), top) - 1
-            c0, c1, c2, c3 = self._splines[kind].c[:, k]
-            d, power = zeta - self._zeta[k], _POW(a, expo).astype(float)
-        else:
-            a_max = self.a_max
-            a = 0.0 if a_depth < 0.0 else a_max if a_depth > a_max else a_depth
-            zeta = math.sqrt(self._var * a)
-            k = min(bisect_right(self._nodes, zeta), top) - 1
-            c0, c1, c2, c3 = self._rows[kind][k]
-            d, power = zeta - self._nodes[k], a ** expo
-        value = (c3 + c2 * d + c1 * (d * d) + c0 * ((d * d) * d)) * (scale * power)
-        if array:
-            return np.maximum(value, 0.0)
+            return np.maximum(self._splines[kind](np.sqrt(self._var * a))
+                              * (scale * _POW(a, expo).astype(float)), 0.0)
+        a_max = self.a_max
+        a = 0.0 if a_depth < 0.0 else a_max if a_depth > a_max else a_depth
+        zeta = math.sqrt(self._var * a)
+        k = min(bisect_right(self._nodes, zeta), len(self._nodes) - 1) - 1
+        c0, c1, c2, c3 = self._rows[kind][k]
+        d = zeta - self._nodes[k]
+        value = (c3 + c2 * d + c1 * (d * d) + c0 * ((d * d) * d)) * (scale * a ** expo)
         return 0.0 if value <= 0.0 else value
 
     def derivative(self, a_depth):
@@ -282,15 +277,6 @@ def density_from_potential(spec: CasimirSpec, params: ModelParams, lam: float,
     if phi_val >= lam:
         return 0.0
     return _velocity_moment(spec, params, mu, (phi_val - lam) / mu)
-
-
-def ode_rhs(spec: CasimirSpec, params: ModelParams, mu: float, psi_val: float) -> float:
-    """Right-hand side h(psi) of the radial ODE; zero for psi >= 0."""
-    if not mu < 0:
-        raise PreconditionError("mu must be negative")
-    if psi_val >= 0.0:
-        return 0.0
-    return _velocity_moment(spec, params, mu, -psi_val / abs(mu))
 
 
 # --- the solved-state container ----------------------------------------------
@@ -531,9 +517,7 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
     if not psi0 < 0:
         raise PreconditionError("psi0 must be negative (0 gives the trivial state)")
 
-    table = _MomentTable(spec, params, mu, -psi0 / abs(mu),
-                         kinds=("rho", "cas") if fast else ("rho",),
-                         n_tab=513 if fast else 1025)
+    table = _MomentTable(spec, params, mu, -psi0 / abs(mu))
     psi, w, r_supp, w_r, lam = _shoot(psi0, mu, grid, table)
 
     if r_supp > grid.r_max / 4.0:
@@ -575,15 +559,13 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
     r = grid.nodes
     n = grid.n
     mu_abs = abs(mu)
-    table = _MomentTable(spec, params, mu, 8.0 * abs(lam) / mu_abs,
-                         kinds=("rho",), n_tab=769)
+    table = _MomentTable(spec, params, mu, 8.0 * abs(lam) / mu_abs)
 
     def picard_residual(phi_vec):
         nonlocal table
         a_depth = np.maximum(lam - phi_vec, 0.0) / mu_abs
         if np.max(a_depth) > table.a_max:
-            table = _MomentTable(spec, params, mu, 2.0 * np.max(a_depth),
-                                 kinds=("rho",), n_tab=769)
+            table = _MomentTable(spec, params, mu, 2.0 * np.max(a_depth))
         rho = table(a_depth, "rho")
         if rho[n // 2] > 0:
             raise SupportExceedsGridError(

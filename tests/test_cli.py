@@ -94,7 +94,7 @@ def test_scan_row_count(tmp_path):
 
 def test_solve_verify_pipeline(tmp_path):
     out = str(tmp_path / "solve")
-    code = run(["solve", "--c", "inf", "--casimir", "polytrope", "--p", "2",
+    code = run(["solve", "--c", "inf", "--p", "2",
                 "--psi0", "-1", "--mu", "-1", "--n", "513", "--out", out])
     assert code == 0
     state_doc = json.loads(open(os.path.join(out, "state.json")).read())
@@ -270,7 +270,6 @@ def test_flags_may_precede_the_command():
 # one out-of-range value per range-checked key, and a command that reads the key
 _OUT_OF_RANGE = {
     "model.c": ("0", "solve"),
-    "casimir.kind": ("foo", "check-casimir"),
     "casimir.p": ("1.5", "check-casimir"),
     "grid.r_max": ("-1", "solve"),
     "grid.n": ("1", "solve"),
@@ -294,7 +293,6 @@ _OUT_OF_RANGE = {
     "froots.a": ("0", "froots"),
     "froots.mu0": ("0", "froots"),
     "equimeasure.lam": ("0", "equimeasure"),
-    "bootstrap.p": ("1.2", "bootstrap"),
     "bootstrap.q0": ("1.5", "bootstrap"),
     "blowup.r_scale": ("0", "blowup"),
     "blowup.u_scale": ("-1", "blowup"),
@@ -535,8 +533,6 @@ def _draw_config(draw, command):
         cfg["equimeasure.lam"] = draw(_floats(0.25, 4.0))
     if command == "bootstrap":
         cfg["bootstrap.q0"] = draw(_floats(1.01, 1.49))
-        if draw(st.booleans()):
-            cfg["bootstrap.p"] = draw(_floats(1.6, 4.0))
     for key, raw in cfg.items():   # the draws above stay inside the table's ranges
         row = _KEYS[key]
         assert row.check is None or row.check[0](row.parse(raw)), (key, raw)
@@ -563,17 +559,10 @@ _FUZZ_DIRS = itertools.count()
 
 
 def _main(command, cfg, outdir):
-    """Run `cli.main` with cfg as flags (file-only keys in a config file)."""
+    """Run `cli.main` with cfg as flags."""
     argv = [command, "--out", outdir]
-    file_keys = {key: raw for key, raw in cfg.items() if _KEYS[key].flag is None}
     for key, raw in cfg.items():
-        if _KEYS[key].flag is not None:
-            argv += [f"--{_KEYS[key].flag.replace('_', '-')}", raw]
-    if file_keys:
-        path = outdir + ".cfg"
-        with open(path, "w") as fh:
-            fh.writelines(f"{key} = {raw}\n" for key, raw in file_keys.items())
-        argv += ["--config", path]
+        argv += [f"--{_KEYS[key].flag.replace('_', '-')}", raw]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(argv)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies
 from scipy.interpolate import RegularGridInterpolator
 
-from gravlasov.errors import NumericsError, SupportExceedsGridError
+from gravlasov.errors import (NumericsError, PreconditionError,
+                             SupportExceedsGridError)
 from gravlasov.kernel import ModelParams, make_polytrope
 from gravlasov.radial import PhaseDensity, RadialGrid, SpeedGrid, bump_density
 from gravlasov.rigidity import (alpha_rescale, bootstrap_exponents,
@@ -31,14 +32,14 @@ def bump():
 
 def test_quotient_positive(bump, spec_p2):
     assert interpolation_quotient(bump, spec_p2, REL) > 0
-    assert interpolation_quotient(bump, spec_p2, CL, form="energy") > 0
+    assert interpolation_quotient(bump, spec_p2, CL) > 0
 
 
 def test_quotient_rejects_zero_density(spec_p2):
     from gravlasov.radial import PhaseDensity
     gr, gu = RadialGrid(r_max=2.0, n=33), SpeedGrid(u_max=2.0, m=33)
     zero = PhaseDensity(grid_r=gr, grid_u=gu, values=np.zeros((33, 33)))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         interpolation_quotient(zero, spec_p2, REL)
 
 
@@ -241,7 +242,7 @@ def test_f_function_classical_inverse_sqrt(spec_p2):
 
 
 def test_f_function_rejects_classical(spec_p2):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         f_function(CL, 1.0, spec_p2, 1.0)
 
 
@@ -415,7 +416,7 @@ def test_bootstrap_fixed_point_repelling():
 
 
 def test_bootstrap_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         bootstrap_exponents(1.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         bootstrap_exponents(2.0, q0=1.6)

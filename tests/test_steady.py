@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from gravlasov import steady
 from gravlasov.errors import (PreconditionError, ResolutionError,
@@ -21,7 +22,7 @@ from gravlasov.kernel import ModelParams, kinetic_weight, make_polytrope
 from gravlasov.radial import RadialGrid
 from gravlasov.steady import (SolveTargets, density_from_potential,
                               fixed_point_solve, integrate_state,
-                              multiplier_identities, ode_rhs, solve_targets,
+                              multiplier_identities, solve_targets,
                               state_from_dir, state_to_dir, support_check,
                               virial_residual)
 
@@ -47,6 +48,14 @@ def test_density_classical_closed_form(spec_p2):
     expected = 8.0 * math.sqrt(2.0) * math.pi / 15.0 * (lam - phi) ** 2.5 / abs(mu)
     assert density_from_potential(spec_p2, CL, lam, mu, phi) == pytest.approx(
         expected, rel=1e-10)
+    # any p: rho = C |mu|^(3/2) A^(m+3/2) at depth A = (lam - phi)/|mu|, C the
+    # shared table's Beta-function coefficient; the scalar moment's tolerance is
+    # relative, so a shallow depth, where rho is near 1e-9, is as accurate
+    for p, depth in ((2.0, 2.0), (1.6, 1e-3)):
+        coef, expo = steady._similarity_table(p, True, 0)[3]["rho"]
+        closed = coef * abs(mu) ** 1.5 * (depth / abs(mu)) ** expo
+        assert density_from_potential(make_polytrope(p), CL, lam, mu, lam - depth) \
+            == pytest.approx(closed, rel=1e-12, abs=0)
 
 
 def test_density_relativistic_monte_carlo_oracle(spec_p2):
@@ -68,18 +77,10 @@ def test_density_relativistic_monte_carlo_oracle(spec_p2):
     assert abs(est - val) < 3.0 * sem
 
 
-def test_ode_rhs_matches_density(spec_p2):
-    assert ode_rhs(spec_p2, CL, -1.0, 0.0) == 0.0
-    assert ode_rhs(spec_p2, CL, -1.0, 0.3) == 0.0
-    for lam in (-0.5, -2.0):
-        direct = density_from_potential(spec_p2, REL, lam, -0.9, lam - 1.2)
-        via_psi = ode_rhs(spec_p2, REL, -0.9, -1.2)
-        assert direct == pytest.approx(via_psi, rel=1e-12)
-
-
 def test_ode_rhs_monotone(spec_p2):
     psi = -np.linspace(0.1, 2.0, 15)
-    vals = [ode_rhs(spec_p2, REL, -1.0, p) for p in psi]
+    # h(psi) is the density at phi = psi + lambda
+    vals = [density_from_potential(spec_p2, REL, -1.0, -1.0, -1.0 + p) for p in psi]
     assert np.all(np.diff(vals) > 0)  # deeper well, larger density
 
 
@@ -342,9 +343,8 @@ def test_full_shot_tabulates_rho_only(spec_p2, spec_cubic, grid_20, monkeypatch)
     # full shot integrates every total in one call after the shot
     calls = _counted_quadratures(monkeypatch)
     for spec, c, fast_calls, full_calls in (
-            # any other weight: a table per shot, built before it, rho alone
-            # for a full shot
-            (spec_cubic, 1.0, [("rho", "cas"), "shoot"], [("rho",), "shoot"]),
+            # any other weight: a table per shot, built before it
+            (spec_cubic, 1.0, [("rho", "cas"), "shoot"], [("rho", "cas"), "shoot"]),
             # a pure power: the first table of p builds the shared spline, the
             # next reads it; a classical one runs no table quadrature at all
             (spec_p2, 1.0, [("rho", "cas"), "shoot"], ["shoot"]),
@@ -502,7 +502,7 @@ def _reference_shoot(psi0, mu, grid, table):
 
 
 def _shot_table(spec, params, psi0, mu):
-    return steady._MomentTable(spec, params, mu, -psi0 / abs(mu), kinds=("rho", "cas"))
+    return steady._MomentTable(spec, params, mu, -psi0 / abs(mu))
 
 
 @pytest.mark.parametrize("c", [1.0, math.inf])
@@ -543,11 +543,11 @@ def test_moment_table_lookup_matches_masked_lookup(spec_p2, spec_cubic, c):
         if spec is spec_cubic:  # not a pure power: a table per shot, on its own nodes
             assert (table._var, table._power) == (
                 1.0, dict.fromkeys(("rho", "cas"), (1.0, 0.0)))
-            assert table._zeta.tobytes() == np.linspace(
+            assert table._splines["rho"].x.tobytes() == np.linspace(
                 0.0, math.sqrt(table.a_max), 1025).tobytes()
         else:
             assert table._var == 0.829 / c ** 2
-            assert len(table._nodes) == (2 if params.is_classical else 2049)
+            assert table._splines["rho"].x.size == (2 if params.is_classical else 2049)
         a = np.concatenate([[-1.0, -0.0, 0.0, 5e-324, 1e-310], _breakpoints(table),
                             np.linspace(0.0, table.a_max, 257),
                             [table.a_max, table.a_max * (1.0 + 5e-9)]])
@@ -596,7 +596,7 @@ def test_power_sum_lookup_is_scipy_to_the_bit(c, planted, pure_power, kind, frac
     ref = np.maximum(_scipy_lookup(table, a, kind), 0.0)
     assert table(a, kind).tobytes() == ref.tobytes()
     assert np.array([table(x, kind) for x in a.tolist()]).tobytes() == ref.tobytes()
-    shared = steady._similarity_table(2.0, math.isinf(c), 0)[2]["rho"]
+    shared = steady._similarity_table(2.0, math.isinf(c), 0)[1]["rho"]
     assert shared.c[:, 0].tobytes() != np.full(4, -0.0).tobytes()  # the plant stayed private
 
 
@@ -638,12 +638,21 @@ def _table_error(table, truth, a, kinds):
                for kind, row in zip(kinds, truth))
 
 
+def _table_per_shot(spec, params, mu, a_max, kinds, n_tab):
+    """The lookup of a table built for one shot: the moment itself on n_tab
+    nodes of sqrt(A), A clipped to [0, a_max]."""
+    zeta = np.linspace(0.0, math.sqrt(a_max), n_tab)
+    splines = dict(zip(kinds, (CubicSpline(zeta, row) for row in
+                               steady._moment_profile(spec, params, mu, zeta * zeta, kinds))))
+    return lambda a, kind: np.maximum(splines[kind](np.sqrt(np.clip(a, 0.0, a_max))), 0.0)
+
+
 @pytest.mark.parametrize("c", [1.0, math.inf])
 def test_similarity_view_is_no_less_accurate_than_a_table_per_shot(spec_p2, c):
-    # the per-shot tables, built through the generic path for a copy of the spec:
-    # a fast shot's (513 nodes), a full shot's (1025) and the fixed point's
-    # (769 nodes over 8 times the depth), each against the shared view
-    params, generic = ModelParams(c=c), replace(spec_p2)
+    # the per-shot tables a shot once built: a fast shot's (513 nodes), a full
+    # shot's (1025) and the fixed point's (769 nodes over 8 times the depth),
+    # each against the shared view
+    params = ModelParams(c=c)
     for psi0 in (math.exp(-3.5), 0.3, 1.0, 3.0, 10.0):
         for mu_abs in (0.05, 0.7, 3.0):
             for widen, kinds, n_tab in ((1.0, ("rho", "cas"), 513), (1.0, ("rho",), 1025),
@@ -651,9 +660,8 @@ def test_similarity_view_is_no_less_accurate_than_a_table_per_shot(spec_p2, c):
                 a_max = widen * psi0 / mu_abs
                 a = np.linspace(0.0, math.sqrt(a_max), 1537) ** 2
                 truth = steady._moment_profile(spec_p2, params, -mu_abs, a, kinds)
-                view, per_shot = (steady._MomentTable(spec, params, -mu_abs, a_max, kinds, n_tab)
-                                  for spec in (spec_p2, generic))
-                assert per_shot._var == 1.0 and len(per_shot._nodes) == n_tab
+                view = steady._MomentTable(spec_p2, params, -mu_abs, a_max)
+                per_shot = _table_per_shot(spec_p2, params, -mu_abs, a_max, kinds, n_tab)
                 assert (_table_error(view, truth, a, kinds)
                         <= _table_error(per_shot, truth, a, kinds)), (psi0, mu_abs, n_tab)
 
