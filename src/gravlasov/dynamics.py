@@ -13,6 +13,8 @@ construction; only the energy balance carries integrator error.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -136,6 +138,7 @@ def _isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 _ENVELOPE_NODES = 256      # per axis of the rejection envelope's grid
+_WEIGH_CHUNK = 1 << 15     # candidates weighed at a time by the sampler
 _REFERENCE_BINS = 24       # equal-mass bins of the reference profile
 _STABILITY_DIAG_EVERY = 10
 _BLOWUP_DIAG_EVERY = 3
@@ -143,7 +146,11 @@ _GROWTH_THRESHOLD = 100.0  # central-density growth that counts as concentration
 
 
 def _rejection_sample(rng, density_fn, r_hi, u_hi, n):
-    """Sample (r, u) pairs from the weight r^2 u^2 density_fn(r, u)."""
+    """Sample (r, u) pairs from the weight r^2 u^2 density_fn(r, u).
+
+    density_fn acts elementwise, so a batch's candidates are weighed
+    _WEIGH_CHUNK at a time, with the bits of one call on the whole batch and
+    a fraction of its temporaries."""
     rr = np.linspace(0.0, r_hi, _ENVELOPE_NODES)[:, None]
     uu = np.linspace(0.0, u_hi, _ENVELOPE_NODES)[None, :]
     target = rr ** 2 * uu ** 2 * density_fn(rr, uu)
@@ -157,8 +164,11 @@ def _rejection_sample(rng, density_fn, r_hi, u_hi, n):
         batch = max(4 * (n - filled), 1024)
         cand_r = rng.uniform(0.0, r_hi, batch)
         cand_u = rng.uniform(0.0, u_hi, batch)
-        accept = rng.uniform(0.0, bound, batch) < (
-            cand_r ** 2 * cand_u ** 2 * density_fn(cand_r, cand_u))
+        draw = rng.uniform(0.0, bound, batch)
+        accept = np.concatenate([
+            draw[s] < cand_r[s] ** 2 * cand_u[s] ** 2 * density_fn(cand_r[s], cand_u[s])
+            for s in (slice(lo, lo + _WEIGH_CHUNK)
+                      for lo in range(0, batch, _WEIGH_CHUNK))])
         take = min(int(np.sum(accept)), n - filled)
         out_r[filled:filled + take] = cand_r[accept][:take]
         out_u[filled:filled + take] = cand_u[accept][:take]
@@ -278,11 +288,24 @@ def push(ens: ParticleEnsemble, dt: float,
     if accel is None:
         accel = force(ens)
 
-    v_half = ens.velocities + 0.5 * dt * accel
-    x_new = ens.positions + dt * _drift_velocity(ens, v_half)
-    drifted = replace(ens, positions=x_new)
+    # In place only on arrays this step allocated, and in the operation order
+    # of ens.velocities + 0.5 * dt * accel and its like, so the bits are the
+    # expressions'. A caller that passed its only references (evolve does)
+    # has the old accelerations and ensemble freed here, before the force
+    # call, so a step holds about one state.
+    v_half = accel * (0.5 * dt)
+    v_half += ens.velocities
+    del accel
+    x_new = _drift_velocity(ens, v_half)
+    if x_new is v_half:   # the classical drift velocity is v_half itself
+        x_new = v_half.copy(order="K")
+    x_new *= dt
+    x_new += ens.positions
+    drifted = replace(ens, positions=x_new, velocities=v_half)
+    del ens
     accel_new = force(drifted)
-    v_new = v_half + 0.5 * dt * accel_new
+    v_new = accel_new * (0.5 * dt)
+    v_new += v_half
 
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
         bad = int(np.sum(~np.isfinite(x_new))) + int(np.sum(~np.isfinite(v_new)))
@@ -290,10 +313,10 @@ def push(ens: ParticleEnsemble, dt: float,
             f"non-finite state after push (dt={dt}, {bad} bad components; "
             f"max|x|={np.nanmax(np.abs(x_new)):.3e}, "
             f"max|v|={np.nanmax(np.abs(v_new)):.3e})")
-    if not ens.params.is_classical:
+    if not drifted.params.is_classical:
         # |dx/dt| = |v|/sqrt(1+|v|^2/c^2) < c in exact arithmetic and rises
         # with |v|, so the fastest particle decides whether rounding broke it
-        c = ens.params.c
+        c = drifted.params.c
         u2 = float(np.max(_row_norm2(v_new), initial=0.0))
         drift = math.sqrt(u2 / (1.0 + u2 / c ** 2))
         if not drift < c:
@@ -389,13 +412,13 @@ def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
                  ref_edges: Optional[np.ndarray] = None) -> DiagnosticsRecord:
     """The record at time t, from the ensemble's sort."""
     r, order, r_sorted, w_sorted, m_half = ens.shells()
-    speeds = ens.speeds()
-    gam = kinetic_weight(ens.params, speeds)
-    ekin = float(np.sum(ens.weights * gam))
     # exact field energy (1/2) int |grad phi|^2 of the unsoftened shell
-    # system: (1/(4 pi)) sum_i w_i M_half(<r_i) / r_i
+    # system: (1/(4 pi)) sum_i w_i M_half(<r_i) / r_i; computed before the
+    # speeds exist, so its gathers and theirs are never held at once
     good = r_sorted > 0
     epot = float(np.sum(w_sorted[good] * m_half[good] / r_sorted[good]) / (4.0 * np.pi))
+    speeds = ens.speeds()
+    ekin = float(np.sum(ens.weights * kinetic_weight(ens.params, speeds)))
     hc = ekin - epot
     u2 = speeds ** 2
     if ens.params.is_classical:
@@ -430,7 +453,8 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     force call. The run works on its own copy of ``ens`` and takes over any
     sort ``ens`` holds; that sort serves the first record and the first force.
     Each step's sort is dropped before the next push, so none outlives its
-    record.
+    record. Each push gets the only references to the last step's ensemble
+    and accelerations, so it frees them before its force call.
     """
     if dt <= 0 or t_end <= 0:
         raise PreconditionError("dt and t_end must be positive")
@@ -446,18 +470,20 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     ens._hold(None)   # the caller keeps no sort
     records = [_diagnostics(run, 0.0, center_bin, ref_masses, ref_edges)]
     steps = int(round(t_end / dt))
-    accel = None
+    state = [run, None]   # the ensemble and accelerations after the last step
+    del run
     for k in range(1, steps + 1):
-        run, accel = push(run, dt, accel=accel)
+        state[:] = push(state.pop(0), dt, accel=state.pop())
         stop = False
         if k % diag_every == 0 or k == steps:
-            records.append(_diagnostics(run, k * dt, center_bin, ref_masses, ref_edges))
+            records.append(_diagnostics(state[0], k * dt, center_bin,
+                                        ref_masses, ref_edges))
             stop = (stop_condition is not None
-                    and stop_condition(records[-1], run.shells().r_sorted))
-        run._hold(None)
+                    and stop_condition(records[-1], state[0].shells().r_sorted))
+        state[0]._hold(None)
         if stop:
             break
-    return records, run
+    return records, state[0]
 
 
 # --- experiments -----------------------------------------------------------------
@@ -491,6 +517,51 @@ def _perturb(ens: ParticleEnsemble, delta: float, mode: str) -> ParticleEnsemble
     raise PreconditionError(f"unknown perturbation mode {mode!r}")
 
 
+def _map_on_cores(fn: Callable, items: Sequence) -> list:
+    """[fn(item) for item in items], on the calling thread plus one worker
+    thread per further usable core.
+
+    Items start in order. Once one raises, no further item starts, and the
+    error of the earliest failing item is raised: the one the serial loop
+    raises, when each fn(item) is deterministic. No worker outlives the call.
+    (Not a concurrent.futures pool: its worker takes the next item before
+    the failure it just raised can cancel that item.)
+    """
+    results = [None] * len(items)
+    errors = [None] * len(items)
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+    halt = threading.Event()
+
+    def work():
+        while True:
+            with lock:
+                i = None if halt.is_set() else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                errors[i] = exc
+                with lock:   # no item starts once a failure is recorded
+                    halt.set()
+
+    threads = min(len(os.sched_getaffinity(0)), len(items))
+    workers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+    finally:
+        halt.set()
+        for worker in workers:
+            worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def stability_experiment(state: GroundState, deltas: Sequence[float], mode: str,
                          n: int, t_end: float, dt: Optional[float] = None,
                          seed: int = 2024):
@@ -499,7 +570,9 @@ def stability_experiment(state: GroundState, deltas: Sequence[float], mode: str,
 
     A delta = 0 baseline sets the Monte Carlo noise floor. The verdict is
     "stable" when the maximal distances are monotone in delta (within a noise
-    allowance) and the baseline stays at the floor.
+    allowance) and the baseline stays at the floor. The runs share the
+    usable cores (see _map_on_cores); ``runs`` lists them in ladder order,
+    0 first, with the records a serial ladder makes.
     """
     deltas = tuple(sorted(float(d) for d in deltas))
     if not deltas or deltas[0] < 0 or deltas[-1] <= 0:
@@ -508,14 +581,14 @@ def stability_experiment(state: GroundState, deltas: Sequence[float], mode: str,
     if dt is None:
         dt = 0.01 * dynamical_time(state.rho.values[0])
     base = sample_state(state, n, seed)
-    runs = {}
-    for d in (0.0,) + deltas:
-        if d in runs:
-            continue
-        ens = _perturb(base, d, mode)
-        records, _ = evolve(ens, t_end, dt, diag_every=_STABILITY_DIAG_EVERY,
-                            reference=state)
-        runs[d] = records
+
+    def run(d):
+        records, _ = evolve(_perturb(base, d, mode), t_end, dt,
+                            diag_every=_STABILITY_DIAG_EVERY, reference=state)
+        return records
+
+    ladder = tuple(dict.fromkeys((0.0,) + deltas))
+    runs = dict(zip(ladder, _map_on_cores(run, ladder)))
 
     def series(d, attr):
         return [getattr(rec, attr) for rec in runs[d]]

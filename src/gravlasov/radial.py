@@ -21,7 +21,8 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import RegularGridInterpolator
 
-from .errors import BoundaryConditionError, GridMismatchError, NumericsError
+from .errors import (BoundaryConditionError, GridMismatchError, NumericsError,
+                     PreconditionError)
 from .kernel import CasimirSpec, FunctionalReport, ModelParams, kinetic_weight
 
 __all__ = [
@@ -50,20 +51,21 @@ def _uniform_nodes(nodes, top: float, count: int) -> np.ndarray:
     """linspace(0, top, count) when nodes is None; otherwise nodes, checked
     to be count increasing nodes from 0 to top, uniform within 1e-8 h."""
     if not (top > 0 and count >= 2):
-        raise ValueError(f"need a positive maximum and 2 or more nodes, got {top}, {count}")
+        raise PreconditionError(
+            f"need a positive maximum and 2 or more nodes, got {top}, {count}")
     if nodes is None:
         return np.linspace(0.0, top, count)
     nodes = np.asarray(nodes, dtype=float)
     if nodes.shape != (count,) or nodes[0] != 0.0 or abs(nodes[-1] - top) > 1e-12 * top:
-        raise ValueError(f"need {count} nodes from 0 to {top}")
+        raise PreconditionError(f"need {count} nodes from 0 to {top}")
     spacing = np.diff(nodes)
     if np.any(spacing <= 0):
-        raise ValueError("nodes must be strictly increasing")
+        raise PreconditionError("nodes must be strictly increasing")
     # h, finite differences and the shooting step assume equal spacing;
     # the tolerance admits nodes read back from a 17-digit CSV
     h = top / (count - 1)
     if np.any(np.abs(spacing - h) > 1e-8 * h):
-        raise ValueError("nodes must be uniformly spaced")
+        raise PreconditionError("nodes must be uniformly spaced")
     return nodes
 
 
@@ -130,9 +132,9 @@ class PhaseDensity:
         if v.shape != (self.grid_r.n, self.grid_u.m):
             raise GridMismatchError("values shape does not match grids")
         if np.any(v < 0):
-            raise ValueError("phase density must be nonnegative")
+            raise PreconditionError("phase density must be nonnegative")
         if np.any(v[-1, :] != 0) or np.any(v[:, -1] != 0):
-            raise ValueError("phase density must vanish at r_max and u_max")
+            raise BoundaryConditionError("phase density must vanish at r_max and u_max")
         if self.profile is None:
             interp = RegularGridInterpolator((self.grid_r.nodes, self.grid_u.nodes),
                                              v, bounds_error=False, fill_value=0.0)
@@ -153,7 +155,7 @@ class PhaseDensity:
         v = np.maximum(np.broadcast_to(v, (grid_r.n, grid_u.m)), 0.0)
         edge = max(float(np.max(v[-1, :], initial=0.0)), float(np.max(v[:, -1], initial=0.0)))
         if edge > 1e-10 * max(float(np.max(v)), 1e-300):
-            raise ValueError("callable does not vanish at the grid boundary")
+            raise BoundaryConditionError("callable does not vanish at the grid boundary")
         v[-1, :] = 0.0
         v[:, -1] = 0.0
         return cls(grid_r=grid_r, grid_u=grid_u, values=v, profile=fn)
@@ -212,7 +214,7 @@ def poisson_solve(rho: RadialField) -> RadialField:
     """
     vals = np.asarray(rho.values, dtype=float)
     if np.any(vals < 0):
-        raise ValueError("density must be nonnegative")
+        raise PreconditionError("density must be nonnegative")
     if vals[-1] != 0.0 or vals[-2] != 0.0:
         raise BoundaryConditionError("density support touches r_max; enlarge the grid")
 
@@ -274,9 +276,9 @@ def distribution_function(f: PhaseDensity, levels) -> np.ndarray:
     """
     levels = np.asarray(levels, dtype=float)
     if np.any(levels <= 0):
-        raise ValueError("levels must be positive")
+        raise PreconditionError("levels must be positive")
     if np.any(np.diff(levels) < 0):
-        raise ValueError("levels must be sorted increasing")
+        raise PreconditionError("levels must be sorted increasing")
     vols = _cell_volumes(f.grid_r, f.grid_u).ravel()
     vals = f.values.ravel()
     order = np.argsort(vals)[::-1]
@@ -387,7 +389,7 @@ def read_csv(path, header) -> np.ndarray:
     with open(path, newline="") as fh:
         found = next(csv.reader(fh), None)
         if found != list(header):
-            raise ValueError(f"unexpected header in {path}: {found}")
+            raise PreconditionError(f"unexpected header in {path}: {found}")
         return np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, len(header))
 
 

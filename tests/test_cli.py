@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravlasov import dynamics
 from gravlasov.cli import (COMMANDS, _FLAG_TO_KEY, _KEYS, build_parser, main,
                            parse_config)
-from gravlasov.errors import ConfigError
+from gravlasov.errors import ConfigError, NumericsError
 from gravlasov.steady import state_from_dir, support_check
 
 
@@ -153,6 +154,26 @@ def test_solve_numerical_failure_exit_code(tmp_path):
     assert code == 1
     doc = read_summary(out)
     assert "error" in doc["results"]
+
+
+def test_stability_run_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a failing ladder run ends the command with its error named, as when
+    # the runs went one after another
+    exact = dynamics._perturb
+
+    def failing(ens, delta, mode):
+        if delta == 0.02:
+            raise NumericsError("the 0.02 run failed")
+        return exact(ens, delta, mode)
+
+    monkeypatch.setattr(dynamics, "_perturb", failing)
+    out = str(tmp_path / "st")
+    assert run(["stability", "--psi0", "-1", "--mu", "-1", "--n", "257",
+                "--n-particles", "1000", "--t-end", "0.05", "--dt", "0.01",
+                "--out", out]) == 1
+    doc = read_summary(out)["results"]
+    assert doc == {"error": "NumericsError", "message": "the 0.02 run failed"}
+    assert capsys.readouterr().err == "error: the 0.02 run failed\n"
 
 
 def test_froots_command(tmp_path):
@@ -380,7 +401,7 @@ def _set_state_value(key, value):
     (_set_casimir_custom, "polytrope"),
     (_set_state_value("p", 1.2), "InvalidCasimirError"),    # kernel's own checks
     (_set_state_value("c", -1.0), "PreconditionError"),
-    (_rename_phi_header, "ValueError"),
+    (_rename_phi_header, "PreconditionError"),
     (_truncate_state, "JSONDecodeError"),
     (_remove_rho, "FileNotFoundError"),
     # numpy warns on a table without rows before the guard names the error

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import sys
+import threading
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -74,6 +78,17 @@ def test_sample_state_reproducible(state_p2_rel):
     assert np.array_equal(a.velocities, b.velocities)
     c = sample_state(state_p2_rel, 2000, seed=10)
     assert not np.array_equal(a.positions, c.positions)
+
+
+def test_sampler_weighs_in_chunks_with_the_bits_of_one_call(state_p2_rel,
+                                                            monkeypatch):
+    # 20k particles draw batches of 80k candidates, weighed in 3 chunks
+    chunked = sample_state(state_p2_rel, 20_000, seed=6)
+    monkeypatch.setattr(dynamics, "_WEIGH_CHUNK", 1 << 30)
+    whole = sample_state(state_p2_rel, 20_000, seed=6)
+    for name in ("positions", "velocities", "weights", "f_values"):
+        assert np.array_equal(getattr(chunked, name).view(np.uint64),
+                              getattr(whole, name).view(np.uint64))
 
 
 def test_sample_density_reproducible(bump_and_table):
@@ -541,6 +556,32 @@ def test_push_rejects_zero_dt(state_p2_rel):
         push(ens, 0.0)
 
 
+@pytest.mark.parametrize("external", [None, central_mass_accel(1.0)],
+                         ids=["self-consistent", "external"])
+@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"])
+def test_push_leaves_the_callers_state_unchanged(request, state_name, external):
+    # push builds its temporaries in place, but only on arrays it allocated:
+    # a caller that keeps ens and accel finds them bit for bit as they were,
+    # and the step has the bits of the kick-drift-kick expressions
+    ens = sample_state(request.getfixturevalue(state_name), 2000, seed=5)
+    force = (field_from_particles if external is None
+             else lambda state: external(state.positions))
+    accel = force(ens)
+    kept = (ens.positions, ens.velocities, ens.weights, ens.f_values, accel)
+    before = [a.copy() for a in kept]
+    dt = 0.01
+    out, accel_new = push(ens, dt, accel=accel, external=external)
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+               for a, b in zip(kept, before))
+    v_half = ens.velocities + 0.5 * dt * accel
+    x_new = ens.positions + dt * dynamics._drift_velocity(ens, v_half)
+    want_accel = force(replace(ens, positions=x_new))
+    v_new = v_half + 0.5 * dt * want_accel
+    for got, want in ((out.positions, x_new), (out.velocities, v_new),
+                      (accel_new, want_accel)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # --- evolve ----------------------------------------------------------------------
 
 def casimir_estimates(ens, spec):
@@ -566,6 +607,25 @@ def test_evolve_conservation_short(state_p2_rel, spec_p2):
     assert casimir_estimates(final, spec_p2) == estimates   # Casimirs frozen
     hc0 = records[0].hc
     assert max(abs(r.hc - hc0) / abs(hc0) for r in records) < 1e-3
+
+
+@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"])
+def test_evolve_holds_about_one_state(request, state_name):
+    # evolve hands each push the only references to the last step's state,
+    # which push frees before its force call: a run peaks below seven (n, 3)
+    # arrays, where keeping the old state through the force call took nine
+    state = request.getfixturevalue(state_name)
+    n = 20_000
+    ens = sample_state(state, n, seed=3)
+    dt = 0.01 * dynamical_time(state.rho.values[0])
+    tracemalloc.start()
+    try:
+        records, _ = evolve(ens, 20 * dt, dt, diag_every=10, reference=state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 3
+    assert peak <= 7 * 24 * n
 
 
 def test_evolve_virial_stays_near_monte_carlo_level(state_p2_rel):
@@ -610,6 +670,99 @@ def test_stability_experiment_needs_a_positive_size(state_p2_rel, deltas):
     # a ladder without a positive size would compare the baseline to itself
     with pytest.raises(PreconditionError, match="at least one positive"):
         stability_experiment(state_p2_rel, deltas, "amplitude", n=2000, t_end=1.0)
+
+
+def serial_ladder(state, deltas, mode, n, t_end, dt, seed):
+    """The records of each ladder run, evolved one after another."""
+    base = sample_state(state, n, seed)
+    return {d: evolve(dynamics._perturb(base, d, mode), t_end, dt,
+                      diag_every=dynamics._STABILITY_DIAG_EVERY,
+                      reference=state)[0]
+            for d in (0.0,) + tuple(sorted(deltas))}
+
+
+@pytest.mark.parametrize("mode", ["amplitude", "kick"])
+@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"])
+def test_ladder_on_the_cores_matches_the_serial_ladder(request, monkeypatch,
+                                                       state_name, mode):
+    state = request.getfixturevalue(state_name)
+    td = dynamical_time(state.rho.values[0])
+    args = (state, [0.04, 0.02], mode)
+    kwargs = dict(n=2000, t_end=2.0 * td, dt=0.1 * td, seed=8)
+    want = repr(serial_ladder(*args, **kwargs))
+    _, runs = stability_experiment(*args, **kwargs)
+    assert list(runs) == [0.0, 0.02, 0.04]
+    assert repr(runs) == want          # every record field, bit for bit
+    for cores in ({0}, {0, 1, 2, 3}):  # serial, and a worker per run
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        assert repr(stability_experiment(*args, **kwargs)[1]) == want
+
+
+def test_ladder_raises_the_earliest_failure_in_ladder_order(state_p2_rel,
+                                                            monkeypatch):
+    # 0.01 fails first in time, the baseline after it: the baseline's error
+    # is raised, the one the serial ladder raises, and 0.02 never starts
+    started = []
+    later_failed = threading.Event()
+
+    def failing(ens, delta, mode):
+        started.append(delta)
+        if delta == 0.0:
+            assert later_failed.wait(timeout=60)
+            raise NumericsError("the baseline failed")
+        later_failed.set()
+        raise NumericsError(f"delta {delta} failed")
+
+    monkeypatch.setattr(dynamics, "_perturb", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threads = threading.active_count()
+    with pytest.raises(NumericsError, match="the baseline failed"):
+        stability_experiment(state_p2_rel, [0.01, 0.02], "amplitude",
+                             n=1000, t_end=1.0)
+    assert sorted(started) == [0.0, 0.01]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cores", [{0}, {0, 1}])
+def test_ladder_cancels_the_runs_after_a_failure(state_p2_rel, monkeypatch,
+                                                 cores):
+    started = []
+    exact = dynamics._perturb
+
+    def failing(ens, delta, mode):
+        started.append(delta)
+        if delta > 0:
+            raise NumericsError(f"delta {delta} failed")
+        return exact(ens, delta, mode)
+
+    monkeypatch.setattr(dynamics, "_perturb", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    threads = threading.active_count()
+    with pytest.raises(NumericsError, match="delta 0.01 failed"):
+        stability_experiment(state_p2_rel, [0.02, 0.01, 0.04], "amplitude",
+                             n=1000, t_end=0.05, dt=0.01)
+    assert sorted(started) == [0.0, 0.01]
+    assert threading.active_count() == threads
+
+
+def test_map_on_cores_runs_each_item_once(monkeypatch):
+    # eight threads on a short switch interval: two threads taking the same
+    # item would show up as a repeated call
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    calls = []
+
+    def square(i):
+        calls.append(i)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = dynamics._map_on_cores(square, range(2000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [i * i for i in range(2000)]
+    assert sorted(calls) == list(range(2000))
 
 
 def test_ensemble_csv_roundtrip(tmp_path, state_p2_rel):

@@ -11,7 +11,7 @@ from scipy.interpolate import RegularGridInterpolator
 from gravlasov import radial
 from gravlasov.dynamics import ParticleEnsemble, ensemble_to_csv
 from gravlasov.errors import (BoundaryConditionError, GridMismatchError,
-                              NumericsError)
+                              NumericsError, PreconditionError)
 from gravlasov.kernel import ModelParams, make_polytrope
 from gravlasov.radial import (PhaseDensity, RadialField, RadialGrid, SpeedGrid,
                               bump_density, density_moment,
@@ -43,18 +43,18 @@ def test_grid_invariants():
 
 @pytest.mark.parametrize("grid", [RadialGrid, SpeedGrid])
 def test_grid_node_checks(grid):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         grid(-1.0, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         grid(2.0, 1)
     for nodes, match in [(2.0 * np.linspace(0.0, 1.0, 5) ** 2, "uniform"),
                          ([0.0, 1.0, 0.5, 1.5, 2.0], "increasing"),
                          ([0.0, 0.5, 1.0, 2.0], "need 5 nodes"),
                          (np.linspace(0.1, 2.0, 5), "need 5 nodes from 0"),
                          (np.linspace(0.0, 2.1, 5), "need 5 nodes from 0 to 2")]:
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(PreconditionError, match=match):
             grid(2.0, 5, nodes=nodes)
-    with pytest.raises(ValueError, match="increasing"):
+    with pytest.raises(PreconditionError, match="increasing"):
         grid(1.0, 3, nodes=[0, 5, 1])
     # nodes printed with 17 significant digits read back as a uniform grid
     fine = grid(20.0, 4096)
@@ -65,11 +65,11 @@ def test_grid_node_checks(grid):
 def test_phase_density_validation(grids):
     grid_r, grid_u = grids
     bad = np.ones((grid_r.n, grid_u.m))
-    with pytest.raises(ValueError):
+    with pytest.raises(BoundaryConditionError, match="vanish"):
         PhaseDensity(grid_r=grid_r, grid_u=grid_u, values=bad)  # boundary not 0
     bad2 = np.zeros((grid_r.n, grid_u.m))
     bad2[3, 3] = -1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="nonnegative"):
         PhaseDensity(grid_r=grid_r, grid_u=grid_u, values=bad2)
 
 
@@ -94,7 +94,7 @@ def test_from_callable_matches_meshgrid_bit_for_bit(state_p2_rel):
         got = PhaseDensity.from_callable(grid_r, grid_u, fn).values
         assert got.shape == ref.shape
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-    with pytest.raises(ValueError, match="vanish"):   # nonzero at u_max
+    with pytest.raises(BoundaryConditionError, match="vanish"):   # nonzero at u_max
         PhaseDensity.from_callable(grid_r, grid_u,
                                    lambda r, u: np.maximum(1.0 - r / r_edge, 0.0))
 
@@ -172,6 +172,10 @@ def test_poisson_zero_and_shape_checks():
     touching = np.ones(65)
     with pytest.raises(BoundaryConditionError):
         poisson_solve(RadialField(grid=grid, values=touching))
+    negative = np.zeros(65)
+    negative[3] = -1.0
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        poisson_solve(RadialField(grid=grid, values=negative))
 
 
 @pytest.mark.parametrize("potential", [lambda r: -1.0 / (1.0 + r) - 0.5 * r,
@@ -291,9 +295,9 @@ def test_distribution_function_monotone(grids):
 
 def test_distribution_function_validates_levels(grids):
     f = bump_density(*grids, 0.6, 0.8)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="positive"):
         distribution_function(f, [-1.0, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="sorted"):
         distribution_function(f, [2.0, 1.0])
 
 
