@@ -139,7 +139,7 @@ def _isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
 
 _ENVELOPE_NODES = 256      # per axis of the rejection envelope's grid
 _WEIGH_CHUNK = 1 << 15     # candidates weighed at a time by the sampler
-_REFERENCE_BINS = 24       # equal-mass bins of the reference profile
+_REFERENCE_EDGES = 24      # edges of the reference profile's 23 equal-mass bins
 _STABILITY_DIAG_EVERY = 10
 _BLOWUP_DIAG_EVERY = 3
 _GROWTH_THRESHOLD = 100.0  # central-density growth that counts as concentration
@@ -400,7 +400,7 @@ def _reference_shell_masses(state: GroundState):
     cum = cumulative_trapezoid(r_fine ** 2 * rho_fine, x=r_fine, initial=0.0)
     cum *= 4.0 * np.pi
     total = cum[-1]
-    quantiles = np.linspace(0.0, total, _REFERENCE_BINS)
+    quantiles = np.linspace(0.0, total, _REFERENCE_EDGES)
     inner = np.interp(quantiles[1:-1], cum, r_fine)
     edges = np.concatenate(([0.0], inner, [np.inf]))
     masses = np.diff(np.interp(np.minimum(edges, r_fine[-1]), r_fine, cum))
@@ -458,6 +458,10 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     """
     if dt <= 0 or t_end <= 0:
         raise PreconditionError("dt and t_end must be positive")
+    steps = int(round(t_end / dt))
+    if steps < 1:
+        raise PreconditionError(
+            f"t_end/dt must round to at least one step, got t_end={t_end:g}, dt={dt:g}")
     if center_bin is None:
         center_bin = (reference.r_support / 20.0 if reference is not None
                       else float(np.percentile(ens.radii(), 50)) / 10.0)
@@ -469,7 +473,6 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     run._hold(ens._shells)
     ens._hold(None)   # the caller keeps no sort
     records = [_diagnostics(run, 0.0, center_bin, ref_masses, ref_edges)]
-    steps = int(round(t_end / dt))
     state = [run, None]   # the ensemble and accelerations after the last step
     del run
     for k in range(1, steps + 1):
@@ -546,7 +549,9 @@ def _map_on_cores(fn: Callable, items: Sequence) -> list:
                 with lock:   # no item starts once a failure is recorded
                     halt.set()
 
-    threads = min(len(os.sched_getaffinity(0)), len(items))
+    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    threads = min(cores, len(items))
     workers = [threading.Thread(target=work) for _ in range(threads - 1)]
     for worker in workers:
         worker.start()

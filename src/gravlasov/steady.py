@@ -11,9 +11,9 @@ self-consistency problem into an autonomous radial ODE,
 where h(psi) is the velocity-space moment of G at local depth -psi. The
 profile's support ends where psi crosses zero; matching the exterior vacuum
 solution A - B/r there and requiring phi -> 0 at infinity *emits* lambda = -A.
-Two independent solvers are provided (outward shooting, and a damped
-Newton-Kantorovich iteration on the phi self-consistency equation) so each
-can serve as the other's oracle.
+Two independent solvers are provided (outward shooting, and a Newton-Krylov
+solve of the phi self-consistency equation) so each can serve as the other's
+oracle.
 
 Velocity moments use the scaled-energy variable q = kinetic(u)/|mu| with
 A = (lambda - phi)/|mu|, under which u^2 du = w(q) dq with
@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad, quad_vec, simpson
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
+from scipy.optimize import NoConvergence, brentq, newton_krylov
 
 from .errors import (
     FixedPointDivergenceError,
@@ -255,16 +255,6 @@ class _MomentTable:
         d = zeta - self._nodes[k]
         value = (c3 + c2 * d + c1 * (d * d) + c0 * ((d * d) * d)) * (scale * a ** expo)
         return 0.0 if value <= 0.0 else value
-
-    def derivative(self, a_depth):
-        """d(density)/dA by the product rule, zero where A <= 0."""
-        (scale, expo), spline = self._power["rho"], self._splines["rho"]
-        a = np.clip(a_depth, 0.0, self.a_max)
-        zeta, power = np.sqrt(self._var * a), a ** expo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = spline(zeta, 1) * math.sqrt(self._var) / (2.0 * np.sqrt(a))  # dg/dA
-            return np.where(a > 0, scale * (power * slope + expo * spline(zeta) * power / a),
-                            0.0)
 
 
 # --- public pointwise operations --------------------------------------------
@@ -547,13 +537,12 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
     phi <- poisson(rho(phi)): the linearized map has a real spectral radius
     of about 4.5 for polytropic states, so no amount of plain damping
     converges (it is the separatrix between decay to vacuum and mass
-    runaway). The update therefore solves the linearized self-consistency
-    equation (I - K rho'(phi)) delta = -(phi - K rho(phi)) by GMRES on the
-    same discrete Poisson operator K, with step halving on the residual norm.
+    runaway). Each seed is therefore driven to a root of the Picard residual
+    phi - poisson(rho(phi)) by scipy's matrix-free Newton-Krylov method:
+    finite-difference Jacobian-vector products of the same residual, each
+    Newton step solved by GMRES, and an Armijo line search.
     tol bounds the final sup-norm Picard residual |phi - poisson(rho(phi))|.
     """
-    from scipy.sparse.linalg import LinearOperator, gmres
-
     if not (lam < 0 and mu < 0):
         raise PreconditionError("multipliers lambda and mu must be negative")
     r = grid.nodes
@@ -570,45 +559,10 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
         if rho[n // 2] > 0:
             raise SupportExceedsGridError(
                 "iterated density reached r_max/2; enlarge the grid")
-        return phi_vec - poisson_operator(grid, rho), a_depth
-
-    def newton(phi):
-        resid_vec, a_depth = picard_residual(phi)
-        resid = float(np.max(np.abs(resid_vec)))
-        for _ in range(_FIXED_POINT_MAX_ITER):
-            if resid < tol:
-                return phi
-            drho_dphi = -table.derivative(a_depth) / mu_abs  # <= 0
-
-            def matvec(v):
-                return v - poisson_operator(grid, drho_dphi * v)
-
-            op = LinearOperator((n, n), matvec=matvec)
-            delta, info = gmres(op, -resid_vec, rtol=1e-12, atol=0.0, maxiter=400)
-            if info != 0:
-                raise FixedPointDivergenceError(
-                    f"linear correction solve failed (gmres info {info})")
-            alpha, accepted = 1.0, None
-            for _ in range(12):
-                try:
-                    rv_try, ad_try = picard_residual(phi + alpha * delta)
-                except SupportExceedsGridError:
-                    alpha *= 0.5
-                    continue
-                if not np.all(np.isfinite(rv_try)):
-                    raise NumericsError(
-                        "fixed-point iteration produced non-finite values")
-                if float(np.max(np.abs(rv_try))) < resid:
-                    accepted = (phi + alpha * delta, rv_try, ad_try)
-                    break
-                alpha *= 0.5
-            if accepted is None:
-                raise FixedPointDivergenceError(
-                    f"no descent step found (residual stuck at {resid:.3e})")
-            phi, resid_vec, a_depth = accepted
-            resid = float(np.max(np.abs(resid_vec)))
-        raise FixedPointDivergenceError(
-            f"no convergence after {_FIXED_POINT_MAX_ITER} iterations (residual {resid:.3e})")
+        resid = phi_vec - poisson_operator(grid, rho)
+        if not np.all(np.isfinite(resid)):
+            raise NumericsError("fixed-point iteration produced non-finite values")
+        return resid
 
     # seed ladder: Gaussian wells of varying depth and width; the shallow ones
     # fall into the trivial root's basin, so start from the moderate-depth seeds
@@ -618,8 +572,13 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
                             (4.0, 1 / 8), (2.0, 1 / 6), (6.0, 1 / 12)):
         seed = kappa * lam * np.exp(-((r / (grid.r_max * sig_frac)) ** 2))
         try:
-            cand = newton(seed)
-        except (FixedPointDivergenceError, SupportExceedsGridError) as exc:
+            cand = newton_krylov(picard_residual, seed, f_tol=tol,
+                                 maxiter=_FIXED_POINT_MAX_ITER, method="gmres")
+        except NoConvergence:
+            last_exc = FixedPointDivergenceError(
+                f"no convergence after {_FIXED_POINT_MAX_ITER} iterations")
+            continue
+        except SupportExceedsGridError as exc:
             last_exc = exc
             continue
         if cand[0] - lam < 0.0:  # nontrivial well

@@ -176,6 +176,18 @@ def test_stability_run_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: the 0.02 run failed\n"
 
 
+def test_stability_of_no_steps_exit_code(tmp_path):
+    # t_end/dt rounds to 0: no run may report a verdict from t = 0 alone
+    out = str(tmp_path / "st")
+    assert run(["stability", "--c", "1", "--psi0", "-1", "--mu", "-1", "--n", "257",
+                "--n-particles", "1000", "--t-end", "1e-9", "--dt", "1",
+                "--out", out]) == 1
+    assert read_summary(out)["results"] == {
+        "error": "PreconditionError",
+        "message": "t_end/dt must round to at least one step, got t_end=1e-09, dt=1"}
+    assert not [name for name in os.listdir(out) if name.startswith("diagnostics")]
+
+
 def test_froots_command(tmp_path):
     out = str(tmp_path / "fr")
     assert run(["froots", "--c", "1", "--a", "1.0", "--mu0", "-0.5",

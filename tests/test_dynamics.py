@@ -556,6 +556,12 @@ def test_push_rejects_zero_dt(state_p2_rel):
         push(ens, 0.0)
 
 
+def test_evolve_rejects_a_run_of_no_steps(state_p2_rel):
+    ens = sample_state(state_p2_rel, 1500, seed=5)
+    with pytest.raises(PreconditionError, match=r"got t_end=1e-09, dt=1$"):
+        evolve(ens, 1e-9, 1.0)
+
+
 @pytest.mark.parametrize("external", [None, central_mass_accel(1.0)],
                          ids=["self-consistent", "external"])
 @pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"])
@@ -696,6 +702,8 @@ def test_ladder_on_the_cores_matches_the_serial_ladder(request, monkeypatch,
     for cores in ({0}, {0, 1, 2, 3}):  # serial, and a worker per run
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
         assert repr(stability_experiment(*args, **kwargs)[1]) == want
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
+    assert repr(stability_experiment(*args, **kwargs)[1]) == want
 
 
 def test_ladder_raises_the_earliest_failure_in_ladder_order(state_p2_rel,

@@ -16,7 +16,8 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from gravlasov import steady
-from gravlasov.errors import (PreconditionError, ResolutionError,
+from gravlasov.errors import (FixedPointDivergenceError, NumericsError,
+                             PreconditionError, ResolutionError,
                              SupportExceedsGridError, TargetsUnreachableError)
 from gravlasov.kernel import ModelParams, kinetic_weight, make_polytrope
 from gravlasov.radial import RadialGrid
@@ -210,6 +211,29 @@ def test_fixed_point_small_mass_state(spec_p2, grid_20):
     fp = fixed_point_solve(spec_p2, CL, st.lam, st.mu, grid_20,
                            tol=1e-9 * abs(st.phi.values[0]))
     assert np.max(np.abs(fp.phi.values - st.phi.values)) < 1e-4 * abs(st.phi.values[0])
+
+
+@pytest.mark.parametrize("c", [1.0, math.inf])
+def test_fixed_point_agrees_with_shooting_custom_weight(spec_cubic, grid_20, c):
+    # j = t^3 + t^2 is not a pure power: both solvers read a per-model table
+    params = ModelParams(c=c)
+    st = integrate_state(spec_cubic, params, -1.0, -1.0, grid_20)
+    fp = fixed_point_solve(spec_cubic, params, st.lam, st.mu, grid_20,
+                           tol=1e-9 * abs(st.phi.values[0]))
+    assert np.max(np.abs(fp.phi.values - st.phi.values)) < 1e-5 * abs(st.phi.values[0])
+
+
+@pytest.mark.parametrize("name, value, error, message", [
+    ("_FIXED_POINT_MAX_ITER", 1, FixedPointDivergenceError,
+     r"all seeds failed.*no convergence after 1 iterations"),
+    ("poisson_operator", lambda grid, rho: np.full_like(rho, np.nan), NumericsError,
+     "non-finite"),
+])
+def test_fixed_point_failures_are_named(spec_p2, state_p2_cl, grid_20, monkeypatch,
+                                        name, value, error, message):
+    monkeypatch.setattr(steady, name, value)
+    with pytest.raises(error, match=message):
+        fixed_point_solve(spec_p2, CL, state_p2_cl.lam, state_p2_cl.mu, grid_20)
 
 
 def test_fixed_point_rejects_bad_multipliers(spec_p2, grid_20):
@@ -442,19 +466,6 @@ def _reference_lookup(table, a_depth, kind="rho"):
     return out
 
 
-def _reference_derivative(table, a_depth):
-    """d/dA of scale A^e g(sqrt(v A)) by the product rule, 0 for A <= 0."""
-    a = np.atleast_1d(np.asarray(a_depth, dtype=float))
-    out = np.zeros_like(a)
-    mask = a > 0
-    am = np.minimum(a[mask], table.a_max)
-    (scale, expo), spline = table._power["rho"], table._splines["rho"]
-    zeta = np.sqrt(table._var * am)
-    slope = spline(zeta, 1) * math.sqrt(table._var) / (2.0 * np.sqrt(am))
-    out[mask] = scale * (am ** expo * slope + expo * spline(zeta) * am ** expo / am)
-    return out
-
-
 def _reference_shoot(psi0, mu, grid, table):
     """RK4 on the array y = (z, v) through the masked lookup."""
     r, h, mu_abs = grid.nodes, grid.h, abs(mu)
@@ -556,8 +567,6 @@ def test_moment_table_lookup_matches_masked_lookup(spec_p2, spec_cubic, c):
             assert table(a, kind).tobytes() == ref.tobytes()
             scalars = np.array([table(float(x), kind) for x in a])
             assert scalars.tobytes() == ref.tobytes()
-        assert table.derivative(a).tobytes() == _reference_derivative(table, a).tobytes()
-        assert np.all(table.derivative(a)[a <= 0.0] == 0.0)
         with pytest.raises(PreconditionError, match="outside tabulated range"):
             table(table.a_max * (1.0 + 2e-8))
         with pytest.raises(PreconditionError, match="outside tabulated range"):
