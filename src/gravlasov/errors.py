@@ -30,7 +30,7 @@ class NonNegativeLambdaError(GravlasovError):
 
 
 class FixedPointDivergenceError(GravlasovError):
-    """Damped self-consistency iteration failed to converge."""
+    """The Newton-Krylov fixed-point solve found no nontrivial state from any seed."""
 
 
 class TargetsUnreachableError(GravlasovError):

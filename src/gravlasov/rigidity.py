@@ -22,7 +22,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad_vec, simpson
+from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -36,9 +36,8 @@ from .kernel import (
 )
 from .radial import (PhaseDensity, RadialGrid, SpeedGrid, bump_density,
                      distribution_function, functionals, _phase_integral)
-from .steady import (GroundState, SolveTargets, _moment_integrand,
-                     _monomial_exponents, _velocity_moment, integrate_state,
-                     solve_targets)
+from .steady import (GroundState, SolveTargets, _MomentTable, _monomial_exponents,
+                     integrate_state, solve_targets)
 
 __all__ = [
     "ScalingReport",
@@ -324,7 +323,8 @@ def f_function(params: ModelParams, a: float, spec: CasimirSpec, s: float) -> fl
     """F(s) = c int_0^a (1/s)(1 + sq/c^2) sqrt((1 + sq/c^2)^2 - 1) G(a-q) dq.
 
     Strictly convex in s; behaves like (2/s)^(1/2) int sqrt(q) G(a-q) dq for
-    sq/c^2 << 1, which is the exact classical limit.
+    sq/c^2 << 1, which is the exact classical limit. It is the moment table's
+    density at depth a and mu = -s over 4 pi s^2 (NumericsError out of range).
     """
     if params.is_classical:
         raise PreconditionError("the multiplier function is defined for finite c; "
@@ -332,13 +332,13 @@ def f_function(params: ModelParams, a: float, spec: CasimirSpec, s: float) -> fl
     if not (a > 0 and s > 0):
         raise PreconditionError("a and s must be positive")
     s = float(s)   # a numpy scalar would warn where a float overflows quietly
-    # the density moment at depth a with |mu| = s carries the factor 4 pi s^2;
-    # a subnormal factor has lost digits, and F with it
+    # a subnormal factor 4 pi s^2 has lost digits, and F with it
     scale = 4.0 * math.pi * s * s
     if sys.float_info.min <= scale < math.inf:
-        # overflow inside the moment shows up as a non-finite value
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = _velocity_moment(spec, params, -s, a) / scale
+        try:
+            value = _MomentTable(spec, params, -s, a)(a) / scale
+        except NumericsError:
+            value = math.nan
         if math.isfinite(value):
             return value
     raise NumericsError(f"F(s) is out of double range at s = {s:g}")
@@ -364,14 +364,7 @@ def f_roots(params: ModelParams, a: float, spec: CasimirSpec, mu0: float) -> lis
         except NumericsError:
             return math.nan
 
-    # one quad_vec call over every s, unless some F leaves double range
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scale = 4.0 * math.pi * s_grid * s_grid
-        vals = quad_vec(lambda t: _moment_integrand(spec, params, s_grid, a, t, ("rho",))[0]
-                        / (s_grid * s_grid), 0.0, 1.0, epsabs=1e-14, epsrel=1e-11,
-                        norm="max")[0]
-    if not np.all(np.isfinite(vals) & (scale >= sys.float_info.min) & (scale < math.inf)):
-        vals = np.array([f_or_nan(s) for s in s_grid])
+    vals = np.array([f_or_nan(s) for s in s_grid.tolist()])
 
     roots = [mu0_abs]
     diff = vals - target

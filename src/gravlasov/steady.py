@@ -21,16 +21,17 @@ A = (lambda - phi)/|mu|, under which u^2 du = w(q) dq with
     w(q) = |mu| c (1 + |mu| q/c^2) sqrt((1 + |mu| q/c^2)^2 - 1)   (finite c)
     w(q) = sqrt(2) |mu|^(3/2) sqrt(q)                             (classical)
 
-The sqrt(q) endpoint behaviour is absorbed by the substitution q = A t^2
-before adaptive Gauss-Kronrod integration. For a pure power G(s) = k s^m,
-m = 1/(p-1), it also shows the moment similarity: with beta = |mu| A / c^2,
+For a pure power G(s) = k s^m, m = 1/(p-1), each moment kind of _TOTALS (rho,
+kin, cas, jpq, ineg) obeys one similarity: with beta = |mu| A / c^2,
 
-    moment_k(A; mu) = C_k |mu|^(3/2) A^(e_k) g_k(beta),  e_rho = m + 3/2, e_cas = m + 5/2,
+    moment_k(A; mu) = C_k |mu|^(x_k) A^(e_k) g_k(beta),   x_kin = x_ineg = 5/2, else 3/2,
+                                                         e_rho = m + 3/2, else m + 5/2,
 
-where g_k depends on beta alone, not on c, and g_k = 1 classically, the closed
-form C_k |mu|^(3/2) A^(e_k) with C_k = 4 pi sqrt(2) k^n B(3/2, e_k - 1/2)
-(n = 1 for rho, p for cas). So every shot, state and fixed point of one p
-reads one spline of g_k per kind, and a classical one needs no quadrature.
+where g_k depends on beta alone, not on c, and g_k = 1 classically (C_k is a
+Beta function). So every shot, state, fixed point, scalar density and F value
+of one p reads one spline of g_k per kind, a classical one needs no quadrature,
+and _moment_profile (adaptive Gauss-Kronrod in t after q = A t^2, which absorbs
+the sqrt(q) endpoint) only builds the tables, for other weights one per call.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad, quad_vec, simpson
+from scipy.integrate import cumulative_simpson, quad_vec, simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import NoConvergence, brentq, newton_krylov
 
@@ -103,6 +104,10 @@ _NEWTON_MAX_ITER = 40
 
 # --- velocity-space moments -------------------------------------------------
 
+# moment kind -> the GroundState field holding its radial total
+_TOTALS = {"rho": "m1", "kin": "ekin", "cas": "mj", "jpq": "jpq", "ineg": "ineg"}
+
+
 def _kind_factor(spec: CasimirSpec, params: ModelParams, mu_abs: float,
                  q, s, g_s, kind: str):
     """Kernel K(q, s) G(s) for the supported moment kinds.
@@ -141,23 +146,8 @@ def _moment_integrand(spec: CasimirSpec, params: ModelParams, mu_abs: float,
     s = a_depth - q
     g_s = np.asarray(spec.g_inv(np.maximum(s, 0.0)), dtype=float)
     weight = _q_weight(params, mu_abs, q)
-    rows = []  # a loop: a comprehension's closure costs the scalar quad ~1 us a point
-    for kind in kinds:
-        rows.append(_kind_factor(spec, params, mu_abs, q, s, g_s, kind)
-                    * weight * 2.0 * a_depth * t)
-    return rows
-
-
-def _velocity_moment(spec: CasimirSpec, params: ModelParams, mu: float,
-                     a_depth: float) -> float:
-    """Density moment 4 pi int_0^A G(A-q) w(q) dq by scalar adaptive quadrature."""
-    if a_depth <= 0.0:
-        return 0.0
-    mu_abs = abs(mu)
-    val, _ = quad(
-        lambda t: float(_moment_integrand(spec, params, mu_abs, a_depth, t, ("rho",))[0]),
-        0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)
-    return 4.0 * np.pi * val
+    return [_kind_factor(spec, params, mu_abs, q, s, g_s, kind) * weight * 2.0 * a_depth * t
+            for kind in kinds]
 
 
 def _moment_profile(spec: CasimirSpec, params: ModelParams, mu: float,
@@ -182,71 +172,88 @@ def _moment_profile(spec: CasimirSpec, params: ModelParams, mu: float,
 
 
 _POW = np.frompyfunc(pow, 2, 1)  # Python's float pow per element, as a float stage has it
-_TABLE_KINDS = ("rho", "cas")  # a shot reads rho, a fast shot's masses both
+# buckets past 253 (beta > 2^512) overflow in x (2 + x); measured at p = 1.5001 to 3
+_BETA_LIMIT = 2.0 ** 512
 
 
 @lru_cache(maxsize=None)
 def _similarity_table(p: float, classical: bool, bucket: int):
-    """(nodes, splines, spline rows, {kind: (C_k, e_k)}) of the shared g_k of
-    j = t^p on 2049 nodes of sqrt(beta), beta in [0, 64 4^bucket]."""
+    """(nodes, splines, spline rows, {kind: (C_k, x_k, e_k)}) of the shared g_k of
+    j = t^p on 2049 nodes of sqrt(beta) = 2^bucket s, s in [0, 8], built at mu = -1,
+    c = 2^-bucket, A = s^2: moments grow like 8^bucket, not beta^(m+4) as at c = 1."""
     m = 1.0 / (p - 1.0)
     base = 4.0 * math.pi * math.sqrt(2.0) * math.gamma(1.5) / p ** m
-    powers = {"rho": (base * math.gamma(m + 1.0) / math.gamma(m + 2.5), m + 1.5),
-              "cas": (base / p * math.gamma(m + 2.0) / math.gamma(m + 3.5), m + 2.5)}
-    zeta, g = np.array([0.0, 1.0]), np.ones((2, 2))
+    powers = {"rho": (base * math.gamma(m + 1.0) / math.gamma(m + 2.5), 1.5, m + 1.5),
+              "kin": (base * 1.5 * math.gamma(m + 1.0) / math.gamma(m + 3.5), 2.5, m + 2.5),
+              "cas": (base / p * math.gamma(m + 2.0) / math.gamma(m + 3.5), 1.5, m + 2.5),
+              "jpq": (base * math.gamma(m + 2.0) / math.gamma(m + 3.5), 1.5, m + 2.5)}
+    powers["ineg"] = powers["kin"]
+    zeta, g = np.array([0.0, 1.0]), np.ones((len(powers), 2))
     if not classical:
-        zeta = np.linspace(0.0, 8.0 * 2.0 ** bucket, 2049)
-        g = np.ones((2, zeta.size))
-        prof = _moment_profile(make_polytrope(p), ModelParams(c=1.0), -1.0,
-                               zeta[1:] ** 2, tuple(powers))
-        for row, vals, (coef, expo) in zip(g, prof, powers.values()):
-            row[1:] = vals / (coef * zeta[1:] ** (2.0 * expo))
+        s = np.linspace(0.0, 8.0, 2049)
+        zeta, g = s * 2.0 ** bucket, np.ones((len(powers), s.size))
+        prof = _moment_profile(make_polytrope(p), ModelParams(c=0.5 ** bucket), -1.0,
+                               s[1:] ** 2, tuple(powers))
+        for row, vals, (coef, _, expo) in zip(g, prof, powers.values()):
+            row[1:] = vals / (coef * s[1:] ** (2.0 * expo))
     splines = {kind: CubicSpline(zeta, row) for kind, row in zip(powers, g)}
     return (zeta.tolist(), splines,
             {kind: spl.c.T.tolist() for kind, spl in splines.items()}, powers)
 
 
 class _MomentTable:
-    """Moment profiles scale_k A^(e_k) g_k(sqrt(v A)) of rho and cas, for A up
-    to a_max: a pure power (made by make_polytrope) reads the shared g_k of p
-    (module docstring), other weights tabulate the moment itself on 1025 nodes
-    of sqrt(A) (scale 1, e_k = 0, v = 1). The square root makes the
+    """Moment profiles scale_k A^(e_k) g_k(sqrt(v A)) of every kind in _TOTALS,
+    for A up to a_max: a pure power (made by make_polytrope) reads the shared
+    g_k of p (module docstring), other weights tabulate the moment itself on
+    1025 nodes of sqrt(A) (scale 1, e_k = 0, v = 1). The square root makes the
     A^(3/2 + 1/(p-1)) onset C^3 or better."""
 
     def __init__(self, spec, params, mu, a_max):
         self.a_max = float(a_max) * (1.0 + 1e-9) + _TINY
         self._a_limit = self.a_max * (1.0 + 1e-8)
+        mu_abs = abs(float(mu))
         if spec is make_polytrope(spec.p):
-            self._var = abs(mu) / params.c ** 2
-            # the smallest bucket with 64 4^bucket >= beta_max
-            bucket = max(0, (math.frexp(self._var * self.a_max / 64.0)[1] + 1) // 2)
-            self._nodes, self._splines, self._rows, powers = _similarity_table(
-                float(spec.p), params.is_classical, bucket)
-            self._power = {kind: (coef * abs(mu) ** 1.5, expo)
-                           for kind, (coef, expo) in powers.items()}
+            try:  # float ** raises OverflowError: c^2, |mu|^x_k, and a lookup's A^e_k
+                self._var = mu_abs / params.c ** 2
+                beta = self._var * self.a_max
+                if not beta < _BETA_LIMIT:
+                    raise NumericsError(f"similarity beta = {beta:g} exceeds {_BETA_LIMIT:g}")
+                # the smallest bucket with 64 4^bucket >= beta
+                bucket = max(0, (math.frexp(beta / 64.0)[1] + 1) // 2)
+                self._nodes, self._splines, self._rows, powers = _similarity_table(
+                    float(spec.p), params.is_classical, bucket)
+                self._power = {kind: (coef * mu_abs ** x, expo)
+                               for kind, (coef, x, expo) in powers.items()}
+                self.a_max ** powers["kin"][2]
+            except OverflowError:
+                raise NumericsError(f"moment scales overflow at mu = {mu:g}, "
+                                    f"c = {params.c:g}, A = {a_max:g}") from None
             return
         zeta = np.linspace(0.0, math.sqrt(self.a_max), 1025)
         self._nodes, self._var = zeta.tolist(), 1.0
         self._splines = {kind: CubicSpline(zeta, vals) for kind, vals in zip(
-            _TABLE_KINDS, _moment_profile(spec, params, mu, zeta * zeta, _TABLE_KINDS))}
+            _TOTALS, _moment_profile(spec, params, mu, zeta * zeta, tuple(_TOTALS)))}
         self._rows = {kind: spl.c.T.tolist() for kind, spl in self._splines.items()}
-        self._power = dict.fromkeys(_TABLE_KINDS, (1.0, 0.0))
+        self._power = dict.fromkeys(_TOTALS, (1.0, 0.0))
 
     def __call__(self, a_depth, kind: str = "rho"):
-        """max(scale A^e g(sqrt(v A)), 0) at A clipped to [0, a_max], g as scipy
-        gives it and A^e by Python's pow. An array goes through scipy; a float
-        stays a Python float, so a shooting stage pays no numpy call, and finds
-        scipy's interval [x_k, x_k+1) (the last one closed) and scipy's sum
-        c3 + c2 d + c1 d^2 + c0 d^3 (Horner's order rounds otherwise), so both
-        agree bit for bit."""
+        """max(scale A^e g(sqrt(v A)), 0) at A clipped to [0, a_max] and +0.0 at
+        A <= 0, g as scipy gives it and A^e by Python's pow. An array goes through
+        scipy at its positive depths only; a float stays a Python float, so a
+        shooting stage pays no numpy call, and finds scipy's interval [x_k, x_k+1)
+        (the last one closed) and scipy's sum c3 + c2 d + c1 d^2 + c0 d^3
+        (Horner's order rounds otherwise), so both agree bit for bit."""
         array = isinstance(a_depth, np.ndarray)
         if np.any(a_depth > self._a_limit) if array else a_depth > self._a_limit:
             raise PreconditionError("depth outside tabulated range")
         scale, expo = self._power[kind]
         if array:
-            a = np.clip(a_depth, 0.0, self.a_max)
-            return np.maximum(self._splines[kind](np.sqrt(self._var * a))
-                              * (scale * _POW(a, expo).astype(float)), 0.0)
+            a = np.minimum(a_depth, self.a_max)
+            out, pos = np.zeros(a.shape), ~(a <= 0.0)  # a nan depth stays nan
+            a = a[pos]
+            out[pos] = np.maximum(self._splines[kind](np.sqrt(self._var * a))
+                                  * (scale * _POW(a, expo).astype(float)), 0.0)
+            return out
         a_max = self.a_max
         a = 0.0 if a_depth < 0.0 else a_max if a_depth > a_max else a_depth
         zeta = math.sqrt(self._var * a)
@@ -266,7 +273,7 @@ def density_from_potential(spec: CasimirSpec, params: ModelParams, lam: float,
         raise PreconditionError("multipliers lambda and mu must be negative")
     if phi_val >= lam:
         return 0.0
-    return _velocity_moment(spec, params, mu, (phi_val - lam) / mu)
+    return _MomentTable(spec, params, mu, (phi_val - lam) / mu)((phi_val - lam) / mu)
 
 
 # --- the solved-state container ----------------------------------------------
@@ -332,36 +339,30 @@ def _radial_total(r: np.ndarray, dens: np.ndarray, k: int, r_supp: float,
     return float(4.0 * np.pi * (core + sliver))
 
 
-# moment kind -> the GroundState field holding its radial total
-_TOTALS = {"rho": "m1", "kin": "ekin", "cas": "mj", "jpq": "jpq", "ineg": "ineg"}
-
-
-def _finalize_state(spec, params, lam, mu, grid: RadialGrid, psi: np.ndarray,
-                    w: np.ndarray, r_supp: float, m_speed: int) -> GroundState:
-    """Tabulate profiles and functionals for a solved (psi, w) pair."""
-    if not lam < 0:
-        raise NonNegativeLambdaError(f"lambda must be negative, got {lam}")
-    if not mu < 0:
-        raise PreconditionError(f"mu must be negative, got {mu}")
-    r = grid.nodes
-    mu_abs = abs(mu)
-    k = int(np.searchsorted(r, r_supp) - 1)  # last node strictly inside support
+def _moment_totals(spec, table: _MomentTable, r: np.ndarray, psi: np.ndarray,
+                   mu: float, r_supp: float, kinds):
+    """(k, {kind: moment at nodes 0..k}, {kind: radial total}), read from the
+    table at depths -psi/|mu|; k is the last node strictly inside the support."""
+    k = int(np.searchsorted(r, r_supp) - 1)
     if k < 2:
         raise ResolutionError("support spans fewer than three radial nodes")
+    a_depth = -psi[: k + 1] / abs(mu)
+    prof = {kind: table(a_depth, kind) for kind in kinds}
+    beta = _edge_exponent(spec)
+    return k, prof, {kind: _radial_total(r, prof[kind], k, r_supp, beta) for kind in kinds}
 
-    a_depth = np.zeros_like(r)
-    a_depth[: k + 1] = np.maximum(-psi[: k + 1], 0.0) / mu_abs
 
-    prof = dict(zip(_TOTALS, _moment_profile(spec, params, mu, a_depth[: k + 1],
-                                             tuple(_TOTALS))))
+def _finalize_state(spec, params, table: _MomentTable, lam, mu, grid: RadialGrid,
+                    psi: np.ndarray, w: np.ndarray, r_supp: float,
+                    m_speed: int) -> GroundState:
+    """Tabulate profiles and functionals for a solved (psi, w) pair from the table."""
+    r = grid.nodes
+    mu_abs = abs(mu)
+    k, prof, totals = _moment_totals(spec, table, r, psi, mu, r_supp, _TOTALS)
     rho = np.zeros_like(r)
     rho[: k + 1] = prof["rho"]
-
-    beta = _edge_exponent(spec)
-    totals = {name: _radial_total(r, prof[kd], k, r_supp, beta)
-              for kd, name in _TOTALS.items()}
     phi = psi + lam
-    phi_q = _radial_total(r, phi * rho, k, r_supp, beta)
+    phi_q = _radial_total(r, phi * rho, k, r_supp, _edge_exponent(spec))
 
     w_r = float(w[-1])  # exterior enclosed mass is constant
     # field energy: 2 pi ( int_0^R (w/r)^2 / ... dr + exact vacuum tail w_R^2/R )
@@ -370,7 +371,7 @@ def _finalize_state(spec, params, lam, mu, grid: RadialGrid, psi: np.ndarray,
     core = simpson(integ, x=r[: k + 1])
     sliver = (r_supp - r[k]) * 0.5 * ((w[k] / r[k]) ** 2 + (w_r / r_supp) ** 2)
     epot = float(2.0 * np.pi * (core + sliver + w_r ** 2 / r_supp))
-    hc = totals["ekin"] - epot
+    hc = totals["kin"] - epot
 
     psi0 = float(psi[0])
     u_bound = float(kinetic_weight_inverse(params, -psi0))
@@ -391,7 +392,8 @@ def _finalize_state(spec, params, lam, mu, grid: RadialGrid, psi: np.ndarray,
         a=psi0 / mu, phi=RadialField(grid=grid, values=phi),
         rho=RadialField(grid=grid, values=rho), r_support=float(r_supp),
         epot=epot, hc=hc, _build_f=partial(PhaseDensity.from_callable, grid, grid_u, profile),
-        u_bound=u_bound, phi_q=phi_q, **totals,
+        u_bound=u_bound, phi_q=phi_q,
+        **{name: totals[kind] for kind, name in _TOTALS.items()},
     )
 
 
@@ -516,13 +518,10 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
             "enlarge the grid")
 
     if fast:
-        k = int(np.searchsorted(grid.nodes, r_supp) - 1)
-        a_depth = -psi[: k + 1] / abs(mu)
-        m1, mj = (_radial_total(grid.nodes, table(a_depth, kind), k, r_supp,
-                                _edge_exponent(spec)) for kind in ("rho", "cas"))
-        return _FastMasses(m1=m1, mj=mj, lam=lam, r_support=r_supp)
+        _, _, totals = _moment_totals(spec, table, grid.nodes, psi, mu, r_supp, ("rho", "cas"))
+        return _FastMasses(m1=totals["rho"], mj=totals["cas"], lam=lam, r_support=r_supp)
 
-    return _finalize_state(spec, params, lam, mu, grid, psi, w, r_supp, m_speed)
+    return _finalize_state(spec, params, table, lam, mu, grid, psi, w, r_supp, m_speed)
 
 
 # --- fixed-point solver (independent oracle) ----------------------------------
@@ -568,15 +567,17 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
     # fall into the trivial root's basin, so start from the moderate-depth seeds
     phi = None
     last_exc = None
-    for kappa, sig_frac in ((3.0, 1 / 8), (4.0, 1 / 12), (3.0, 1 / 6),
-                            (4.0, 1 / 8), (2.0, 1 / 6), (6.0, 1 / 12)):
+    for index, (kappa, sig_frac) in enumerate(((3.0, 1 / 8), (4.0, 1 / 12), (3.0, 1 / 6),
+                                               (4.0, 1 / 8), (2.0, 1 / 6), (6.0, 1 / 12))):
         seed = kappa * lam * np.exp(-((r / (grid.r_max * sig_frac)) ** 2))
         try:
             cand = newton_krylov(picard_residual, seed, f_tol=tol,
                                  maxiter=_FIXED_POINT_MAX_ITER, method="gmres")
-        except NoConvergence:
+        except NoConvergence as exc:  # it holds the last iterate
+            resid = float(np.max(np.abs(picard_residual(exc.args[0]))))
             last_exc = FixedPointDivergenceError(
-                f"no convergence after {_FIXED_POINT_MAX_ITER} iterations")
+                f"no convergence after {_FIXED_POINT_MAX_ITER} iterations from seed "
+                f"{index}: sup-norm Picard residual {resid:.3e}")
             continue
         except SupportExceedsGridError as exc:
             last_exc = exc
@@ -600,7 +601,7 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
     i_cross = int(sign_change[0])
     psi_spl = CubicSpline(r, psi)
     r_supp = float(brentq(psi_spl, r[i_cross - 1], r[i_cross], xtol=1e-14))
-    return _finalize_state(spec, params, lam, mu, grid, psi, w, r_supp, m_speed)
+    return _finalize_state(spec, params, table, lam, mu, grid, psi, w, r_supp, m_speed)
 
 
 # --- target solver -------------------------------------------------------------
@@ -852,6 +853,11 @@ def state_from_dir(indir, m_speed: int = 257) -> GroundState:
     if not np.array_equal(grid.nodes, rho.grid.nodes):
         raise GridMismatchError(f"cannot rebuild a state from {indir}: "
                                 "phi and rho are tabulated on different nodes")
+    if not lam < 0:
+        raise NonNegativeLambdaError(f"lambda must be negative, got {lam}")
+    if not mu < 0:
+        raise PreconditionError(f"mu must be negative, got {mu}")
     psi = phi.values - lam
     w = cumulative_simpson(grid.nodes ** 2 * rho.values, x=grid.nodes, initial=0.0)
-    return _finalize_state(spec, params, lam, mu, grid, psi, w, r_supp, m_speed)
+    table = _MomentTable(spec, params, mu, float(np.max(-psi)) / -mu)
+    return _finalize_state(spec, params, table, lam, mu, grid, psi, w, r_supp, m_speed)

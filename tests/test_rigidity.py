@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,17 @@ def test_f_function_outside_double_range_is_numerics_error(spec_p2, s):
     # itself overflows
     with pytest.raises(NumericsError, match=re.escape(f"s = {s:g}")):
         f_function(ModelParams(c=0.5), 1.0, spec_p2, s)
+
+
+@pytest.mark.parametrize("c, a, s", [(1e200, 1.0, 1e130), (1.0, 1e100, 1e-100),
+                                     (1e-80, 1.0, 1.0)])
+def test_f_function_moments_out_of_range_are_numerics_errors(spec_p2, c, a, s):
+    # |mu|^(5/2) overflows, A^(m+5/2) overflows, beta is past the last table:
+    # F's own error, before any numpy warning and with no OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=re.escape(f"s = {s:g}")):
+            f_function(ModelParams(c=c), a, spec_p2, s)
 
 
 def test_f_roots_ignore_ulp_changes_in_f(spec_p2, monkeypatch):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.special import beta as beta_function
 
 from gravlasov import steady
 from gravlasov.errors import (FixedPointDivergenceError, NumericsError,
@@ -21,6 +23,7 @@ from gravlasov.errors import (FixedPointDivergenceError, NumericsError,
                              SupportExceedsGridError, TargetsUnreachableError)
 from gravlasov.kernel import ModelParams, kinetic_weight, make_polytrope
 from gravlasov.radial import RadialGrid
+from gravlasov.rigidity import f_roots
 from gravlasov.steady import (SolveTargets, density_from_potential,
                               fixed_point_solve, integrate_state,
                               multiplier_identities, solve_targets,
@@ -49,12 +52,13 @@ def test_density_classical_closed_form(spec_p2):
     expected = 8.0 * math.sqrt(2.0) * math.pi / 15.0 * (lam - phi) ** 2.5 / abs(mu)
     assert density_from_potential(spec_p2, CL, lam, mu, phi) == pytest.approx(
         expected, rel=1e-10)
-    # any p: rho = C |mu|^(3/2) A^(m+3/2) at depth A = (lam - phi)/|mu|, C the
-    # shared table's Beta-function coefficient; the scalar moment's tolerance is
-    # relative, so a shallow depth, where rho is near 1e-9, is as accurate
+    # any p: rho = 4 pi sqrt(2) k B(3/2, m+1) |mu|^(3/2) A^(m+3/2) at depth
+    # A = (lam - phi)/|mu|, with G(s) = k s^m, k = p^(-m); a shallow depth,
+    # where rho is near 1e-9, is as accurate
     for p, depth in ((2.0, 2.0), (1.6, 1e-3)):
-        coef, expo = steady._similarity_table(p, True, 0)[3]["rho"]
-        closed = coef * abs(mu) ** 1.5 * (depth / abs(mu)) ** expo
+        m = 1.0 / (p - 1.0)
+        closed = (4.0 * math.pi * math.sqrt(2.0) * p ** -m * beta_function(1.5, m + 1.0)
+                  * abs(mu) ** 1.5 * (depth / abs(mu)) ** (m + 1.5))
         assert density_from_potential(make_polytrope(p), CL, lam, mu, lam - depth) \
             == pytest.approx(closed, rel=1e-12, abs=0)
 
@@ -225,7 +229,8 @@ def test_fixed_point_agrees_with_shooting_custom_weight(spec_cubic, grid_20, c):
 
 @pytest.mark.parametrize("name, value, error, message", [
     ("_FIXED_POINT_MAX_ITER", 1, FixedPointDivergenceError,
-     r"all seeds failed.*no convergence after 1 iterations"),
+     r"all seeds failed.*no convergence after 1 iterations from seed 5: "
+     r"sup-norm Picard residual \d\.\d{3}e[+-]\d+\)$"),
     ("poisson_operator", lambda grid, rho: np.full_like(rho, np.nan), NumericsError,
      "non-finite"),
 ])
@@ -344,7 +349,7 @@ def test_state_serialization_roundtrip(tmp_path, state_p2_rel, state_p2_cl):
 
 
 def _counted_quadratures(monkeypatch):
-    """Record every _moment_profile call (its kinds) and every shot."""
+    """Record every _moment_profile call (its kinds: a table build) and every shot."""
     calls = []
     profile, shoot = steady._moment_profile, steady._shoot
 
@@ -362,32 +367,52 @@ def _counted_quadratures(monkeypatch):
     return calls
 
 
-def test_full_shot_tabulates_rho_only(spec_p2, spec_cubic, grid_20, monkeypatch):
-    # only a fast shot's masses read the Casimir moment from the table; a
-    # full shot integrates every total in one call after the shot
+def test_full_shot_builds_at_most_one_table(spec_p2, spec_cubic, grid_20, monkeypatch):
+    # a full shot reads every total from the table its shot read, which holds
+    # every kind: any other weight builds one per shot, a pure power reads the
+    # shared one of p
     calls = _counted_quadratures(monkeypatch)
+    build = tuple(steady._TOTALS)
     for spec, c, fast_calls, full_calls in (
-            # any other weight: a table per shot, built before it
-            (spec_cubic, 1.0, [("rho", "cas"), "shoot"], [("rho", "cas"), "shoot"]),
-            # a pure power: the first table of p builds the shared spline, the
-            # next reads it; a classical one runs no table quadrature at all
-            (spec_p2, 1.0, [("rho", "cas"), "shoot"], ["shoot"]),
+            (spec_cubic, 1.0, [build, "shoot"], [build, "shoot"]),
+            # the first table of p builds the shared spline, the next reads it;
+            # a classical one runs no quadrature at all
+            (spec_p2, 1.0, [build, "shoot"], ["shoot"]),
             (spec_p2, math.inf, ["shoot"], ["shoot"])):
-        for fast, expected in ((True, fast_calls),
-                               (False, full_calls + [tuple(steady._TOTALS)])):
+        for fast, expected in ((True, fast_calls), (False, full_calls)):
             calls.clear()
             integrate_state(spec, ModelParams(c=c), -1.0, -1.0, grid_20, fast=fast)
             assert calls == expected
 
 
 @pytest.mark.parametrize("c, builds", [(1.0, 1), (math.inf, 0)])
-def test_solve_targets_builds_at_most_two_tables(spec_p2, grid_20, monkeypatch,
+def test_solve_targets_builds_at_most_two_tables(spec_p2, grid_20, monkeypatch, tmp_path,
                                                  c, builds):
     calls = _counted_quadratures(monkeypatch)
+    params = ModelParams(c=c)
     targets = (12.5, 1.9) if c == 1.0 else (16.0, 2.6)
-    solve_targets(spec_p2, ModelParams(c=c), SolveTargets(*targets, 1e-8), grid_20)
-    tables = [kinds for kinds in calls if kinds not in ("shoot", tuple(steady._TOTALS))]
-    assert tables == [("rho", "cas")] * builds
+    st = solve_targets(spec_p2, params, SolveTargets(*targets, 1e-8), grid_20)
+    assert [kinds for kinds in calls if kinds != "shoot"] == [tuple(steady._TOTALS)] * builds
+    f_roots(REL, 1.0, spec_p2, -0.5)
+    # once the buckets they read exist, nothing integrates a moment again
+    calls.clear()
+    solve_targets(spec_p2, params, SolveTargets(*targets, 1e-8), grid_20)
+    state_to_dir(st, tmp_path)
+    state_from_dir(tmp_path)
+    fixed_point_solve(spec_p2, params, st.lam, st.mu, grid_20)
+    f_roots(REL, 1.0, spec_p2, -0.5)
+    assert [kinds for kinds in calls if kinds != "shoot"] == []
+
+
+@pytest.mark.parametrize("c", [1.0, math.inf])
+def test_solved_masses_are_the_fast_masses_to_the_bit(spec_p2, c):
+    # a full state sums the same table lookups as the fast masses that
+    # solve_targets converged on; the criterion-1 solves
+    params, grid = ModelParams(c=c), RadialGrid(r_max=20.0, n=4096)
+    targets = (12.5, 1.9) if c == 1.0 else (16.0, 2.6)
+    st = solve_targets(spec_p2, params, SolveTargets(*targets, 1e-8), grid)
+    fast = integrate_state(spec_p2, params, st.psi0, st.mu, grid, fast=True)
+    assert [st.m1.hex(), st.mj.hex()] == [fast.m1.hex(), fast.mj.hex()]
 
 
 @pytest.mark.parametrize("c", [1.0, math.inf])
@@ -553,7 +578,7 @@ def test_moment_table_lookup_matches_masked_lookup(spec_p2, spec_cubic, c):
         table = _shot_table(spec, params, -0.814, -0.829)
         if spec is spec_cubic:  # not a pure power: a table per shot, on its own nodes
             assert (table._var, table._power) == (
-                1.0, dict.fromkeys(("rho", "cas"), (1.0, 0.0)))
+                1.0, dict.fromkeys(steady._TOTALS, (1.0, 0.0)))
             assert table._splines["rho"].x.tobytes() == np.linspace(
                 0.0, math.sqrt(table.a_max), 1025).tobytes()
         else:
@@ -562,7 +587,7 @@ def test_moment_table_lookup_matches_masked_lookup(spec_p2, spec_cubic, c):
         a = np.concatenate([[-1.0, -0.0, 0.0, 5e-324, 1e-310], _breakpoints(table),
                             np.linspace(0.0, table.a_max, 257),
                             [table.a_max, table.a_max * (1.0 + 5e-9)]])
-        for kind in ("rho", "cas"):
+        for kind in steady._TOTALS:
             ref = _reference_lookup(table, a, kind)
             assert table(a, kind).tobytes() == ref.tobytes()
             scalars = np.array([table(float(x), kind) for x in a])
@@ -584,7 +609,7 @@ def _lookup_table(c, planted, pure_power):
         # 0.0) is +0.0, where max(-0.0, 0.0) would keep -0.0
         table._splines = copy.deepcopy(table._splines)
         table._rows = copy.deepcopy(table._rows)
-        for kind in ("rho", "cas"):
+        for kind in steady._TOTALS:
             table._splines[kind].c[:, 0] = -0.0
             table._rows[kind][0] = [-0.0] * 4
     return table
@@ -592,7 +617,7 @@ def _lookup_table(c, planted, pure_power):
 
 @settings(max_examples=40, deadline=None)
 @given(c=strategies.sampled_from([1.0, math.inf]), planted=strategies.booleans(),
-       pure_power=strategies.booleans(), kind=strategies.sampled_from(["rho", "cas"]),
+       pure_power=strategies.booleans(), kind=strategies.sampled_from(list(steady._TOTALS)),
        fractions=strategies.lists(strategies.floats(-0.5, 1.0 + 1e-8), max_size=64))
 def test_power_sum_lookup_is_scipy_to_the_bit(c, planted, pure_power, kind, fractions):
     table = _lookup_table(c, planted, pure_power)
@@ -624,22 +649,47 @@ def test_state_from_dir_rebuilds_f(tmp_path, request, fixture):
 # --- the shared similarity table of a pure-power weight ---------------------------
 
 @settings(max_examples=60, deadline=None)
-@given(c=strategies.sampled_from([0.5, 1.0, 3.0, math.inf]),
+@given(classical=strategies.booleans(),
        p=strategies.sampled_from([1.6, 2.0, 3.0]),
        log_a=strategies.floats(math.log(1e-3), math.log(200.0)),
-       log_mu=strategies.floats(math.log(0.05), math.log(3.0)))
-def test_similarity_view_matches_a_direct_quadrature(c, p, log_a, log_mu):
-    # moment(A; mu) = C_k |mu|^(3/2) A^(e_k) g_k(|mu| A / c^2); g_k = 1
-    # classically. The reference is scalar quad at epsabs=0: _moment_profile's
-    # epsabs=1e-14 alone bounds a moment near 1e-8 to 1e-6 relative
-    spec, params, a, mu = make_polytrope(p), ModelParams(c=c), math.exp(log_a), -math.exp(log_mu)
+       log_mu=strategies.floats(math.log(0.05), math.log(3.0)),
+       log_beta=strategies.floats(math.log(1e-4), math.log(2e5)))
+def test_similarity_view_matches_a_direct_quadrature(classical, p, log_a, log_mu, log_beta):
+    # moment_k(A; mu) = C_k |mu|^(x_k) A^(e_k) g_k(|mu| A / c^2) for every kind,
+    # g_k = 1 classically; beta runs to 2e5, criterion 6's highest bucket (6).
+    # The reference is scalar quad at epsabs=0: _moment_profile's epsabs=1e-14
+    # alone bounds a moment near 1e-8 to 1e-6 relative
+    a, mu = math.exp(log_a), -math.exp(log_mu)
+    c = math.inf if classical else math.sqrt(-mu * a / math.exp(log_beta))
+    spec, params = make_polytrope(p), ModelParams(c=c)
     table = steady._MomentTable(spec, params, mu, a)
-    for kind in ("rho", "cas"):
+    for kind in steady._TOTALS:
         direct = 4.0 * math.pi * quad(lambda t: float(steady._moment_integrand(
             spec, params, -mu, a, t, (kind,))[0]), 0.0, 1.0, epsabs=0.0,
             epsrel=1e-13, limit=200)[0]
         assert_allclose(table(a, kind), direct, atol=0,
-                        rtol=1e-14 if params.is_classical else 1e-10, err_msg=kind)
+                        rtol=1e-14 if classical else 1e-10, err_msg=kind)
+
+
+def test_similarity_buckets_end_where_their_build_would_overflow(spec_p2):
+    # as p -> 3/2 the last bucket, 253, still builds finite and the next one
+    # overflows; a depth past it is a named error before any numpy warning,
+    # and nothing is cached for it
+    a = np.linspace(0.0, 8.0, 2049)[1:] ** 2
+    spec, kinds = make_polytrope(1.5001), tuple(steady._TOTALS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        last = steady._similarity_table(1.5001, False, 253)[1]
+        assert all(np.all(np.isfinite(spl.c)) for spl in last.values())
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            steady._moment_profile(spec, ModelParams(c=0.5 ** 254), -1.0, a, kinds)
+        cached = steady._similarity_table.cache_info().currsize
+        for weight, mu, c, a_max in ((spec, -1.0, 1.0, steady._BETA_LIMIT),
+                                     (spec_p2, -1e60, 1e-50, 1e60),
+                                     (spec_p2, -1.0, 1.0, math.inf)):
+            with pytest.raises(NumericsError, match="beta = "):
+                steady._MomentTable(weight, ModelParams(c=c), mu, a_max)
+        assert steady._similarity_table.cache_info().currsize == cached
 
 
 def _table_error(table, truth, a, kinds):
