@@ -30,8 +30,9 @@ kin, cas, jpq, ineg) obeys one similarity: with beta = |mu| A / c^2,
 where g_k depends on beta alone, not on c, and g_k = 1 classically (C_k is a
 Beta function). So every shot, state, fixed point, scalar density and F value
 of one p reads one spline of g_k per kind, a classical one needs no quadrature,
-and _moment_profile (adaptive Gauss-Kronrod in t after q = A t^2, which absorbs
-the sqrt(q) endpoint) only builds the tables, for other weights one per call.
+and _moment_profile (adaptive Gauss-Kronrod in theta after q = A sin^2 theta,
+s = A cos^2 theta, which smooths both the sqrt(q) endpoint of w and the s^m
+endpoint of G) only builds the tables, for other weights one per call.
 """
 
 from __future__ import annotations
@@ -140,22 +141,24 @@ def _q_weight(params: ModelParams, mu_abs: float, q):
 
 
 def _moment_integrand(spec: CasimirSpec, params: ModelParams, mu_abs: float,
-                      a_depth, t, kinds):
-    """Integrands in t, one per kind, at depth A after the substitution q = A t^2."""
-    q = a_depth * t * t
-    s = a_depth - q
-    g_s = np.asarray(spec.g_inv(np.maximum(s, 0.0)), dtype=float)
-    weight = _q_weight(params, mu_abs, q)
-    return [_kind_factor(spec, params, mu_abs, q, s, g_s, kind) * weight * 2.0 * a_depth * t
-            for kind in kinds]
+                      a_depth, theta, kinds):
+    """Integrands in theta, one per kind, at depth A after the substitution
+    q = A sin^2 theta, s = A - q = A cos^2 theta: with its Jacobian 2 A sin cos
+    the sqrt(q) endpoint of w becomes sin^2 and the s^m endpoint of G cos^(2m+1)."""
+    sin, cos = math.sin(theta), math.cos(theta)
+    q, s = a_depth * (sin * sin), a_depth * (cos * cos)
+    g_s = np.asarray(spec.g_inv(s), dtype=float)
+    weight = _q_weight(params, mu_abs, q) * (2.0 * sin * cos) * a_depth
+    return [_kind_factor(spec, params, mu_abs, q, s, g_s, kind) * weight for kind in kinds]
 
 
 def _moment_profile(spec: CasimirSpec, params: ModelParams, mu: float,
                     a_values: np.ndarray, kinds) -> np.ndarray:
     """Moments of every kind at many depths A_i, shape (len(kinds), len(A)).
 
-    Substituting q = A t^2 maps every depth to the common interval t in [0, 1],
-    so one quad_vec call integrates every kind and depth on one subdivision.
+    Substituting q = A sin^2 theta maps every depth to the common interval
+    theta in [0, pi/2], so one quad_vec call integrates every kind and depth on
+    one subdivision.
     """
     a = np.asarray(a_values, dtype=float)
     out = np.zeros((len(kinds), a.size))
@@ -165,8 +168,8 @@ def _moment_profile(spec: CasimirSpec, params: ModelParams, mu: float,
     am = a[mask]
     mu_abs = abs(mu)
     val, _ = quad_vec(
-        lambda t: np.stack(_moment_integrand(spec, params, mu_abs, am, t, kinds)),
-        0.0, 1.0, epsabs=1e-14, epsrel=1e-11, norm="max")
+        lambda theta: np.stack(_moment_integrand(spec, params, mu_abs, am, theta, kinds)),
+        0.0, 0.5 * math.pi, epsabs=1e-14, epsrel=1e-11, norm="max")
     out[:, mask] = 4.0 * np.pi * np.maximum(val, 0.0)
     return out
 
@@ -315,7 +318,8 @@ class GroundState:
 
 @dataclass(frozen=True)
 class SolveTargets:
-    """Masses (m1, mj) and relative tol for solve_targets (scaling start, Newton polish)."""
+    """Masses (m1, mj) for solve_targets, and tol, the largest relative mass error
+    its Newton-Krylov polish accepts."""
 
     m1_target: float
     mj_target: float
@@ -625,10 +629,12 @@ def solve_targets(spec: CasimirSpec, params: ModelParams, targets: SolveTargets,
     y0 so that R = r_max/8, and a support too large or too small is retried
     with R halved or doubled.
 
-    Polish: a damped Newton on (x, y) with a finite-difference Jacobian on
-    the requested grid removes the start's discretisation error; for weights
-    that are not a pure power (p1 < p2) the law is approximate and Newton
-    does the rest.
+    Polish: scipy's Newton-Krylov on (x, y), with the relative mass errors
+    (m1/m1_target - 1, mj/mj_target - 1) as residual, removes the start's
+    discretisation error on the requested grid and stops when both are
+    within targets.tol; for weights that are not a pure power (p1 < p2) the
+    law is approximate and Newton-Krylov does the rest. A polish shot that
+    fails ends the solve.
     """
     e1, ej = _monomial_exponents(spec.p)
     rate, slope = 0.5 / (spec.p - 1.0), 0.5 * (spec.p + 1.0)  # dlog R/dy, dy/dx
@@ -674,40 +680,27 @@ def solve_targets(spec: CasimirSpec, params: ModelParams, targets: SolveTargets,
     y, shot = shots[x]  # brentq returns a point it evaluated
     z = np.array([x, y + (math.log(targets.m1_target) - math.log(shot.m1)) / rate])
 
-    log_targets = np.log([targets.m1_target, targets.mj_target])
-
-    def residual(z):
-        shot = integrate_state(spec, params, -math.exp(z[0]), -math.exp(z[1]),
-                               grid, fast=True)
-        return np.log([shot.m1, shot.mj]) - log_targets
-
-    try:
-        f_val = residual(z)
-    except GravlasovError as exc:
-        raise TargetsUnreachableError(f"shooting failed at the scaling start: {exc}")
-    for _ in range(_NEWTON_MAX_ITER):
-        if float(np.max(np.abs(np.exp(f_val) - 1.0))) < targets.tol:
-            break
+    @lru_cache(maxsize=1)  # newton_krylov evaluates its start again
+    def mass_errors(x, y):
         try:
-            jac = np.column_stack([(residual(z + dz) - f_val) / 1e-6
-                                   for dz in np.eye(2) * 1e-6])
-            step = np.linalg.solve(jac, -f_val)
-        except (GravlasovError, np.linalg.LinAlgError) as exc:
-            raise TargetsUnreachableError(f"Jacobian evaluation failed: {exc}")
-        for alpha in 0.5 ** np.arange(10):
-            try:
-                f_try = residual(z + alpha * step)
-            except GravlasovError:
-                continue
-            if np.linalg.norm(f_try) < np.linalg.norm(f_val):
-                break
-        else:
+            shot = integrate_state(spec, params, -math.exp(x), -math.exp(y), grid, fast=True)
+        except GravlasovError as exc:
             raise TargetsUnreachableError(
-                "target solve stalled (no descent step fits the grid)")
-        z, f_val = z + alpha * step, f_try
-    else:
-        raise TargetsUnreachableError(
-            f"target solve did not converge within {_NEWTON_MAX_ITER} iterations")
+                f"shot at psi0 = {-math.exp(x):.6g}, mu = {-math.exp(y):.6g} failed: "
+                f"{type(exc).__name__}: {exc}") from exc
+        return shot.m1 / targets.m1_target - 1.0, shot.mj / targets.mj_target - 1.0
+
+    # newton_krylov's first stop test reads inf/inf when the start already passes
+    if max(map(abs, mass_errors(*z.tolist()))) > targets.tol:
+        try:
+            z = newton_krylov(lambda v: np.array(mass_errors(*v.tolist())), z,
+                              f_tol=targets.tol, maxiter=_NEWTON_MAX_ITER)
+        except NoConvergence as exc:  # it holds the last iterate
+            x, y = exc.args[0].tolist()
+            raise TargetsUnreachableError(
+                f"target solve did not converge within {_NEWTON_MAX_ITER} iterations: "
+                f"at psi0 = {-math.exp(x):.6g}, mu = {-math.exp(y):.6g} the sup-norm "
+                f"relative mass error is {max(map(abs, mass_errors(x, y))):.3e}") from None
     return integrate_state(spec, params, -math.exp(z[0]), -math.exp(z[1]), grid,
                            m_speed=m_speed)
 

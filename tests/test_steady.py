@@ -246,15 +246,24 @@ def test_fixed_point_rejects_bad_multipliers(spec_p2, grid_20):
         fixed_point_solve(spec_p2, CL, 0.1, -1.0, grid_20)
 
 
-def test_solve_targets_postconditions(spec_p2, grid_20, monkeypatch):
+def _count_shots(monkeypatch, fail_at=None):
+    """Record (psi0, mu, grid n, fast) of every shot; the polish shot number
+    fail_at (counted from 1 on grids of more than 513 nodes) raises."""
     shots = []
     shoot = steady.integrate_state
 
     def counted(*args, **kwargs):
-        shots.append(args[2:4])
+        shots.append((*args[2:4], args[4].n, kwargs.get("fast", False)))
+        if fail_at == sum(n > 513 for _, _, n, _ in shots):
+            raise SupportExceedsGridError("support too wide")
         return shoot(*args, **kwargs)
 
     monkeypatch.setattr("gravlasov.steady.integrate_state", counted)
+    return shots
+
+
+def test_solve_targets_postconditions(spec_p2, grid_20, monkeypatch):
+    shots = _count_shots(monkeypatch)
     targets = SolveTargets(m1_target=12.5, mj_target=1.9, tol=1e-8)
     st = solve_targets(spec_p2, REL, targets, grid_20)
     assert abs(st.m1 - 12.5) / 12.5 < 1e-7
@@ -268,6 +277,37 @@ def test_solve_targets_postconditions(spec_p2, grid_20, monkeypatch):
     assert st.mu == pytest.approx(-0.8291610681544004, rel=1e-6)
     # the scaling start replaces the scan's 121 shots
     assert len(shots) <= 45
+    # the polish shoots its start once: a fifth fast shot repeats it
+    polish = [fast for _, _, n, fast in shots if n == grid_20.n]
+    assert polish[-1] is False and polish.count(True) <= 4
+
+
+def test_solve_targets_start_inside_the_tolerance(spec_p2, grid_20, monkeypatch):
+    # no Newton-Krylov call, whose first stop test would warn on inf/inf
+    shots = _count_shots(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = solve_targets(spec_p2, REL, SolveTargets(12.5, 1.9, tol=1e-2), grid_20)
+    assert [fast for _, _, n, fast in shots if n == grid_20.n] == [True, False]
+    assert abs(st.m1 / 12.5 - 1.0) < 1e-2 and abs(st.mj / 1.9 - 1.0) < 1e-2
+
+
+def test_solve_targets_names_a_failing_polish_shot(spec_p2, grid_20, monkeypatch):
+    shots = _count_shots(monkeypatch, fail_at=2)
+    with pytest.raises(TargetsUnreachableError) as err:
+        solve_targets(spec_p2, REL, SolveTargets(12.5, 1.9, 1e-8), grid_20)
+    psi0, mu, n, fast = shots[-1]
+    assert (n, fast) == (grid_20.n, True)
+    assert str(err.value) == (f"shot at psi0 = {psi0:.6g}, mu = {mu:.6g} failed: "
+                              "SupportExceedsGridError: support too wide")
+
+
+def test_solve_targets_names_its_last_iterate(spec_p2, grid_20, monkeypatch):
+    monkeypatch.setattr(steady, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(TargetsUnreachableError,
+                       match=r"within 1 iterations: at psi0 = -0\.814\d*, mu = -0\.829\d* "
+                             r"the sup-norm relative mass error is \d\.\d{3}e[+-]\d+$"):
+        solve_targets(spec_p2, REL, SolveTargets(12.5, 1.9, 1e-8), grid_20)
 
 
 @pytest.mark.parametrize("c", [1.0, math.inf])
@@ -435,9 +475,9 @@ def test_stacked_rows_share_the_density_subdivision():
     stacked = steady._moment_profile(spec, params, -mu_abs, a_depth, kinds)
     for kind, row in zip(kinds, stacked):
         # scalar quad per depth; 1.2e-14 is its smallest epsrel with epsabs=0
-        ref = [quad(lambda t: float(steady._moment_integrand(
-            spec, params, mu_abs, a, t, (kind,))[0]),
-            0.0, 1.0, epsabs=0.0, epsrel=1.2e-14)[0] for a in a_depth]
+        ref = [quad(lambda theta: float(steady._moment_integrand(
+            spec, params, mu_abs, a, theta, (kind,))[0]),
+            0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1.2e-14)[0] for a in a_depth]
         assert_allclose(row, 4.0 * np.pi * np.array(ref), rtol=1e-10, atol=0,
                         err_msg=kind)
 
@@ -664,8 +704,8 @@ def test_similarity_view_matches_a_direct_quadrature(classical, p, log_a, log_mu
     spec, params = make_polytrope(p), ModelParams(c=c)
     table = steady._MomentTable(spec, params, mu, a)
     for kind in steady._TOTALS:
-        direct = 4.0 * math.pi * quad(lambda t: float(steady._moment_integrand(
-            spec, params, -mu, a, t, (kind,))[0]), 0.0, 1.0, epsabs=0.0,
+        direct = 4.0 * math.pi * quad(lambda theta: float(steady._moment_integrand(
+            spec, params, -mu, a, theta, (kind,))[0]), 0.0, 0.5 * math.pi, epsabs=0.0,
             epsrel=1e-13, limit=200)[0]
         assert_allclose(table(a, kind), direct, atol=0,
                         rtol=1e-14 if classical else 1e-10, err_msg=kind)
