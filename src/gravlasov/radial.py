@@ -5,6 +5,10 @@ with r = |x|, u = |v|. Integrals over the full six-dimensional phase space use
 the weight 16 pi^2 r^2 u^2 dr du; space-only integrals use 4 pi r^2 dr. The
 Poisson convention is Laplacian(phi) = rho with phi -> 0 at infinity, i.e.
 phi = -(1/(4 pi |x|)) * rho in convolution form.
+
+One Poisson operator: a radial source enters only through its enclosed mass
+m(r) = int_0^r s^2 rho ds (enclosed_mass), since phi' = m/r^2; poisson_operator
+and field_energy, the field energy (1/2) int |grad phi|^2 dx, are built on it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ __all__ = [
     "RadialField",
     "PhaseDensity",
     "density_moment",
+    "enclosed_mass",
+    "field_energy",
     "poisson_operator",
     "poisson_solve",
     "gradient_energy",
@@ -165,29 +171,27 @@ class PhaseDensity:
                 and np.array_equal(self.grid_u.nodes, other.grid_u.nodes))
 
 
-def _derivative4(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order finite-difference first derivative on a uniform grid."""
-    y = np.asarray(values, dtype=float)
-    n = len(y)
-    d = np.empty_like(y)
-    if n < 7:
-        return np.gradient(y, h)
-    d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
-    # one-sided fourth-order stencils at the edges
-    c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
-    d[0] = c @ y[:5]
-    d[1] = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12 * h) @ y[:5]
-    d[-1] = -(c @ y[:-6:-1])
-    d[-2] = -(np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12 * h) @ y[:-6:-1])
-    return d
-
-
 def density_moment(f: PhaseDensity) -> RadialField:
     """Spatial density rho(r) = 4 pi int u^2 f(r, u) du."""
     u = f.grid_u.nodes
     rho = 4.0 * np.pi * simpson(f.values * u * u, x=u, axis=1)
     rho = np.maximum(rho, 0.0)
     return RadialField(grid=f.grid_r, values=rho)
+
+
+def enclosed_mass(grid: RadialGrid, source: np.ndarray) -> np.ndarray:
+    """Enclosed-mass integral m(r) = int_0^r s^2 source(s) ds at every node,
+    by scipy's cumulative Simpson rule for equal intervals."""
+    r = grid.nodes
+    return cumulative_simpson(r * r * source, dx=grid.h, initial=0.0)
+
+
+def field_energy(grid: RadialGrid, m: np.ndarray) -> float:
+    """Field energy (1/2) int |grad phi|^2 dx = 2 pi int m^2/r^2 dr of phi' = m/r^2:
+    Simpson's rule to r_max plus the exact vacuum tail 2 pi m(r_max)^2/r_max."""
+    r = grid.nodes
+    m_r = np.divide(m, r, out=np.zeros_like(m), where=r > 0)  # m ~ r^3 at the centre
+    return float(2.0 * np.pi * (simpson(m_r * m_r, dx=grid.h) + m[-1] ** 2 / r[-1]))
 
 
 def poisson_operator(grid: RadialGrid, source: np.ndarray) -> np.ndarray:
@@ -198,12 +202,21 @@ def poisson_operator(grid: RadialGrid, source: np.ndarray) -> np.ndarray:
     solution -m/r exactly for compactly supported sources.
     """
     r = grid.nodes
-    m = cumulative_simpson(r * r * source, x=r, initial=0.0)
-    dphi = np.zeros_like(m)
-    dphi[1:] = m[1:] / (r[1:] ** 2)
+    m = enclosed_mass(grid, source)
+    dphi = np.divide(m, r * r, out=np.zeros_like(m), where=r > 0)
     # integrate phi' inward from the vacuum match at r_max
-    tail = cumulative_simpson(dphi, x=r, initial=0.0)
+    tail = cumulative_simpson(dphi, dx=grid.h, initial=0.0)
     return (-m[-1] / r[-1]) - (tail[-1] - tail)
+
+
+def _checked_source(rho: RadialField) -> np.ndarray:
+    """rho's values, checked to be nonnegative and zero at the last two nodes."""
+    vals = np.asarray(rho.values, dtype=float)
+    if np.any(vals < 0):
+        raise PreconditionError("density must be nonnegative")
+    if vals[-1] != 0.0 or vals[-2] != 0.0:
+        raise BoundaryConditionError("density support touches r_max; enlarge the grid")
+    return vals
 
 
 def poisson_solve(rho: RadialField) -> RadialField:
@@ -212,13 +225,7 @@ def poisson_solve(rho: RadialField) -> RadialField:
     Applies poisson_operator to a nonnegative density whose support stays
     inside the grid, and checks that the potential is negative and increasing.
     """
-    vals = np.asarray(rho.values, dtype=float)
-    if np.any(vals < 0):
-        raise PreconditionError("density must be nonnegative")
-    if vals[-1] != 0.0 or vals[-2] != 0.0:
-        raise BoundaryConditionError("density support touches r_max; enlarge the grid")
-
-    phi = poisson_operator(rho.grid, vals)
+    phi = poisson_operator(rho.grid, _checked_source(rho))
     if np.any(np.diff(phi) < -1e-12 * max(abs(phi[0]), 1.0)):
         raise NumericsError("poisson_solve produced a decreasing potential")
     if np.any(phi > 1e-12 * max(abs(phi[0]), 1.0)):
@@ -226,18 +233,10 @@ def poisson_solve(rho: RadialField) -> RadialField:
     return RadialField(grid=rho.grid, values=phi)
 
 
-def gradient_energy(phi: RadialField) -> float:
-    """Field energy (1/2) int |grad phi|^2 dx.
-
-    Computed as 2 pi int r^2 phi'(r)^2 dr over the grid plus the exact vacuum
-    tail 2 pi m^2 / r_max, with m = r_max^2 phi'(r_max); the tail makes the
-    result agree with the full-space integral for compactly supported sources.
-    """
-    r = phi.grid.nodes
-    dphi = _derivative4(phi.values, phi.grid.h)
-    inner = 2.0 * np.pi * simpson(r * r * dphi * dphi, x=r)
-    m_tot = dphi[-1] * r[-1] ** 2
-    return float(inner + 2.0 * np.pi * m_tot * m_tot / r[-1])
+def gradient_energy(rho: RadialField) -> float:
+    """Field energy (1/2) int |grad phi|^2 dx of a density's potential, read from
+    its enclosed mass after poisson_solve's source checks; phi is not formed."""
+    return field_energy(rho.grid, enclosed_mass(rho.grid, _checked_source(rho)))
 
 
 def _phase_integral(f: PhaseDensity, integrand: np.ndarray) -> float:
@@ -254,7 +253,7 @@ def functionals(f: PhaseDensity, spec: CasimirSpec, params: ModelParams) -> Func
     m1 = _phase_integral(f, f.values)
     mj = _phase_integral(f, np.asarray(spec.j(f.values), dtype=float))
     ekin = _phase_integral(f, f.values * gam[None, :])
-    epot = gradient_energy(poisson_solve(density_moment(f)))
+    epot = gradient_energy(density_moment(f))
     return FunctionalReport.from_parts(m1=m1, mj=mj, ekin=ekin, epot=epot)
 
 

@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad_vec, simpson
+from scipy.integrate import quad_vec, simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import NoConvergence, brentq, newton_krylov
 
@@ -74,6 +74,8 @@ from .radial import (
     RadialField,
     RadialGrid,
     SpeedGrid,
+    enclosed_mass,
+    field_energy,
     poisson_operator,
     read_radial_field,
     write_json,
@@ -369,12 +371,7 @@ def _finalize_state(spec, params, table: _MomentTable, lam, mu, grid: RadialGrid
     phi_q = _radial_total(r, phi * rho, k, r_supp, _edge_exponent(spec))
 
     w_r = float(w[-1])  # exterior enclosed mass is constant
-    # field energy: 2 pi ( int_0^R (w/r)^2 / ... dr + exact vacuum tail w_R^2/R )
-    integ = np.zeros(k + 1)
-    integ[1:] = (w[1 : k + 1] / r[1 : k + 1]) ** 2
-    core = simpson(integ, x=r[: k + 1])
-    sliver = (r_supp - r[k]) * 0.5 * ((w[k] / r[k]) ** 2 + (w_r / r_supp) ** 2)
-    epot = float(2.0 * np.pi * (core + sliver + w_r ** 2 / r_supp))
+    epot = field_energy(grid, w)
     hc = totals["kin"] - epot
 
     psi0 = float(psi[0])
@@ -597,7 +594,7 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
 
     psi = phi - lam
     rho = table(-psi / mu_abs, "rho")
-    w = cumulative_simpson(r * r * rho, x=r, initial=0.0)
+    w = enclosed_mass(grid, rho)
 
     sign_change = np.nonzero(psi >= 0.0)[0]
     if len(sign_change) == 0:
@@ -695,12 +692,14 @@ def solve_targets(spec: CasimirSpec, params: ModelParams, targets: SolveTargets,
         try:
             z = newton_krylov(lambda v: np.array(mass_errors(*v.tolist())), z,
                               f_tol=targets.tol, maxiter=_NEWTON_MAX_ITER)
-        except NoConvergence as exc:  # it holds the last iterate
-            x, y = exc.args[0].tolist()
-            raise TargetsUnreachableError(
-                f"target solve did not converge within {_NEWTON_MAX_ITER} iterations: "
-                f"at psi0 = {-math.exp(x):.6g}, mu = {-math.exp(y):.6g} the sup-norm "
-                f"relative mass error is {max(map(abs, mass_errors(x, y))):.3e}") from None
+        except NoConvergence as exc:  # its last iterate is shot but not tested
+            z = exc.args[0]
+            x, y = z.tolist()
+            if (error := max(map(abs, mass_errors(x, y)))) > targets.tol:
+                raise TargetsUnreachableError(
+                    f"target solve did not converge within {_NEWTON_MAX_ITER} iterations: "
+                    f"at psi0 = {-math.exp(x):.6g}, mu = {-math.exp(y):.6g} the sup-norm "
+                    f"relative mass error is {error:.3e}") from None
     return integrate_state(spec, params, -math.exp(z[0]), -math.exp(z[1]), grid,
                            m_speed=m_speed)
 
@@ -851,6 +850,6 @@ def state_from_dir(indir, m_speed: int = 257) -> GroundState:
     if not mu < 0:
         raise PreconditionError(f"mu must be negative, got {mu}")
     psi = phi.values - lam
-    w = cumulative_simpson(grid.nodes ** 2 * rho.values, x=grid.nodes, initial=0.0)
+    w = enclosed_mass(grid, rho.values)
     table = _MomentTable(spec, params, mu, float(np.max(-psi)) / -mu)
     return _finalize_state(spec, params, table, lam, mu, grid, psi, w, r_supp, m_speed)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from scipy.integrate import simpson
 from scipy.interpolate import RegularGridInterpolator
 
 from gravlasov import radial
@@ -15,9 +16,9 @@ from gravlasov.errors import (BoundaryConditionError, GridMismatchError,
 from gravlasov.kernel import ModelParams, make_polytrope
 from gravlasov.radial import (PhaseDensity, RadialField, RadialGrid, SpeedGrid,
                               bump_density, density_moment,
-                              distribution_function, ej_distance, functionals,
-                              gradient_energy, poisson_solve, read_csv,
-                              read_radial_field, write_csv,
+                              distribution_function, ej_distance,
+                              enclosed_mass, functionals, gradient_energy,
+                              poisson_solve, read_csv, read_radial_field, write_csv,
                               write_phase_density, write_radial_field)
 
 
@@ -170,12 +171,13 @@ def test_poisson_zero_and_shape_checks():
     phi = poisson_solve(RadialField(grid=grid, values=np.zeros(65)))
     assert np.all(phi.values == 0.0)
     touching = np.ones(65)
-    with pytest.raises(BoundaryConditionError):
-        poisson_solve(RadialField(grid=grid, values=touching))
     negative = np.zeros(65)
     negative[3] = -1.0
-    with pytest.raises(PreconditionError, match="nonnegative"):
-        poisson_solve(RadialField(grid=grid, values=negative))
+    for solve in (poisson_solve, gradient_energy):  # one check of the source
+        with pytest.raises(BoundaryConditionError):
+            solve(RadialField(grid=grid, values=touching))
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            solve(RadialField(grid=grid, values=negative))
 
 
 @pytest.mark.parametrize("potential", [lambda r: -1.0 / (1.0 + r) - 0.5 * r,
@@ -191,17 +193,16 @@ def test_poisson_breakdown_is_numerics_error(monkeypatch, potential):
 
 
 def test_poisson_enclosed_mass_identity(grids):
-    # phi'(r_max) r_max^2 equals the enclosed integral of s^2 rho
+    # m(r_max) is the full integral of s^2 rho, and phi(r_max) the vacuum
+    # potential -m(r_max)/r_max of that mass
     grid_r, grid_u = grids
     f = bump_density(grid_r, grid_u, r_scale=0.4, u_scale=0.5)
     rho = density_moment(f)
-    phi = poisson_solve(rho)
-    from gravlasov.radial import _derivative4
-    dphi = _derivative4(phi.values, grid_r.h)
-    from scipy.integrate import simpson
-    enclosed = simpson(grid_r.nodes ** 2 * rho.values, x=grid_r.nodes)
-    # one-sided boundary stencil limits the derivative reconstruction
-    assert dphi[-1] * grid_r.r_max ** 2 == pytest.approx(enclosed, rel=1e-6)
+    m = enclosed_mass(grid_r, rho.values)
+    assert m[0] == 0.0
+    assert m[-1] == pytest.approx(simpson(grid_r.nodes ** 2 * rho.values, x=grid_r.nodes),
+                                  rel=1e-12)
+    assert poisson_solve(rho).values[-1] == pytest.approx(-m[-1] / grid_r.r_max, rel=1e-12)
 
 
 def test_poisson_output_monotone_nonpositive(grids):
@@ -215,22 +216,24 @@ def test_poisson_output_monotone_nonpositive(grids):
 def test_gradient_energy_ball_and_identity():
     grid = RadialGrid(r_max=8.0, n=2049)
     rho_vals = np.where(grid.nodes < 1.0, 1.0, 0.0)
-    phi = poisson_solve(RadialField(grid=grid, values=rho_vals))
     # closed form for the unit ball: 4 pi / 15
-    assert gradient_energy(phi) == pytest.approx(4.0 * math.pi / 15.0,
-                                                 rel=4 * grid.h)
+    assert gradient_energy(RadialField(grid=grid, values=rho_vals)) == pytest.approx(
+        4.0 * math.pi / 15.0, rel=4 * grid.h)
 
 
-def test_gradient_energy_two_routes_agree():
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(width=strategies.floats(0.3, 1.2))
+def test_gradient_energy_two_routes_agree(width):
+    # (1/2) int |grad phi|^2 = -(1/2) int phi rho by parts, phi from the
+    # Poisson solve: the enclosed-mass route and the virial route agree
     grid = RadialGrid(r_max=10.0, n=2049)
     r = grid.nodes
-    rho_vals = np.exp(-((r / 0.8) ** 2))
-    rho_vals[r > 5.0] = 0.0   # tail below 1e-16 there; keep support clear of r_max
+    rho_vals = np.exp(-((r / width) ** 2))
+    rho_vals[r > 6.5 * width] = 0.0   # tail below 1e-18 there; support clear of r_max
     rho = RadialField(grid=grid, values=rho_vals)
-    phi = poisson_solve(rho)
-    e_grad = gradient_energy(phi)
-    e_virial = -0.5 * 4.0 * math.pi * np.trapezoid(r * r * phi.values * rho_vals, r)
-    assert e_grad == pytest.approx(e_virial, rel=1e-8)
+    e_virial = -0.5 * 4.0 * math.pi * np.trapezoid(r * r * poisson_solve(rho).values
+                                                    * rho_vals, r)
+    assert gradient_energy(rho) == pytest.approx(e_virial, rel=1e-8)
 
 
 def test_functionals_box(grids):

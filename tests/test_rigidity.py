@@ -104,7 +104,7 @@ def test_trial_quotients_do_not_depend_on_the_shape(log_s, p):
 def test_estimate_kj_evaluates_each_trial_once(spec_p2):
     est = estimate_kj(spec_p2, REL)
     assert est.trial_count == 4
-    assert est.best_quotient == 2.469733067939412
+    assert est.best_quotient == 2.4697343970507992
     assert est.witness == "ground(psi0=-1.0,mu=-1.0)"
     first = estimate_kj(spec_p2, REL, budget=1)
     assert (first.trial_count, first.witness) == (1, "gaussian")

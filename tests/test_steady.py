@@ -303,11 +303,25 @@ def test_solve_targets_names_a_failing_polish_shot(spec_p2, grid_20, monkeypatch
 
 
 def test_solve_targets_names_its_last_iterate(spec_p2, grid_20, monkeypatch):
-    monkeypatch.setattr(steady, "_NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(steady, "_NEWTON_MAX_ITER", 0)
     with pytest.raises(TargetsUnreachableError,
-                       match=r"within 1 iterations: at psi0 = -0\.814\d*, mu = -0\.829\d* "
+                       match=r"within 0 iterations: at psi0 = -0\.814\d*, mu = -0\.829\d* "
                              r"the sup-norm relative mass error is \d\.\d{3}e[+-]\d+$"):
         solve_targets(spec_p2, REL, SolveTargets(12.5, 1.9, 1e-8), grid_20)
+
+
+def test_solve_targets_accepts_a_last_iterate_within_tol(spec_p2, grid_20, monkeypatch):
+    # newton_krylov shoots the iterate of its last allowed step but does not
+    # test it; one that meets tol is the solution, at no extra shot
+    targets = SolveTargets(12.5, 1.9, 1e-8)
+    shots = _count_shots(monkeypatch)
+    solve_targets(spec_p2, REL, targets, grid_20)
+    unbounded = list(shots)
+    shots.clear()
+    monkeypatch.setattr(steady, "_NEWTON_MAX_ITER", 1)
+    st = solve_targets(spec_p2, REL, targets, grid_20)
+    assert shots == unbounded
+    assert abs(st.m1 / 12.5 - 1.0) <= 1e-8 and abs(st.mj / 1.9 - 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("c", [1.0, math.inf])
