@@ -37,7 +37,7 @@ from .kernel import (
 from .radial import (PhaseDensity, RadialGrid, SpeedGrid, bump_density,
                      distribution_function, functionals, _phase_integral)
 from .steady import (GroundState, SolveTargets, _MomentTable, _monomial_exponents,
-                     integrate_state, solve_targets)
+                     _rel, integrate_state, solve_targets)
 
 __all__ = [
     "ScalingReport",
@@ -60,7 +60,6 @@ __all__ = [
     "bootstrap_exponents",
 ]
 
-_TINY = 1e-300
 _ROOT_WINDOW = (1e-4, 1e4)   # f_roots searches |mu0| times this range
 _ROOT_SCAN = 64              # geometric scan points that bracket the roots
 _LEVEL_QUAD_NODES = 2000
@@ -212,7 +211,7 @@ class ScalingReport:
                  (self.after.mj, self.predicted_after.mj),
                  (self.after.ekin, self.predicted_after.ekin),
                  (self.after.epot, self.predicted_after.epot)]
-        return max(abs(a - b) / max(abs(a), abs(b), _TINY) for a, b in pairs)
+        return max(_rel(a, b) for a, b in pairs)
 
 
 def _resample(f: PhaseDensity, map_r: float, map_u: float, amp: float,

@@ -463,18 +463,14 @@ def _shoot(psi0, mu, grid: RadialGrid, table: _MomentTable):
     if i < 2:
         raise ResolutionError("support ends within the first two radial cells")
 
-    # bisect the crossing radius inside the bracketing step
-    lo, hi = 0.0, h
-    tol = 1e-12 * grid.r_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if rk4(nodes[i], zs[i], vs[i], mid)[0] >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    tau = 0.5 * (lo + hi)
-    r_supp = nodes[i] + tau
-    z_end, v_end = rk4(nodes[i], zs[i], vs[i], tau)
+    # the crossing radius inside the bracketing step; brentq's wrapper is a
+    # reference cycle that keeps the root function until the next garbage
+    # collection, so the function closes over scalars, not the node lists
+    r_i, z_i, v_i = nodes[i], zs[i], vs[i]
+    tau = brentq(lambda step: rk4(r_i, z_i, v_i, step)[0], 0.0, h,
+                 xtol=1e-12 * grid.r_max)
+    r_supp = r_i + tau
+    z_end, v_end = rk4(r_i, z_i, v_i, tau)
     w_r = r_supp * v_end - z_end  # w = r z' - z
 
     lam = -w_r / r_supp

@@ -470,6 +470,19 @@ def test_record_matches_two_pass_reference(state_p2_rel):
         assert (rec.epot, rec.dist_rho) == two_pass_record(ens, edges_k, masses_k)
 
 
+@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"])
+def test_reference_bins_split_the_state_mass_equally(request, state_name):
+    # the bins are quantiles of the state's own enclosed mass, so they hold
+    # its m1 to the accuracy of the integral, with no interpolation offset
+    state = request.getfixturevalue(state_name)
+    edges, masses = dynamics._reference_shell_masses(state)
+    assert len(edges) == 24 and (edges[0], edges[-1]) == (0.0, np.inf)
+    assert np.all(np.diff(edges) > 0)
+    assert masses.shape == (23,)
+    assert_allclose(masses, masses[0], rtol=1e-13)
+    assert masses.sum() == pytest.approx(state.m1, rel=1e-8)
+
+
 # --- pushes ----------------------------------------------------------------------
 
 def test_free_streaming_exact():

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 from scipy.special import beta as beta_function
 
 from gravlasov import steady
@@ -567,14 +568,8 @@ def _reference_shoot(psi0, mu, grid, table):
         ys.append(y)
         y = rk4(r[len(ys) - 1], y, h)
     i = len(ys) - 1
-    lo, hi = 0.0, h
-    while hi - lo > 1e-12 * grid.r_max:
-        mid = 0.5 * (lo + hi)
-        if rk4(r[i], ys[i], mid)[0] >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    tau = 0.5 * (lo + hi)
+    tau = brentq(lambda step: rk4(r[i], ys[i], step)[0], 0.0, h,
+                 xtol=1e-12 * grid.r_max)
     r_supp = r[i] + tau
     y_end = rk4(r[i], ys[i], tau)
     w_r = float(r_supp * y_end[1] - y_end[0])
