@@ -6,9 +6,9 @@ the weight 16 pi^2 r^2 u^2 dr du; space-only integrals use 4 pi r^2 dr. The
 Poisson convention is Laplacian(phi) = rho with phi -> 0 at infinity, i.e.
 phi = -(1/(4 pi |x|)) * rho in convolution form.
 
-One Poisson operator: a radial source enters only through its enclosed mass
-m(r) = int_0^r s^2 rho ds (enclosed_mass), since phi' = m/r^2; poisson_operator
-and field_energy, the field energy (1/2) int |grad phi|^2 dx, are built on it.
+One Poisson operator: phi' = m/r^2 with m(r) = int_0^r s^2 rho ds (enclosed_mass)
+gives, by parts, poisson_operator's phi(r) = -m(r)/r - int_r^r_max s rho ds, and
+field_energy's (1/2) int |grad phi|^2 dx = 2 pi int m^2/r^2 dr.
 """
 
 from __future__ import annotations
@@ -197,16 +197,15 @@ def field_energy(grid: RadialGrid, m: np.ndarray) -> float:
 def poisson_operator(grid: RadialGrid, source: np.ndarray) -> np.ndarray:
     """Potential of an arbitrary (possibly signed) radial source, unchecked.
 
-    phi'(r) = m(r)/r^2 with m(r) the enclosed-mass integral of s^2 source, and
-    the boundary value phi(r_max) = -m(r_max)/r_max matches the exterior vacuum
-    solution -m/r exactly for compactly supported sources.
+    phi' = m/r^2 by parts: phi(r) = -m(r)/r - int_r^r_max s source(s) ds, with
+    m (the enclosed_mass integral) and the outer moment from one cumulative Simpson
+    pass; phi(r_max) = -m(r_max)/r_max matches the vacuum -m/r of a compact source.
     """
     r = grid.nodes
-    m = enclosed_mass(grid, source)
-    dphi = np.divide(m, r * r, out=np.zeros_like(m), where=r > 0)
-    # integrate phi' inward from the vacuum match at r_max
-    tail = cumulative_simpson(dphi, dx=grid.h, initial=0.0)
-    return (-m[-1] / r[-1]) - (tail[-1] - tail)
+    m, outer = cumulative_simpson(np.stack((r * r * source, r * source)),
+                                  dx=grid.h, initial=0.0)
+    m_r = np.divide(m, r, out=np.zeros_like(m), where=r > 0)
+    return -m_r - (outer[-1] - outer)
 
 
 def _checked_source(rho: RadialField) -> np.ndarray:

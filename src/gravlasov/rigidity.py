@@ -37,7 +37,7 @@ from .kernel import (
 from .radial import (PhaseDensity, RadialGrid, SpeedGrid, bump_density,
                      distribution_function, functionals, _phase_integral)
 from .steady import (GroundState, SolveTargets, _MomentTable, _monomial_exponents,
-                     _rel, integrate_state, solve_targets)
+                     _rel, _spline_crossing, integrate_state, solve_targets)
 
 __all__ = [
     "ScalingReport",
@@ -455,14 +455,17 @@ def level_asymptotic(state: GroundState, tau_fracs=None) -> LevelAsymptoticFit:
 
     if tau_fracs is None:
         tau_fracs = np.geomspace(1e-3, 1e-1, 25)
-    eps_values = mu_abs * a * np.asarray(tau_fracs)
+    tau_fracs = np.asarray(tau_fracs, dtype=float)
+    if not np.all((tau_fracs > 0.0) & (tau_fracs < 1.0)):
+        raise PreconditionError(f"level fractions must lie in (0, 1), got {tau_fracs}")
+    eps_values = mu_abs * a * tau_fracs
 
-    dphi_spline = CubicSpline(r, phi - phi[0])
+    dphi = phi - phi[0]
+    dphi_spline = CubicSpline(r, dphi)
     params = state.params
     vols = np.empty_like(eps_values)
     for idx, eps in enumerate(eps_values):
-        r_edge = brentq(lambda rr: dphi_spline(rr) - eps, 0.0, state.r_support,
-                        xtol=1e-15)
+        r_edge = _spline_crossing(dphi_spline, dphi, eps)
         if r_edge < 3.0 * h:
             raise ResolutionError(
                 "level set spans fewer than three radial cells; refine the grid")
@@ -471,6 +474,8 @@ def level_asymptotic(state: GroundState, tau_fracs=None) -> LevelAsymptoticFit:
         u_edge = kinetic_weight_inverse(params, depth)
         vols[idx] = 16.0 * math.pi ** 2 * simpson(rr * rr * u_edge ** 3 / 3.0, x=rr)
 
+    if len(vols) < 2:
+        raise PreconditionError("the level-set fit needs two or more levels")
     x = np.log(eps_values / mu_abs)   # = log(a - tau)
     y = np.log(vols)
     slope, _ = np.polyfit(x, y, 1)

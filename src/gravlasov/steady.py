@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad_vec, simpson
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.optimize import NoConvergence, brentq, newton_krylov
 
 from .errors import (
@@ -592,13 +592,19 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
     rho = table(-psi / mu_abs, "rho")
     w = enclosed_mass(grid, rho)
 
-    sign_change = np.nonzero(psi >= 0.0)[0]
-    if len(sign_change) == 0:
+    if not np.any(psi >= 0.0):
         raise SupportExceedsGridError("converged support exceeds the grid")
-    i_cross = int(sign_change[0])
-    psi_spl = CubicSpline(r, psi)
-    r_supp = float(brentq(psi_spl, r[i_cross - 1], r[i_cross], xtol=1e-14))
+    r_supp = _spline_crossing(CubicSpline(r, psi), psi, 0.0)
     return _finalize_state(spec, params, table, lam, mu, grid, psi, w, r_supp, m_speed)
+
+
+def _spline_crossing(spline: CubicSpline, y: np.ndarray, level: float) -> float:
+    """First root of spline = level, solved on the piece that ends at the first
+    node value y >= level (y[0] < level) alone: spline.solve pays one cubic solve
+    per piece, and brentq's cyclic wrapper would leave the spline to the collector."""
+    k = int(np.argmax(y >= level)) - 1
+    piece = PPoly(spline.c[:, k:k + 1], spline.x[k:k + 2])
+    return float(piece.solve(level, extrapolate=False)[0])
 
 
 # --- target solver -------------------------------------------------------------

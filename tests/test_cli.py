@@ -263,6 +263,37 @@ def test_outputs_repeat_byte_for_byte(tmp_path, args):
     assert "summary.json" in first and len(first) > 1
 
 
+_BLOWUP_ARGS = ["--p", "2", "--amplitude", "1.0159", "--u-scale", "1.5",
+                "--r-max", "10", "--n", "129", "--m", "129", "--u-max", "10",
+                "--n-particles", "2000", "--t-end", "0.3"]
+_BLOWUP_KEYS = {"concentration_time", "growth_factor", "halted_at", "hc_initial",
+                "rho_center_initial", "rho_center_peak", "seed", "verdict"}
+_DIAG_HEADER = "t,hc,m1,ekin,epot,virial,rho_center,dist_rho"
+
+
+@pytest.mark.parametrize("args, csv_name, header, keys", [
+    (["equimeasure", "--c", "1", "--p", "2", "--psi0", "-1", "--mu", "-1",
+      "--n", "257", "--m", "65"], "equimeasure.csv",
+     "level,dist_state,dist_dilated,dist_doubled",
+     {"dilate_discrepancy", "dilate_rel_discrepancy", "double_discrepancy",
+      "sup_norm_gap_dilate", "volume_scale"}),
+    (["blowup", "--c", "1"] + _BLOWUP_ARGS, "diagnostics.csv", _DIAG_HEADER, _BLOWUP_KEYS),
+    (["blowup", "--c", "inf"] + _BLOWUP_ARGS, "diagnostics.csv", _DIAG_HEADER, _BLOWUP_KEYS),
+])
+def test_command_success_outputs(tmp_path, args, csv_name, header, keys):
+    # the success paths of equimeasure and blowup: files, summary keys, CSV
+    # header, and the same bytes from a second run
+    out = str(tmp_path / "ok")
+    assert run(args + ["--out", out]) == 0
+    first = _output_bytes(out)
+    assert set(first) == {"summary.json", csv_name}
+    assert set(read_summary(out)["results"]) == keys
+    assert first[csv_name].split(b"\r\n", 1)[0].decode() == header
+    shutil.rmtree(out)
+    assert run(args + ["--out", out]) == 0
+    assert _output_bytes(out) == first
+
+
 @pytest.mark.parametrize("args, key", [
     (["solve", "--m", "1"], "grid.m"),
     (["kj", "--budget", "0"], "kj.budget"),

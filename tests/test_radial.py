@@ -205,6 +205,29 @@ def test_poisson_enclosed_mass_identity(grids):
     assert poisson_solve(rho).values[-1] == pytest.approx(-m[-1] / grid_r.r_max, rel=1e-12)
 
 
+def test_poisson_operator_is_one_cumulative_pass(monkeypatch):
+    # phi(r) = -m(r)/r - int_r^r_max s rho ds: one cumulative Simpson call gives
+    # m, bit for bit the enclosed mass, and the outer moment; checked against
+    # the exact potential of rho = (1 - r^2)_+^2
+    results = []
+    cumulative = radial.cumulative_simpson
+
+    def recorded(*args, **kwargs):
+        results.append(cumulative(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(radial, "cumulative_simpson", recorded)
+    grid = RadialGrid(r_max=4.0, n=1025)
+    r = grid.nodes
+    rho = np.clip(1.0 - r * r, 0.0, None) ** 2
+    phi = radial.poisson_operator(grid, rho)
+    assert len(results) == 1
+    assert np.array_equal(results[0][0], enclosed_mass(grid, rho))
+    inside = -(r ** 2 / 3 - 2 * r ** 4 / 5 + r ** 6 / 7) - (1 - r * r) ** 3 / 6
+    exact = np.where(r < 1.0, inside, -(8 / 105) / np.maximum(r, 1.0))
+    assert np.max(np.abs(phi - exact)) < 8e-10
+
+
 def test_poisson_output_monotone_nonpositive(grids):
     grid_r, grid_u = grids
     f = bump_density(grid_r, grid_u, r_scale=0.4, u_scale=0.5)

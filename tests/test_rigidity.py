@@ -386,6 +386,17 @@ def test_level_asymptotic_resolution_guard(state_p2_rel):
         level_asymptotic(state_p2_rel, tau_fracs=[1e-4])
 
 
+@pytest.mark.parametrize("tau_fracs, message", [
+    ([1.5], r"in \(0, 1\)"),
+    ([-0.1], r"in \(0, 1\)"),
+    ([1.0], r"in \(0, 1\)"),
+    ([0.05], "two or more levels"),
+], ids=["above_one", "negative", "one", "single_level"])
+def test_level_asymptotic_names_bad_fractions(state_p2_rel, tau_fracs, message):
+    with pytest.raises(PreconditionError, match=message):
+        level_asymptotic(state_p2_rel, tau_fracs=tau_fracs)
+
+
 def test_level_volume_constant():
     # vol{u^2/2 + b r^2/2 < s} = (4 pi^3 / 3) s^3 b^{-3/2} in the
     # 16 pi^2 r^2 u^2 measure; quadrature cross-check

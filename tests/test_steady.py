@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from gravlasov.errors import (FixedPointDivergenceError, NumericsError,
                              SupportExceedsGridError, TargetsUnreachableError)
 from gravlasov.kernel import ModelParams, kinetic_weight, make_polytrope
 from gravlasov.radial import RadialGrid
-from gravlasov.rigidity import f_roots
+from gravlasov.rigidity import f_roots, level_asymptotic
 from gravlasov.steady import (SolveTargets, density_from_potential,
                               fixed_point_solve, integrate_state,
                               multiplier_identities, solve_targets,
@@ -240,6 +241,38 @@ def test_fixed_point_failures_are_named(spec_p2, state_p2_cl, grid_20, monkeypat
     monkeypatch.setattr(steady, name, value)
     with pytest.raises(error, match=message):
         fixed_point_solve(spec_p2, CL, state_p2_cl.lam, state_p2_cl.mu, grid_20)
+
+
+def test_fixed_point_collapse_is_named(spec_p2, state_p2_cl):
+    # the state's support (r = 3.48) passes r_max/2 of this grid, so no seed
+    # reaches the nontrivial well and the last one falls to the zero state
+    with pytest.raises(FixedPointDivergenceError,
+                       match="collapsed to the trivial zero state"):
+        fixed_point_solve(spec_p2, CL, state_p2_cl.lam, state_p2_cl.mu,
+                          RadialGrid(r_max=5.0, n=257))
+
+
+def _live_splines():
+    return sum(isinstance(obj, CubicSpline) for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("call", [
+    lambda st: fixed_point_solve(st.spec, st.params, st.lam, st.mu, st.phi.grid),
+    lambda st: level_asymptotic(st, tau_fracs=np.geomspace(1e-2, 1e-1, 5)),
+], ids=["fixed_point_solve", "level_asymptotic"])
+def test_spline_roots_leave_nothing_to_the_collector(state_p2_rel, call):
+    # brentq wraps the function it is given in a reference cycle, which would
+    # keep a spline handed to it alive until the next collection
+    call(state_p2_rel)
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_splines()
+        call(state_p2_rel)
+        after = _live_splines()
+    finally:
+        gc.enable()
+    assert after == before
 
 
 def test_fixed_point_rejects_bad_multipliers(spec_p2, grid_20):
