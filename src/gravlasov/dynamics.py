@@ -183,6 +183,8 @@ def _sample(density_fn, r_hi: float, u_hi: float, mass: float,
     density value at each sample point."""
     if n < 1000:
         raise PreconditionError("need at least 1000 particles")
+    if not 0 <= seed < 2 ** 128:  # Philox's key
+        raise PreconditionError(f"seed must lie in [0, 2**128), got {seed}")
     rng = _rng(seed)
     r_smp, u_smp = _rejection_sample(rng, density_fn, r_hi, u_hi, n)
     positions = r_smp[:, None] * _isotropic_directions(rng, n)
@@ -198,7 +200,7 @@ def sample_state(state: GroundState, n: int, seed: int) -> ParticleEnsemble:
     """Monte Carlo representation of a solved steady profile Q(r, u)."""
     if state.trivial or state.m1 <= 0:
         raise PreconditionError("cannot sample the trivial state")
-    return _sample(state.f.profile, state.r_support, state.u_bound, state.m1,
+    return _sample(state.profile, state.r_support, state.u_bound, state.m1,
                    state.params, n, seed)
 
 
@@ -279,8 +281,8 @@ def push(ens: ParticleEnsemble, dt: float,
     field_from_particles is recomputed on the drifted ensemble, and the
     returned ensemble keeps the sort that force call made.
     """
-    if dt == 0.0:
-        raise PreconditionError("dt must be nonzero")
+    if dt == 0.0 or not math.isfinite(dt):
+        raise PreconditionError(f"dt must be nonzero and finite, got {dt}")
     if external is None:
         force = field_from_particles
     else:
@@ -452,8 +454,9 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     record. Each push gets the only references to the last step's ensemble
     and accelerations, so it frees them before its force call.
     """
-    if dt <= 0 or t_end <= 0:
-        raise PreconditionError("dt and t_end must be positive")
+    if not (0 < dt < math.inf and 0 < t_end < math.inf):
+        raise PreconditionError("dt and t_end must be positive and finite, "
+                                f"got t_end={t_end:g}, dt={dt:g}")
     steps = int(round(t_end / dt))
     if steps < 1:
         raise PreconditionError(

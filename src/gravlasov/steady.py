@@ -301,7 +301,8 @@ class GroundState:
     ekin: float
     epot: float
     hc: float
-    _build_f: Callable[[], PhaseDensity] = field(repr=False, compare=False)
+    profile: Callable = field(repr=False, compare=False)  # f(r, u); f tabulates it when read
+    grid_u: SpeedGrid
     u_bound: float
     trivial: bool = False
     # auxiliary moments used by the identity verifiers
@@ -309,7 +310,7 @@ class GroundState:
     ineg: float = 0.0       # int c^2 (1 - 1/sqrt(1+u^2/c^2)) Q
     phi_q: float = 0.0      # int phi Q dx dv = int phi rho dx
 
-    f = cached_property(lambda self: self._build_f())  # tabulated when first read
+    f = cached_property(lambda st: PhaseDensity.from_callable(st.phi.grid, st.grid_u, st.profile))
 
     @property
     def vir_kin(self) -> float:
@@ -359,11 +360,12 @@ def _moment_totals(spec, table: _MomentTable, r: np.ndarray, psi: np.ndarray,
 
 
 def _finalize_state(spec, params, table: _MomentTable, lam, mu, grid: RadialGrid,
-                    psi: np.ndarray, w: np.ndarray, r_supp: float,
+                    psi: np.ndarray, w: np.ndarray, r_supp: float | None,
                     m_speed: int) -> GroundState:
     """Tabulate profiles and functionals for a solved (psi, w) pair from the table."""
     r = grid.nodes
-    mu_abs = abs(mu)
+    psi_spline = CubicSpline(r, psi)
+    r_supp = _spline_crossing(psi_spline, psi, 0.0) if r_supp is None else r_supp
     k, prof, totals = _moment_totals(spec, table, r, psi, mu, r_supp, _TOTALS)
     rho = np.zeros_like(r)
     rho[: k + 1] = prof["rho"]
@@ -378,46 +380,42 @@ def _finalize_state(spec, params, table: _MomentTable, lam, mu, grid: RadialGrid
     u_bound = float(kinetic_weight_inverse(params, -psi0))
     grid_u = SpeedGrid(u_max=1.2 * u_bound, m=m_speed)
 
-    psi_spline = CubicSpline(r, psi)
-
     def profile(rr, uu):
         rr = np.asarray(rr, dtype=float)
-        uu = np.asarray(uu, dtype=float)
         psi_r = np.where(rr < r_supp, psi_spline(np.minimum(rr, r_supp)),
                          -lam - w_r / np.maximum(rr, r_supp))
-        arg = (-psi_r - kinetic_weight(params, uu)) / mu_abs
+        arg = (-psi_r - kinetic_weight(params, uu)) / abs(mu)
         return np.asarray(spec.g_inv(np.maximum(arg, 0.0)), dtype=float)
 
     return GroundState(
         params=params, spec=spec, lam=float(lam), mu=float(mu), psi0=psi0,
         a=psi0 / mu, phi=RadialField(grid=grid, values=phi),
         rho=RadialField(grid=grid, values=rho), r_support=float(r_supp),
-        epot=epot, hc=hc, _build_f=partial(PhaseDensity.from_callable, grid, grid_u, profile),
-        u_bound=u_bound, phi_q=phi_q,
+        epot=epot, hc=hc, profile=profile, grid_u=grid_u, u_bound=u_bound, phi_q=phi_q,
         **{name: totals[kind] for kind, name in _TOTALS.items()},
     )
 
 
 def _trivial_state(spec, params, grid: RadialGrid, mu: float, m_speed: int) -> GroundState:
     zeros = np.zeros(grid.n)
-    f = partial(PhaseDensity, grid_r=grid, grid_u=SpeedGrid(u_max=1.0, m=m_speed),
-                values=np.zeros((grid.n, m_speed)))
     return GroundState(params=params, spec=spec, lam=0.0, mu=mu, psi0=0.0, a=0.0,
                        phi=RadialField(grid=grid, values=zeros),
                        rho=RadialField(grid=grid, values=zeros.copy()),
                        r_support=0.0, m1=0.0, mj=0.0, ekin=0.0, epot=0.0, hc=0.0,
-                       _build_f=f, u_bound=0.0, trivial=True)
+                       profile=lambda r, u: np.zeros(np.broadcast(r, u).shape),
+                       grid_u=SpeedGrid(u_max=1.0, m=m_speed), u_bound=0.0, trivial=True)
 
 
 # --- shooting solver ----------------------------------------------------------
 
 class _FastMasses(NamedTuple):
-    """Cheap (m1, mj) of a shot, used inside the target root find."""
+    """Cheap (m1, mj) of a shot for the target solve, and finalize(m_speed), its state."""
 
     m1: float
     mj: float
     lam: float
     r_support: float
+    finalize: Callable[[int], GroundState]
 
 
 def _shoot(psi0, mu, grid: RadialGrid, table: _MomentTable):
@@ -495,7 +493,7 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
                     fast: bool = False):
     """Shoot the radial system outward from depth psi0 < 0 at multiplier mu < 0.
 
-    Returns a GroundState (or a cheap mass summary when fast=True). The
+    Returns a GroundState (when fast=True, the shot's masses and its finaliser). The
     emitted lambda equals -w(R)/R from the exterior vacuum match; the support
     radius must satisfy R <= r_max/4 so the vacuum tail is well separated.
     """
@@ -514,11 +512,11 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
             f"support radius {r_supp:.3g} exceeds r_max/4 = {grid.r_max / 4:.3g}; "
             "enlarge the grid")
 
+    finalize = partial(_finalize_state, spec, params, table, lam, mu, grid, psi, w, r_supp)
     if fast:
         _, _, totals = _moment_totals(spec, table, grid.nodes, psi, mu, r_supp, ("rho", "cas"))
-        return _FastMasses(m1=totals["rho"], mj=totals["cas"], lam=lam, r_support=r_supp)
-
-    return _finalize_state(spec, params, table, lam, mu, grid, psi, w, r_supp, m_speed)
+        return _FastMasses(totals["rho"], totals["cas"], lam, r_supp, finalize)
+    return finalize(m_speed)
 
 
 # --- fixed-point solver (independent oracle) ----------------------------------
@@ -594,8 +592,7 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
 
     if not np.any(psi >= 0.0):
         raise SupportExceedsGridError("converged support exceeds the grid")
-    r_supp = _spline_crossing(CubicSpline(r, psi), psi, 0.0)
-    return _finalize_state(spec, params, table, lam, mu, grid, psi, w, r_supp, m_speed)
+    return _finalize_state(spec, params, table, lam, mu, grid, psi, w, None, m_speed)
 
 
 def _spline_crossing(spline: CubicSpline, y: np.ndarray, level: float) -> float:
@@ -678,32 +675,35 @@ def solve_targets(spec: CasimirSpec, params: ModelParams, targets: SolveTargets,
     x = brentq(log_s, x_lo, x_hi, xtol=1e-6)  # Newton polishes the rest
     y, shot = shots[x]  # brentq returns a point it evaluated
     z = np.array([x, y + (math.log(targets.m1_target) - math.log(shot.m1)) / rate])
+    shots.clear()  # brentq's reference cycle holds log_s, and with it every scan shot
 
-    @lru_cache(maxsize=1)  # newton_krylov evaluates its start again
-    def mass_errors(x, y):
+    @lru_cache(maxsize=1)  # newton_krylov shoots its start again; its last point is the state
+    def polish_shot(x, y):
         try:
-            shot = integrate_state(spec, params, -math.exp(x), -math.exp(y), grid, fast=True)
+            return integrate_state(spec, params, -math.exp(x), -math.exp(y), grid, fast=True)
         except GravlasovError as exc:
             raise TargetsUnreachableError(
                 f"shot at psi0 = {-math.exp(x):.6g}, mu = {-math.exp(y):.6g} failed: "
                 f"{type(exc).__name__}: {exc}") from exc
-        return shot.m1 / targets.m1_target - 1.0, shot.mj / targets.mj_target - 1.0
+
+    def mass_errors(v):
+        shot = polish_shot(*v.tolist())
+        return np.array([shot.m1 / targets.m1_target - 1.0, shot.mj / targets.mj_target - 1.0])
 
     # newton_krylov's first stop test reads inf/inf when the start already passes
-    if max(map(abs, mass_errors(*z.tolist()))) > targets.tol:
+    if max(map(abs, mass_errors(z))) > targets.tol:
         try:
-            z = newton_krylov(lambda v: np.array(mass_errors(*v.tolist())), z,
-                              f_tol=targets.tol, maxiter=_NEWTON_MAX_ITER)
+            z = newton_krylov(mass_errors, z, f_tol=targets.tol, maxiter=_NEWTON_MAX_ITER)
         except NoConvergence as exc:  # its last iterate is shot but not tested
             z = exc.args[0]
-            x, y = z.tolist()
-            if (error := max(map(abs, mass_errors(x, y)))) > targets.tol:
+            if (error := max(map(abs, mass_errors(z)))) > targets.tol:
                 raise TargetsUnreachableError(
                     f"target solve did not converge within {_NEWTON_MAX_ITER} iterations: "
-                    f"at psi0 = {-math.exp(x):.6g}, mu = {-math.exp(y):.6g} the sup-norm "
-                    f"relative mass error is {error:.3e}") from None
-    return integrate_state(spec, params, -math.exp(z[0]), -math.exp(z[1]), grid,
-                           m_speed=m_speed)
+                    f"at psi0 = {-math.exp(z[0]):.6g}, mu = {-math.exp(z[1]):.6g} the "
+                    f"sup-norm relative mass error is {error:.3e}") from None
+    state = polish_shot(*z.tolist()).finalize(m_speed)  # a miss shoots z
+    polish_shot.cache_clear()  # newton_krylov's reference cycles hold this cache and its shot
+    return state
 
 
 # --- identity verifiers --------------------------------------------------------
@@ -775,12 +775,13 @@ class SupportReport:
 
 
 def support_check(state: GroundState) -> SupportReport:
-    """Verify compact support: Q = 0 outside {r <= R} x {kinetic <= -psi0}."""
-    r = state.f.grid_r.nodes
-    u = state.f.grid_u.nodes
-    gam = kinetic_weight(state.params, u)
-    outside = (r[:, None] > state.r_support) | (gam[None, :] > (state.lam - state.phi.values[0]))
-    max_off = float(np.max(np.abs(state.f.values[outside]), initial=0.0))
+    """Verify compact support: Q = 0 outside {r <= R} x {kinetic <= -psi0}. Q falls with u,
+    so each radius's first off-box speed node holds its largest off-box Q: u_0 beyond R,
+    else the first node past the box (the grid ends past it, at 1.2 u_bound)."""
+    r, u = state.phi.grid.nodes, state.grid_u.nodes
+    off = kinetic_weight(state.params, u) > state.lam - state.phi.values[0]
+    u_off = np.where(r > state.r_support, u[0], u[np.argmax(off)])
+    max_off = float(np.max(state.profile(r, u_off), initial=0.0))
     on_supp = state.rho.values > 0
     phi_ok = bool(np.all(state.phi.values[on_supp] <= state.lam + 1e-12 * abs(state.lam)))
     return SupportReport(r_support=state.r_support, u_bound=state.u_bound,

@@ -6,6 +6,7 @@ import math
 import os
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from gravlasov import dynamics
 from gravlasov.cli import (COMMANDS, _FLAG_TO_KEY, _KEYS, build_parser, main,
                            parse_config)
 from gravlasov.errors import ConfigError, NumericsError
+from gravlasov.kernel import kinetic_weight
 from gravlasov.steady import state_from_dir, support_check
 
 
@@ -463,6 +465,26 @@ def test_verify_on_a_damaged_solve_is_a_named_error(tmp_path, capsys, solve_dir,
     assert out in doc["message"] and cause in doc["message"]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_reports_mass_beyond_a_lowered_support(tmp_path, solve_dir):
+    # f is positive between the lowered r_support and the true edge; verify
+    # reads it from the profile at one speed node per radius
+    out = str(tmp_path / "lowered")
+    shutil.copytree(solve_dir, out)
+    r_support = json.loads(open(os.path.join(out, "state.json")).read())["r_support"]
+    _set_state_value("r_support", 0.8 * r_support)(out)
+    assert run(["verify", "--out", out, "--n", "257"]) == 0
+    doc = read_summary(out)["results"]
+    # the reference: the largest value of the tabulated f outside the support box
+    st = state_from_dir(out)
+    r, u = st.f.grid_r.nodes, st.f.grid_u.nodes
+    outside = ((r[:, None] > st.r_support)
+               | (kinetic_weight(st.params, u)[None, :] > st.lam - st.phi.values[0]))
+    reference = float(np.max(np.abs(st.f.values[outside]), initial=0.0))
+    assert reference > 0.0
+    assert doc["support_ok"] is False and doc["phi_below_lambda"] is True
+    assert doc["max_off_support"] == pytest.approx(reference, rel=1e-15, abs=0.0)
 
 
 def _cut_phi_to_two_rows(out):

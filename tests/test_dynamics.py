@@ -37,7 +37,9 @@ def single_particle(weight=1.0, radius=1.0, params=CL):
 # --- sampling --------------------------------------------------------------------
 
 def test_sample_state_mass_exact(state_p2_rel):
-    ens = sample_state(state_p2_rel, 5000, seed=1)
+    st = replace(state_p2_rel)  # a copy that has not tabulated f
+    ens = sample_state(st, 5000, seed=1)
+    assert "f" not in st.__dict__  # sampling reads the profile, not the table
     assert ens.total_mass == pytest.approx(state_p2_rel.m1, rel=1e-14)
     assert ens.n == 5000
     assert np.all(ens.f_values >= 0)
@@ -62,6 +64,26 @@ def test_sample_state_moments_within_monte_carlo_error(state_p2_rel):
     est = float(np.sum(per))
     sem = float(np.std(per)) * math.sqrt(n)
     assert abs(est - st.ekin) < 3.0 * sem
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ens, st: evolve(ens, math.nan, 0.01),
+     "dt and t_end must be positive and finite, got t_end=nan, dt=0.01"),
+    (lambda ens, st: evolve(ens, 1.0, math.inf),
+     "dt and t_end must be positive and finite, got t_end=1, dt=inf"),
+    (lambda ens, st: push(ens, math.nan), "dt must be nonzero and finite, got nan"),
+    (lambda ens, st: sample_state(st, 1000, seed=-1),
+     re.escape("seed must lie in [0, 2**128), got -1")),
+    (lambda ens, st: sample_state(st, 1000, seed=2 ** 128),
+     re.escape(f"seed must lie in [0, 2**128), got {2 ** 128}")),
+    (lambda ens, st: sample_density(st.f, st.params, 1000, seed=-1),
+     re.escape("seed must lie in [0, 2**128), got -1")),
+], ids=["evolve-t_end-nan", "evolve-dt-inf", "push-dt-nan", "sample_state-seed-negative",
+        "sample_state-seed-2**128", "sample_density-seed-negative"])
+def test_flow_entry_points_name_bad_values(state_p2_rel, call, message):
+    ens = sample_state(state_p2_rel, 1000, seed=1)
+    with pytest.raises(PreconditionError, match=message):
+        call(ens, state_p2_rel)
 
 
 def test_sample_state_rejects_trivial(spec_p2, grid_20):

@@ -20,8 +20,8 @@ from scipy.optimize import brentq
 from scipy.special import beta as beta_function
 
 from gravlasov import steady
-from gravlasov.errors import (FixedPointDivergenceError, NumericsError,
-                             PreconditionError, ResolutionError,
+from gravlasov.errors import (BoundaryConditionError, FixedPointDivergenceError,
+                             NumericsError, PreconditionError, ResolutionError,
                              SupportExceedsGridError, TargetsUnreachableError)
 from gravlasov.kernel import ModelParams, kinetic_weight, make_polytrope
 from gravlasov.radial import RadialGrid
@@ -192,14 +192,27 @@ def test_hamiltonian_form_value(state_p2_rel):
 
 
 def test_support_check(state_p2_rel):
-    st = state_p2_rel
+    st = replace(state_p2_rel)  # a copy that has not tabulated f
     rep = support_check(st)
     assert rep.ok
+    assert "f" not in st.__dict__  # the check reads the profile, not the table
     from gravlasov.kernel import kinetic_weight_inverse
     assert rep.u_bound == pytest.approx(
         kinetic_weight_inverse(st.params, st.lam - st.phi.values[0]), rel=1e-12)
     # profile vanishes just outside the support radius
-    assert st.f.profile(st.r_support * 1.01, 0.0) == 0.0
+    assert st.profile(st.r_support * 1.01, 0.0) == 0.0
+
+
+def test_support_check_reports_a_profile_that_outruns_the_speed_grid(state_p2_rel):
+    # Q at half the speed is positive at u_max near the centre: the table
+    # refuses to build, the check reports the mass off the box
+    st = replace(state_p2_rel, profile=lambda r, u: state_p2_rel.profile(r, 0.5 * u))
+    rep = support_check(st)
+    assert not rep.ok and rep.phi_below_lambda
+    u_first = st.grid_u.nodes[st.grid_u.nodes > st.u_bound][0]
+    assert rep.max_off_support == float(state_p2_rel.profile(0.0, 0.5 * u_first)) > 0.0
+    with pytest.raises(BoundaryConditionError, match="does not vanish"):
+        st.f
 
 
 def test_fixed_point_agrees_with_shooting(spec_p2, state_p2_cl, grid_20):
@@ -252,24 +265,29 @@ def test_fixed_point_collapse_is_named(spec_p2, state_p2_cl):
                           RadialGrid(r_max=5.0, n=257))
 
 
-def _live_splines():
-    return sum(isinstance(obj, CubicSpline) for obj in gc.get_objects())
+def _live_splines_and_shots():
+    objects = gc.get_objects()
+    return [sum(isinstance(obj, cls) for obj in objects)
+            for cls in (CubicSpline, steady._FastMasses)]
 
 
 @pytest.mark.parametrize("call", [
     lambda st: fixed_point_solve(st.spec, st.params, st.lam, st.mu, st.phi.grid),
     lambda st: level_asymptotic(st, tau_fracs=np.geomspace(1e-2, 1e-1, 5)),
-], ids=["fixed_point_solve", "level_asymptotic"])
+    lambda st: solve_targets(st.spec, st.params, SolveTargets(st.m1, st.mj, 1e-8),
+                             st.phi.grid),
+], ids=["fixed_point_solve", "level_asymptotic", "solve_targets"])
 def test_spline_roots_leave_nothing_to_the_collector(state_p2_rel, call):
     # brentq wraps the function it is given in a reference cycle, which would
-    # keep a spline handed to it alive until the next collection
+    # keep a spline handed to it alive until the next collection; in the target
+    # solve, brentq's cycle holds the scan shots and newton_krylov's the polish shot
     call(state_p2_rel)
     gc.collect()
     gc.disable()
     try:
-        before = _live_splines()
+        before = _live_splines_and_shots()
         call(state_p2_rel)
-        after = _live_splines()
+        after = _live_splines_and_shots()
     finally:
         gc.enable()
     assert after == before
@@ -311,9 +329,10 @@ def test_solve_targets_postconditions(spec_p2, grid_20, monkeypatch):
     assert st.mu == pytest.approx(-0.8291610681544004, rel=1e-6)
     # the scaling start replaces the scan's 121 shots
     assert len(shots) <= 45
-    # the polish shoots its start once: a fifth fast shot repeats it
+    # the polish shoots its start once, and its last shot becomes the state:
+    # no shot on the requested grid is a full one
     polish = [fast for _, _, n, fast in shots if n == grid_20.n]
-    assert polish[-1] is False and polish.count(True) <= 4
+    assert all(polish) and len(polish) <= 4
 
 
 def test_solve_targets_start_inside_the_tolerance(spec_p2, grid_20, monkeypatch):
@@ -322,7 +341,7 @@ def test_solve_targets_start_inside_the_tolerance(spec_p2, grid_20, monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         st = solve_targets(spec_p2, REL, SolveTargets(12.5, 1.9, tol=1e-2), grid_20)
-    assert [fast for _, _, n, fast in shots if n == grid_20.n] == [True, False]
+    assert [fast for _, _, n, fast in shots if n == grid_20.n] == [True]
     assert abs(st.m1 / 12.5 - 1.0) < 1e-2 and abs(st.mj / 1.9 - 1.0) < 1e-2
 
 
@@ -493,14 +512,31 @@ def test_solve_targets_builds_at_most_two_tables(spec_p2, grid_20, monkeypatch, 
 
 
 @pytest.mark.parametrize("c", [1.0, math.inf])
-def test_solved_masses_are_the_fast_masses_to_the_bit(spec_p2, c):
+def test_solved_masses_are_the_fast_masses_to_the_bit(spec_p2, monkeypatch, c):
     # a full state sums the same table lookups as the fast masses that
     # solve_targets converged on; the criterion-1 solves
     params, grid = ModelParams(c=c), RadialGrid(r_max=20.0, n=4096)
     targets = (12.5, 1.9) if c == 1.0 else (16.0, 2.6)
+    shots = _count_shots(monkeypatch)
     st = solve_targets(spec_p2, params, SolveTargets(*targets, 1e-8), grid)
+    # the state is the last polish shot, finalised: no shot is a full one
+    assert len(shots) == (14 if c == 1.0 else 12) and all(fast for *_, fast in shots)
     fast = integrate_state(spec_p2, params, st.psi0, st.mu, grid, fast=True)
     assert [st.m1.hex(), st.mj.hex()] == [fast.m1.hex(), fast.mj.hex()]
+
+
+@pytest.mark.parametrize("c", [1.0, math.inf])
+def test_solved_state_is_the_full_shot_to_the_bit(spec_p2, grid_20, c):
+    params = ModelParams(c=c)
+    targets = (12.5, 1.9) if c == 1.0 else (16.0, 2.6)
+    st = solve_targets(spec_p2, params, SolveTargets(*targets, 1e-8), grid_20)
+    full = integrate_state(spec_p2, params, st.psi0, st.mu, grid_20)
+    for name, value in vars(st).items():
+        if isinstance(value, float):
+            assert value.hex() == getattr(full, name).hex(), name
+    for name in ("phi", "rho"):
+        assert getattr(st, name).values.tobytes() == getattr(full, name).values.tobytes()
+    assert st.f.values.tobytes() == full.f.values.tobytes()
 
 
 @pytest.mark.parametrize("c", [1.0, math.inf])
