@@ -91,7 +91,7 @@ _KEYS = {
     "dynamics.delta": _Key(_finite_list, (0.01, 0.02, 0.04), "delta", _LADDER),
     "dynamics.mode": _Key(str.strip, "amplitude", "mode",
                           _one_of("amplitude", "dilation", "kick")),
-    "dynamics.snapshot": _Key(int, 0, "snapshot"),
+    "dynamics.snapshot": _Key(int, 0, "snapshot", (lambda v: v in (0, 1), "must be 0 or 1")),
     "scan.param": _Key(str.strip, None, "param", _one_of("mu", "psi0")),
     "scan.from": _Key(_finite, None, "from"),
     "scan.to": _Key(_finite, None, "to"),
@@ -197,15 +197,14 @@ def _solve_state(config: RunConfig):
     spec = config.casimir()
     params = config.params()
     grid = config.grid()
-    m_speed = config["grid.m"]
     if "solve.psi0" in config.values and "solve.mu" in config.values:
         return steady.integrate_state(spec, params, config["solve.psi0"],
-                                      config["solve.mu"], grid, m_speed=m_speed)
+                                      config["solve.mu"], grid)
     config.require("targets.m1", "targets.mj")
     targets = SolveTargets(m1_target=config["targets.m1"],
                            mj_target=config["targets.mj"],
                            tol=config["targets.tol"])
-    return steady.solve_targets(spec, params, targets, grid, m_speed=m_speed)
+    return steady.solve_targets(spec, params, targets, grid)
 
 
 def _cmd_check_casimir(config: RunConfig, outdir: str) -> dict:
@@ -222,9 +221,9 @@ def _cmd_verify(config: RunConfig, outdir: str) -> dict:
     if not os.path.exists(os.path.join(indir, "state.json")):
         raise ConfigError("output.directory must hold a solve (state.json), "
                           f"got {indir!r}")
-    state = steady.state_from_dir(indir, m_speed=config["grid.m"])
+    state = steady.state_from_dir(indir)
     report = steady.multiplier_identities(state)
-    support = asdict(steady.support_check(state))
+    support = asdict(steady.support_check(state, config["grid.m"]))
     support["support_ok"] = support.pop("ok")
     return asdict(report) | {"max_residual": report.max_residual} | support
 
@@ -273,7 +272,7 @@ def _cmd_equimeasure(config: RunConfig, outdir: str) -> dict:
     if state.trivial:
         raise PreconditionError("equimeasure needs a nontrivial state, got psi0 = 0")
     lam = config["equimeasure.lam"]
-    f = state.f
+    f = state.tabulate(config["grid.m"])
     peak = float(np.max(f.values))
     levels = np.geomspace(1e-4 * peak, 0.999 * peak, 41)
     grids = (RadialGrid(r_max=f.grid_r.r_max * max(lam, 1.0) * 1.05, n=f.grid_r.n),

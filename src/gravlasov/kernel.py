@@ -92,16 +92,22 @@ def kinetic_weight(params: ModelParams, speed):
     """Kinetic energy per unit mass at |v| = speed.
 
     Classical: u**2/2. Finite c: c**2*(sqrt(1+u**2/c**2)-1), evaluated in the
-    cancellation-free form u**2/(sqrt(1+u**2/c**2)+1).
+    cancellation-free form u**2/(sqrt(1+u**2/c**2)+1), or as u*c/(sqrt(1+y**2)+y),
+    y = c/u, where a square overflows (+inf at u = inf); no overflow warns.
     """
     u = np.asarray(speed, dtype=float)
     if np.any(u < 0):
         raise PreconditionError("speed must be nonnegative")
-    if params.is_classical:
-        out = 0.5 * u * u
-    else:
-        c = params.c
-        out = u * u / (np.sqrt(1.0 + (u / c) ** 2) + 1.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if params.is_classical:
+            out = 0.5 * u * u
+        else:
+            c = params.c
+            out = u * u / (np.sqrt(1.0 + (u / c) ** 2) + 1.0)
+            if not np.max(u, initial=0.0) <= 1e154 * min(c, 1.0):  # a square may overflow
+                big = np.isinf((u / c) ** 2) | np.isinf(out)
+                y = c / u
+                out = np.where(big, u * (c / (np.hypot(1.0, y) + y)), out)
     return out if out.ndim else float(out)
 
 

@@ -53,38 +53,24 @@ __all__ = [
 ]
 
 
-def _uniform_nodes(nodes, top: float, count: int) -> np.ndarray:
-    """linspace(0, top, count) when nodes is None; otherwise nodes, checked
-    to be count increasing nodes from 0 to top, uniform within 1e-8 h."""
-    if not (top > 0 and count >= 2):
+def _uniform_nodes(top: float, count: int) -> np.ndarray:
+    """linspace(0, top, count) for a positive finite maximum and 2 or more nodes."""
+    if not (0 < top < math.inf and count >= 2):
         raise PreconditionError(
-            f"need a positive maximum and 2 or more nodes, got {top}, {count}")
-    if nodes is None:
-        return np.linspace(0.0, top, count)
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.shape != (count,) or nodes[0] != 0.0 or abs(nodes[-1] - top) > 1e-12 * top:
-        raise PreconditionError(f"need {count} nodes from 0 to {top}")
-    spacing = np.diff(nodes)
-    if np.any(spacing <= 0):
-        raise PreconditionError("nodes must be strictly increasing")
-    # h, finite differences and the shooting step assume equal spacing;
-    # the tolerance admits nodes read back from a 17-digit CSV
-    h = top / (count - 1)
-    if np.any(np.abs(spacing - h) > 1e-8 * h):
-        raise PreconditionError("nodes must be uniformly spaced")
-    return nodes
+            f"need a positive finite maximum and 2 or more nodes, got {top}, {count}")
+    return np.linspace(0.0, top, count)
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid on [0, r_max] with n nodes."""
+    """Uniform radial grid on [0, r_max] with n nodes, equal and hashed by (r_max, n)."""
 
     r_max: float
     n: int
-    nodes: np.ndarray = field(repr=False, default=None)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _uniform_nodes(self.nodes, self.r_max, self.n))
+        object.__setattr__(self, "nodes", _uniform_nodes(self.r_max, self.n))
 
     @property
     def h(self) -> float:
@@ -93,14 +79,14 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class SpeedGrid:
-    """Uniform speed grid on [0, u_max] with m nodes."""
+    """Uniform speed grid on [0, u_max] with m nodes, equal and hashed by (u_max, m)."""
 
     u_max: float
     m: int
-    nodes: np.ndarray = field(repr=False, default=None)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _uniform_nodes(self.nodes, self.u_max, self.m))
+        object.__setattr__(self, "nodes", _uniform_nodes(self.u_max, self.m))
 
     @property
     def h(self) -> float:
@@ -121,7 +107,7 @@ class RadialField:
 
 @dataclass(frozen=True)
 class PhaseDensity:
-    """Tabulated f(r, u) >= 0 with compact support strictly inside the grids.
+    """Tabulated finite f(r, u) >= 0 with compact support strictly inside the grids.
 
     ``profile`` evaluates f at any (r, u): the analytic map the table was
     built from, which spares transforms the resampling error, or else the
@@ -137,8 +123,10 @@ class PhaseDensity:
         v = self.values
         if v.shape != (self.grid_r.n, self.grid_u.m):
             raise GridMismatchError("values shape does not match grids")
-        if np.any(v < 0):
-            raise PreconditionError("phase density must be nonnegative")
+        lo, hi = np.min(v), np.max(v)  # nan if any value is nan
+        if not (lo >= 0 and hi < math.inf):
+            raise PreconditionError("phase density must be finite and nonnegative, "
+                                    f"got values from {lo} to {hi}")
         if np.any(v[-1, :] != 0) or np.any(v[:, -1] != 0):
             raise BoundaryConditionError("phase density must vanish at r_max and u_max")
         if self.profile is None:
@@ -165,10 +153,6 @@ class PhaseDensity:
         v[-1, :] = 0.0
         v[:, -1] = 0.0
         return cls(grid_r=grid_r, grid_u=grid_u, values=v, profile=fn)
-
-    def same_grids(self, other: "PhaseDensity") -> bool:
-        return (np.array_equal(self.grid_r.nodes, other.grid_r.nodes)
-                and np.array_equal(self.grid_u.nodes, other.grid_u.nodes))
 
 
 def density_moment(f: PhaseDensity) -> RadialField:
@@ -273,6 +257,8 @@ def distribution_function(f: PhaseDensity, levels) -> np.ndarray:
     Nonincreasing and right-continuous in t by construction (finite table).
     """
     levels = np.asarray(levels, dtype=float)
+    if levels.size == 0 or not np.all(np.isfinite(levels)):
+        raise PreconditionError(f"levels must be nonempty and finite, got {levels.tolist()}")
     if np.any(levels <= 0):
         raise PreconditionError("levels must be positive")
     if np.any(np.diff(levels) < 0):
@@ -290,7 +276,7 @@ def distribution_function(f: PhaseDensity, levels) -> np.ndarray:
 def ej_distance(f: PhaseDensity, g: PhaseDensity, spec: CasimirSpec,
                 params: ModelParams) -> float:
     """Energy-space distance |f-g|_1 + |j(|f-g|)|_1 + |gamma_c (f-g)|_1."""
-    if not f.same_grids(g):
+    if (f.grid_r, f.grid_u) != (g.grid_r, g.grid_u):
         raise GridMismatchError("phase densities live on different grids")
     d = np.abs(f.values - g.values)
     gam = kinetic_weight(params, f.grid_u.nodes)
@@ -308,6 +294,9 @@ def bump_density(grid_r: RadialGrid, grid_u: SpeedGrid, r_scale: float,
     boundary. For grids with r_max >= 6 r_scale the kink at the cut is below
     double precision and the bump is effectively smooth.
     """
+    for name, scale in (("r_scale", r_scale), ("u_scale", u_scale)):
+        if not 0 < scale < math.inf:
+            raise PreconditionError(f"{name} must be positive and finite, got {scale}")
     s_cut = min((0.9 * grid_r.r_max / r_scale) ** 2,
                 (0.9 * grid_u.u_max / u_scale) ** 2)
     floor = np.exp(-s_cut)
@@ -397,8 +386,11 @@ def write_radial_field(path, field_: RadialField) -> None:
 
 
 def read_radial_field(path) -> RadialField:
+    """A write_radial_field file, whose r column is its grid's nodes to 1e-8 h."""
     data = read_csv(path, ["r", "value"])
-    grid = RadialGrid(r_max=float(data[-1, 0]), n=len(data), nodes=data[:, 0])
+    grid = RadialGrid(r_max=float(data[-1, 0]), n=len(data))
+    if not np.all(np.abs(data[:, 0] - grid.nodes) <= 1e-8 * grid.h):
+        raise PreconditionError(f"{path}: r is not {grid.n} uniform nodes to {grid.r_max}")
     return RadialField(grid=grid, values=data[:, 1])
 
 

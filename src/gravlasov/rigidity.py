@@ -117,8 +117,7 @@ def _box_trial() -> PhaseDensity:
 
 def _ground_trial(spec: CasimirSpec, params: ModelParams, psi0: float,
                   mu: float) -> PhaseDensity:
-    return integrate_state(spec, params, psi0, mu, RadialGrid(r_max=24.0, n=513),
-                           m_speed=257).f
+    return integrate_state(spec, params, psi0, mu, RadialGrid(r_max=24.0, n=513)).tabulate(257)
 
 
 def estimate_kj(spec: CasimirSpec, params: ModelParams,

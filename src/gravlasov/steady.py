@@ -42,7 +42,7 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -283,7 +283,7 @@ def density_from_potential(spec: CasimirSpec, params: ModelParams, lam: float,
 
 # --- the solved-state container ----------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class GroundState:
     """A solved steady state with its profiles and scalar functionals."""
 
@@ -301,8 +301,7 @@ class GroundState:
     ekin: float
     epot: float
     hc: float
-    profile: Callable = field(repr=False, compare=False)  # f(r, u); f tabulates it when read
-    grid_u: SpeedGrid
+    profile: Callable = field(repr=False, compare=False)  # f(r, u); tabulate(m) tables it
     u_bound: float
     trivial: bool = False
     # auxiliary moments used by the identity verifiers
@@ -310,7 +309,13 @@ class GroundState:
     ineg: float = 0.0       # int c^2 (1 - 1/sqrt(1+u^2/c^2)) Q
     phi_q: float = 0.0      # int phi Q dx dv = int phi rho dx
 
-    f = cached_property(lambda st: PhaseDensity.from_callable(st.phi.grid, st.grid_u, st.profile))
+    def speed_grid(self, m: int) -> SpeedGrid:
+        """m speed nodes to 1.2 u_bound, past the support box (to 1 when trivial)."""
+        return SpeedGrid(1.2 * self.u_bound or 1.0, m)
+
+    def tabulate(self, m: int) -> PhaseDensity:
+        """f from the profile on the radial grid and speed_grid(m)."""
+        return PhaseDensity.from_callable(self.phi.grid, self.speed_grid(m), self.profile)
 
     @property
     def vir_kin(self) -> float:
@@ -360,8 +365,7 @@ def _moment_totals(spec, table: _MomentTable, r: np.ndarray, psi: np.ndarray,
 
 
 def _finalize_state(spec, params, table: _MomentTable, lam, mu, grid: RadialGrid,
-                    psi: np.ndarray, w: np.ndarray, r_supp: float | None,
-                    m_speed: int) -> GroundState:
+                    psi: np.ndarray, w: np.ndarray, r_supp: float | None) -> GroundState:
     """Tabulate profiles and functionals for a solved (psi, w) pair from the table."""
     r = grid.nodes
     psi_spline = CubicSpline(r, psi)
@@ -378,7 +382,6 @@ def _finalize_state(spec, params, table: _MomentTable, lam, mu, grid: RadialGrid
 
     psi0 = float(psi[0])
     u_bound = float(kinetic_weight_inverse(params, -psi0))
-    grid_u = SpeedGrid(u_max=1.2 * u_bound, m=m_speed)
 
     def profile(rr, uu):
         rr = np.asarray(rr, dtype=float)
@@ -391,31 +394,31 @@ def _finalize_state(spec, params, table: _MomentTable, lam, mu, grid: RadialGrid
         params=params, spec=spec, lam=float(lam), mu=float(mu), psi0=psi0,
         a=psi0 / mu, phi=RadialField(grid=grid, values=phi),
         rho=RadialField(grid=grid, values=rho), r_support=float(r_supp),
-        epot=epot, hc=hc, profile=profile, grid_u=grid_u, u_bound=u_bound, phi_q=phi_q,
+        epot=epot, hc=hc, profile=profile, u_bound=u_bound, phi_q=phi_q,
         **{name: totals[kind] for kind, name in _TOTALS.items()},
     )
 
 
-def _trivial_state(spec, params, grid: RadialGrid, mu: float, m_speed: int) -> GroundState:
+def _trivial_state(spec, params, grid: RadialGrid, mu: float) -> GroundState:
     zeros = np.zeros(grid.n)
     return GroundState(params=params, spec=spec, lam=0.0, mu=mu, psi0=0.0, a=0.0,
                        phi=RadialField(grid=grid, values=zeros),
                        rho=RadialField(grid=grid, values=zeros.copy()),
                        r_support=0.0, m1=0.0, mj=0.0, ekin=0.0, epot=0.0, hc=0.0,
                        profile=lambda r, u: np.zeros(np.broadcast(r, u).shape),
-                       grid_u=SpeedGrid(u_max=1.0, m=m_speed), u_bound=0.0, trivial=True)
+                       u_bound=0.0, trivial=True)
 
 
 # --- shooting solver ----------------------------------------------------------
 
 class _FastMasses(NamedTuple):
-    """Cheap (m1, mj) of a shot for the target solve, and finalize(m_speed), its state."""
+    """Cheap (m1, mj) of a shot for the target solve, and finalize(), its state."""
 
     m1: float
     mj: float
     lam: float
     r_support: float
-    finalize: Callable[[int], GroundState]
+    finalize: Callable[[], GroundState]
 
 
 def _shoot(psi0, mu, grid: RadialGrid, table: _MomentTable):
@@ -489,8 +492,7 @@ def _shoot(psi0, mu, grid: RadialGrid, table: _MomentTable):
 
 
 def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
-                    mu: float, grid: RadialGrid, m_speed: int = 257,
-                    fast: bool = False):
+                    mu: float, grid: RadialGrid, fast: bool = False):
     """Shoot the radial system outward from depth psi0 < 0 at multiplier mu < 0.
 
     Returns a GroundState (when fast=True, the shot's masses and its finaliser). The
@@ -500,7 +502,7 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
     if not mu < 0:
         raise PreconditionError("mu must be negative")
     if psi0 == 0.0:
-        return _trivial_state(spec, params, grid, mu, m_speed)
+        return _trivial_state(spec, params, grid, mu)
     if not psi0 < 0:
         raise PreconditionError("psi0 must be negative (0 gives the trivial state)")
 
@@ -516,14 +518,13 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
     if fast:
         _, _, totals = _moment_totals(spec, table, grid.nodes, psi, mu, r_supp, ("rho", "cas"))
         return _FastMasses(totals["rho"], totals["cas"], lam, r_supp, finalize)
-    return finalize(m_speed)
+    return finalize()
 
 
 # --- fixed-point solver (independent oracle) ----------------------------------
 
 def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
-                      mu: float, grid: RadialGrid, tol: float = 1e-10,
-                      m_speed: int = 257) -> GroundState:
+                      mu: float, grid: RadialGrid, tol: float = 1e-10) -> GroundState:
     """Solve the self-consistency equation phi = poisson(rho(phi)) at fixed
     (lambda, mu), independently of the shooting integration.
 
@@ -592,7 +593,7 @@ def fixed_point_solve(spec: CasimirSpec, params: ModelParams, lam: float,
 
     if not np.any(psi >= 0.0):
         raise SupportExceedsGridError("converged support exceeds the grid")
-    return _finalize_state(spec, params, table, lam, mu, grid, psi, w, None, m_speed)
+    return _finalize_state(spec, params, table, lam, mu, grid, psi, w, None)
 
 
 def _spline_crossing(spline: CubicSpline, y: np.ndarray, level: float) -> float:
@@ -612,7 +613,7 @@ def _monomial_exponents(p: float) -> tuple:
 
 
 def solve_targets(spec: CasimirSpec, params: ModelParams, targets: SolveTargets,
-                  grid: RadialGrid, m_speed: int = 257) -> GroundState:
+                  grid: RadialGrid) -> GroundState:
     """Find (psi0, mu) so the state carries the requested (m1, mj) masses.
 
     Start: for a pure-power weight mu only rescales r. At fixed psi0, m1 and
@@ -701,7 +702,7 @@ def solve_targets(spec: CasimirSpec, params: ModelParams, targets: SolveTargets,
                     f"target solve did not converge within {_NEWTON_MAX_ITER} iterations: "
                     f"at psi0 = {-math.exp(z[0]):.6g}, mu = {-math.exp(z[1]):.6g} the "
                     f"sup-norm relative mass error is {error:.3e}") from None
-    state = polish_shot(*z.tolist()).finalize(m_speed)  # a miss shoots z
+    state = polish_shot(*z.tolist()).finalize()  # a miss shoots z
     polish_shot.cache_clear()  # newton_krylov's reference cycles hold this cache and its shot
     return state
 
@@ -774,11 +775,11 @@ class SupportReport:
     phi_below_lambda: bool      # phi <= lambda wherever rho > 0
 
 
-def support_check(state: GroundState) -> SupportReport:
+def support_check(state: GroundState, m: int = 257) -> SupportReport:
     """Verify compact support: Q = 0 outside {r <= R} x {kinetic <= -psi0}. Q falls with u,
-    so each radius's first off-box speed node holds its largest off-box Q: u_0 beyond R,
-    else the first node past the box (the grid ends past it, at 1.2 u_bound)."""
-    r, u = state.phi.grid.nodes, state.grid_u.nodes
+    so on the m nodes of state.speed_grid(m) each radius's first off-box node holds its
+    largest off-box Q: u_0 beyond R, else the first node past the box."""
+    r, u = state.phi.grid.nodes, state.speed_grid(m).nodes
     off = kinetic_weight(state.params, u) > state.lam - state.phi.values[0]
     u_off = np.where(r > state.r_support, u[0], u[np.argmax(off)])
     max_off = float(np.max(state.profile(r, u_off), initial=0.0))
@@ -824,7 +825,7 @@ def state_to_dir(state: GroundState, outdir) -> dict:
     return results
 
 
-def state_from_dir(indir, m_speed: int = 257) -> GroundState:
+def state_from_dir(indir) -> GroundState:
     """Rebuild a GroundState from a polytrope solve's output directory.
 
     Profiles are re-derived from (lambda, mu, phi) so the identity verifiers
@@ -845,7 +846,7 @@ def state_from_dir(indir, m_speed: int = 257) -> GroundState:
         raise PreconditionError(f"cannot rebuild a state from {indir}: "
                                 f"{type(exc).__name__}: {exc}") from exc
     grid = phi.grid
-    if not np.array_equal(grid.nodes, rho.grid.nodes):
+    if grid != rho.grid:
         raise GridMismatchError(f"cannot rebuild a state from {indir}: "
                                 "phi and rho are tabulated on different nodes")
     if not lam < 0:
@@ -855,4 +856,4 @@ def state_from_dir(indir, m_speed: int = 257) -> GroundState:
     psi = phi.values - lam
     w = enclosed_mass(grid, rho.values)
     table = _MomentTable(spec, params, mu, float(np.max(-psi)) / -mu)
-    return _finalize_state(spec, params, table, lam, mu, grid, psi, w, r_supp, m_speed)
+    return _finalize_state(spec, params, table, lam, mu, grid, psi, w, r_supp)

@@ -309,7 +309,7 @@ def test_criterion_11_concentration():
 
 def test_criterion_12_equimeasurability(rel_state_1025):
     st = rel_state_1025
-    f = st.f
+    f = st.tabulate(257)
     peak = float(np.max(f.values))
     levels = np.geomspace(1e-3 * peak, 0.98 * peak, 31)
     lam = 2.0

@@ -352,6 +352,7 @@ _OUT_OF_RANGE = {
     "dynamics.seed": ("-1", "evolve"),
     "dynamics.delta": ("0", "stability"),
     "dynamics.mode": ("foo", "stability"),
+    "dynamics.snapshot": ("7", "evolve"),
     "scan.param": ("lam", "scan"),
     "scan.steps": ("0", "scan"),
     "kj.budget": ("0", "kj"),
@@ -478,10 +479,11 @@ def test_verify_reports_mass_beyond_a_lowered_support(tmp_path, solve_dir):
     doc = read_summary(out)["results"]
     # the reference: the largest value of the tabulated f outside the support box
     st = state_from_dir(out)
-    r, u = st.f.grid_r.nodes, st.f.grid_u.nodes
+    f = st.tabulate(257)  # verify's default grid.m
+    r, u = f.grid_r.nodes, f.grid_u.nodes
     outside = ((r[:, None] > st.r_support)
                | (kinetic_weight(st.params, u)[None, :] > st.lam - st.phi.values[0]))
-    reference = float(np.max(np.abs(st.f.values[outside]), initial=0.0))
+    reference = float(np.max(np.abs(f.values[outside]), initial=0.0))
     assert reference > 0.0
     assert doc["support_ok"] is False and doc["phi_below_lambda"] is True
     assert doc["max_off_support"] == pytest.approx(reference, rel=1e-15, abs=0.0)

@@ -37,9 +37,7 @@ def single_particle(weight=1.0, radius=1.0, params=CL):
 # --- sampling --------------------------------------------------------------------
 
 def test_sample_state_mass_exact(state_p2_rel):
-    st = replace(state_p2_rel)  # a copy that has not tabulated f
-    ens = sample_state(st, 5000, seed=1)
-    assert "f" not in st.__dict__  # sampling reads the profile, not the table
+    ens = sample_state(state_p2_rel, 5000, seed=1)
     assert ens.total_mass == pytest.approx(state_p2_rel.m1, rel=1e-14)
     assert ens.n == 5000
     assert np.all(ens.f_values >= 0)
@@ -76,7 +74,7 @@ def test_sample_state_moments_within_monte_carlo_error(state_p2_rel):
      re.escape("seed must lie in [0, 2**128), got -1")),
     (lambda ens, st: sample_state(st, 1000, seed=2 ** 128),
      re.escape(f"seed must lie in [0, 2**128), got {2 ** 128}")),
-    (lambda ens, st: sample_density(st.f, st.params, 1000, seed=-1),
+    (lambda ens, st: sample_density(st.tabulate(257), st.params, 1000, seed=-1),
      re.escape("seed must lie in [0, 2**128), got -1")),
 ], ids=["evolve-t_end-nan", "evolve-dt-inf", "push-dt-nan", "sample_state-seed-negative",
         "sample_state-seed-2**128", "sample_density-seed-negative"])

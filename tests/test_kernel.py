@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,45 @@ def test_kinetic_weight_bounds_and_limit():
         assert np.all(np.diff(gam, 2) > -1e-12)
     huge = kinetic_weight(ModelParams(c=1e6), u)
     assert_allclose(huge, 0.5 * u * u, rtol=1e-9)
+
+
+def _cancellation_free(u, c):
+    """The finite-c form u**2/(sqrt(1+u**2/c**2)+1), None where it overflows."""
+    with np.errstate(all="raise"):
+        try:
+            return float(np.float64(u) * u / (np.sqrt(1.0 + (np.float64(u) / c) ** 2) + 1.0))
+        except FloatingPointError:
+            return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.floats(min_value=0.0, max_value=1e300),
+       c=st.sampled_from([1e-300, 1e-10, 0.5, 1.0, 7.0, 1e10, 1e160]))
+def test_kinetic_weight_keeps_the_bits_of_the_cancellation_free_form(u, c):
+    # where that form computes finitely, without overflow
+    want = _cancellation_free(u, c)
+    if want is not None:
+        assert kinetic_weight(ModelParams(c=c), u).hex() == want.hex()
+        assert kinetic_weight(ModelParams(c=c), np.array([u]))[0].hex() == want.hex()
+
+
+@pytest.mark.parametrize("u, c, want", [
+    (math.inf, 1.0, math.inf),
+    (math.inf, 1e-300, math.inf),
+    (1e160, 1.0, 1e160),      # u*u and (u/c)**2 overflow: c u - c^2 to double precision
+    (1e160, 1e10, 1e170),     # u*u overflows
+    (1e150, 1e-10, 1e140),    # (u/c)**2 overflows and the form gave 0.0
+    (1e10, 1e-300, 1e-290),   # u/c overflows
+    (1e160, 1e160, math.inf),  # the value itself exceeds the largest float
+])
+def test_kinetic_weight_of_a_huge_speed(u, c, want):
+    params = ModelParams(c=c)
+    assert _cancellation_free(u, c) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kinetic_weight(params, u)
+        assert kinetic_weight(params, np.array([0.0, 1.0, u]))[2] == got
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_kinetic_weight_inverse_examples():

@@ -20,6 +20,7 @@ from gravlasov.radial import (PhaseDensity, RadialField, RadialGrid, SpeedGrid,
                               enclosed_mass, functionals, gradient_energy,
                               poisson_solve, read_csv, read_radial_field, write_csv,
                               write_phase_density, write_radial_field)
+from gravlasov.rigidity import equimeasure_compare
 
 
 def box_density(grid_r, grid_u, r_edge=1.0, u_edge=1.0, amp=1.0):
@@ -44,23 +45,51 @@ def test_grid_invariants():
 
 @pytest.mark.parametrize("grid", [RadialGrid, SpeedGrid])
 def test_grid_node_checks(grid):
-    with pytest.raises(PreconditionError):
-        grid(-1.0, 5)
-    with pytest.raises(PreconditionError):
-        grid(2.0, 1)
-    for nodes, match in [(2.0 * np.linspace(0.0, 1.0, 5) ** 2, "uniform"),
-                         ([0.0, 1.0, 0.5, 1.5, 2.0], "increasing"),
-                         ([0.0, 0.5, 1.0, 2.0], "need 5 nodes"),
-                         (np.linspace(0.1, 2.0, 5), "need 5 nodes from 0"),
-                         (np.linspace(0.0, 2.1, 5), "need 5 nodes from 0 to 2")]:
-        with pytest.raises(PreconditionError, match=match):
-            grid(2.0, 5, nodes=nodes)
-    with pytest.raises(PreconditionError, match="increasing"):
-        grid(1.0, 3, nodes=[0, 5, 1])
-    # nodes printed with 17 significant digits read back as a uniform grid
-    fine = grid(20.0, 4096)
-    printed = np.array([float(f"{x:.17g}") for x in fine.nodes])
-    assert np.array_equal(grid(20.0, 4096, nodes=printed).nodes, fine.nodes)
+    for top, count in [(-1.0, 5), (0.0, 5), (math.nan, 5), (math.inf, 5), (2.0, 1)]:
+        with pytest.raises(PreconditionError, match="2 or more nodes"):
+            grid(top, count)
+    with pytest.raises(TypeError):   # a grid is its maximum and node count
+        grid(2.0, 5, nodes=np.linspace(0.0, 2.0, 5))
+    assert np.array_equal(grid(2.0, 5).nodes, np.linspace(0.0, 2.0, 5))
+    # grids compare and hash by value, whatever holds the numbers
+    assert grid(2.0, 5) == grid(np.float64(2.0), np.int64(5))
+    assert hash(grid(2.0, 5)) == hash(grid(np.float64(2.0), np.int64(5)))
+    assert len({grid(2.0, 5), grid(2.0, 5), grid(2.0, 6), grid(2.5, 5)}) == 3
+
+
+@pytest.mark.parametrize("column, match", [
+    (2.0 * np.linspace(0.0, 1.0, 5) ** 2, "uniform nodes"),                    # not uniform
+    ([0.0, 1.0, 0.5, 1.5, 2.0], "uniform nodes"),                              # not increasing
+    ([0.0, 5.0, 1.0], "uniform nodes"),                                        # decreases
+    ([2.0, 1.0, 0.0], "2 or more nodes"),                                      # ends at 0
+    (np.linspace(0.1, 2.0, 5), "uniform nodes"),                               # starts past 0
+    ([0.0, math.nan, 2.0], "uniform nodes"),
+    ([0.0, 1.0, math.nan], "2 or more nodes"),
+    ([0.0], "2 or more nodes"),
+    ([0.0, 0.5, 1.0, 1.5, 2.1], "uniform nodes"),                              # last step long
+    (np.linspace(0.0, 2.0, 5) + [0.0, 0.0, 1e-7, 0.0, 0.0], "uniform nodes"),  # off by 2e-7 h
+])
+def test_read_radial_field_checks_its_r_column(tmp_path, column, match):
+    path = tmp_path / "field.csv"
+    write_csv(path, ["r", "value"], np.column_stack((column, np.zeros(len(column)))))
+    with pytest.raises(PreconditionError, match=match):
+        read_radial_field(path)
+
+
+def test_radial_field_round_trip_gives_an_equal_grid(tmp_path):
+    # 17 significant digits give every node back, so the grid read is equal
+    grid = RadialGrid(r_max=20.0, n=4096)
+    path = tmp_path / "field.csv"
+    write_radial_field(path, RadialField(grid=grid, values=np.sin(grid.nodes)))
+    back = read_radial_field(path)
+    assert back.grid == grid and hash(back.grid) == hash(grid)
+    assert back.grid.nodes.tobytes() == grid.nodes.tobytes()
+    assert back.values.tobytes() == np.sin(grid.nodes).tobytes()
+    # a column within 1e-8 h of the nodes reads as the same grid
+    near = grid.nodes + 0.5e-8 * grid.h * np.sin(np.arange(grid.n))
+    near[-1] = grid.r_max
+    write_csv(path, ["r", "value"], np.column_stack((near, np.zeros(grid.n))))
+    assert read_radial_field(path).grid == grid
 
 
 def test_phase_density_validation(grids):
@@ -72,15 +101,29 @@ def test_phase_density_validation(grids):
     bad2[3, 3] = -1.0
     with pytest.raises(PreconditionError, match="nonnegative"):
         PhaseDensity(grid_r=grid_r, grid_u=grid_u, values=bad2)
+    for value in (math.nan, math.inf):   # an interior nan or inf, missed by v < 0
+        bad3 = np.zeros((grid_r.n, grid_u.m))
+        bad3[3, 3] = value
+        with pytest.raises(PreconditionError, match=f"nonnegative, got values from .* to {value}"):
+            PhaseDensity(grid_r=grid_r, grid_u=grid_u, values=bad3)
+
+
+@pytest.mark.parametrize("name", ["r_scale", "u_scale"])
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_bump_density_names_a_bad_scale(grids, name, scale):
+    scales = {"r_scale": 0.5, "u_scale": 0.6} | {name: scale}
+    with pytest.raises(PreconditionError, match=f"{name} must be positive and finite, "
+                                                f"got {scale}"):
+        bump_density(*grids, **scales)
 
 
 def test_from_callable_matches_meshgrid_bit_for_bit(state_p2_rel):
     # from_callable passes broadcast axes; the values must be those of the
     # full meshgrid, also for callables whose result does not span both axes
-    grid_r, grid_u = state_p2_rel.f.grid_r, state_p2_rel.f.grid_u
+    grid_r, grid_u = state_p2_rel.phi.grid, state_p2_rel.speed_grid(257)
     r_edge, u_edge = 0.5 * grid_r.r_max, 0.5 * grid_u.u_max
     callables = [
-        state_p2_rel.f.profile,
+        state_p2_rel.profile,
         lambda r, u: np.exp(-r * r - u * u) * (r < r_edge) * (u < u_edge),
         lambda r, u: np.maximum(1.0 - r / r_edge, 0.0) * (u < u_edge),
         lambda r, u: 0.0 * r,   # ignores u
@@ -325,6 +368,11 @@ def test_distribution_function_validates_levels(grids):
         distribution_function(f, [-1.0, 1.0])
     with pytest.raises(PreconditionError, match="sorted"):
         distribution_function(f, [2.0, 1.0])
+    for levels in ([], [0.5, math.nan], [0.5, math.inf]):
+        with pytest.raises(PreconditionError, match="nonempty and finite"):
+            distribution_function(f, levels)
+        with pytest.raises(PreconditionError, match="nonempty and finite"):
+            equimeasure_compare(f, f, levels)
 
 
 def test_ej_distance_properties(grids):

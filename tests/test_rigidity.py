@@ -138,7 +138,7 @@ def test_threshold_monotone_in_masses(spec_p2):
 
 
 def test_threshold_of_solved_state_is_subcritical(state_p2_rel, spec_p2):
-    own = interpolation_quotient(state_p2_rel.f, spec_p2, REL)
+    own = interpolation_quotient(state_p2_rel.tabulate(257), spec_p2, REL)
     from gravlasov.rigidity import KjEstimate
     est = KjEstimate(p=2.0, best_quotient=own, trial_count=1, witness="self")
     verdict = threshold_check(state_p2_rel.m1, state_p2_rel.mj, spec_p2, REL, est)

@@ -100,7 +100,7 @@ def test_integrate_state_basic(state_p2_cl):
     # density vanishes beyond the support
     beyond = st.rho.grid.nodes > st.r_support
     assert np.all(st.rho.values[beyond] == 0.0)
-    assert np.all(st.f.values[beyond, :] == 0.0)
+    assert np.all(st.tabulate(257).values[beyond, :] == 0.0)
     # phi strictly increasing inside the support
     inside = st.phi.grid.nodes < st.r_support
     assert np.all(np.diff(st.phi.values[inside]) > 0)
@@ -108,13 +108,14 @@ def test_integrate_state_basic(state_p2_cl):
 
 def test_integrate_state_pointwise_form(state_p2_rel):
     st = state_p2_rel
-    r = st.f.grid_r.nodes
-    u = st.f.grid_u.nodes
+    f = st.tabulate(257)
+    r = f.grid_r.nodes
+    u = f.grid_u.nodes
     gam = kinetic_weight(st.params, u)
     arg = (gam[None, :] + (st.phi.values[:, None] - st.lam)) / st.mu
     expected = st.spec.g_inv(np.maximum(arg, 0.0))
     rows = r <= st.r_support
-    assert_allclose(st.f.values[rows, :], expected[rows, :], rtol=1e-6, atol=1e-9)
+    assert_allclose(f.values[rows, :], expected[rows, :], rtol=1e-6, atol=1e-9)
 
 
 def test_integrate_state_trivial_flag(spec_p2, grid_20):
@@ -192,10 +193,9 @@ def test_hamiltonian_form_value(state_p2_rel):
 
 
 def test_support_check(state_p2_rel):
-    st = replace(state_p2_rel)  # a copy that has not tabulated f
+    st = state_p2_rel
     rep = support_check(st)
     assert rep.ok
-    assert "f" not in st.__dict__  # the check reads the profile, not the table
     from gravlasov.kernel import kinetic_weight_inverse
     assert rep.u_bound == pytest.approx(
         kinetic_weight_inverse(st.params, st.lam - st.phi.values[0]), rel=1e-12)
@@ -209,10 +209,11 @@ def test_support_check_reports_a_profile_that_outruns_the_speed_grid(state_p2_re
     st = replace(state_p2_rel, profile=lambda r, u: state_p2_rel.profile(r, 0.5 * u))
     rep = support_check(st)
     assert not rep.ok and rep.phi_below_lambda
-    u_first = st.grid_u.nodes[st.grid_u.nodes > st.u_bound][0]
+    u = st.speed_grid(257).nodes
+    u_first = u[u > st.u_bound][0]
     assert rep.max_off_support == float(state_p2_rel.profile(0.0, 0.5 * u_first)) > 0.0
     with pytest.raises(BoundaryConditionError, match="does not vanish"):
-        st.f
+        st.tabulate(257)
 
 
 def test_fixed_point_agrees_with_shooting(spec_p2, state_p2_cl, grid_20):
@@ -536,7 +537,7 @@ def test_solved_state_is_the_full_shot_to_the_bit(spec_p2, grid_20, c):
             assert value.hex() == getattr(full, name).hex(), name
     for name in ("phi", "rho"):
         assert getattr(st, name).values.tobytes() == getattr(full, name).values.tobytes()
-    assert st.f.values.tobytes() == full.f.values.tobytes()
+    assert st.tabulate(257).values.tobytes() == full.tabulate(257).values.tobytes()
 
 
 @pytest.mark.parametrize("c", [1.0, math.inf])
@@ -757,11 +758,12 @@ def test_state_from_dir_rebuilds_f(tmp_path, request, fixture):
     st = request.getfixturevalue(fixture)
     state_to_dir(st, tmp_path)
     assert sorted(p.name for p in (tmp_path / "profiles").iterdir()) == ["phi.csv", "rho.csv"]
-    back = state_from_dir(tmp_path)
-    assert back.f.grid_r.nodes.tobytes() == st.f.grid_r.nodes.tobytes()
-    assert back.f.grid_u.nodes.tobytes() == st.f.grid_u.nodes.tobytes()
+    back, f = state_from_dir(tmp_path).tabulate(257), st.tabulate(257)
+    assert back.grid_r == f.grid_r and back.grid_u == f.grid_u
+    assert back.grid_r.nodes.tobytes() == f.grid_r.nodes.tobytes()
+    assert back.grid_u.nodes.tobytes() == f.grid_u.nodes.tobytes()
     # phi.csv holds phi to the bit, but psi = phi - lambda and w are re-derived
-    assert_allclose(back.f.values, st.f.values, rtol=0, atol=1e-14 * st.f.values.max())
+    assert_allclose(back.values, f.values, rtol=0, atol=1e-14 * f.values.max())
 
 
 # --- the shared similarity table of a pure-power weight ---------------------------
