@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import dynamics, rigidity, steady
-from .errors import ConfigError, GravlasovError, PreconditionError
+from .errors import ConfigError, GravlasovError, NumericsError, PreconditionError
 from .kernel import ModelParams, check_casimir, make_polytrope
 from .radial import RadialGrid, SpeedGrid, bump_density, write_csv, write_json
 from .steady import SolveTargets
@@ -352,14 +352,22 @@ def _cmd_blowup(config: RunConfig, outdir: str) -> dict:
                         n=min(config["grid.n"], 513))
     u_max = config.get("grid.u_max", 8.0 * config["blowup.u_scale"])
     grid_u = SpeedGrid(u_max=u_max, m=config["grid.m"])
+    amplitude = config["blowup.amplitude"]
     initial = bump_density(grid_r, grid_u, config["blowup.r_scale"],
-                           config["blowup.u_scale"], config["blowup.amplitude"])
-    report = dynamics.blowup_experiment(
-        spec, params, initial,
-        n=config["dynamics.n_particles"],
-        t_end=config.get("dynamics.t_end", 5.0),
-        dt=config.get("dynamics.dt"),
-        seed=config["dynamics.seed"])
+                           config["blowup.u_scale"], amplitude)
+    try:
+        # an overflow leaves the energies and the flow meaningless: the
+        # first one ends the run
+        with np.errstate(over="raise"):
+            report = dynamics.blowup_experiment(
+                spec, params, initial,
+                n=config["dynamics.n_particles"],
+                t_end=config.get("dynamics.t_end", 5.0),
+                dt=config.get("dynamics.dt"),
+                seed=config["dynamics.seed"])
+    except FloatingPointError as exc:
+        raise NumericsError(f"the blow-up run at amplitude {amplitude:g} "
+                            f"leaves double range ({exc})") from None
     _write_diagnostics(os.path.join(outdir, "diagnostics.csv"), report.records)
     return {key: value for key, value in asdict(report).items()
             if key != "records"} | {"seed": config["dynamics.seed"]}

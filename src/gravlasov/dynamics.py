@@ -16,6 +16,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -63,9 +64,11 @@ class ParticleEnsemble:
     weights summing to the represented mass, and frozen phase-density values.
 
     Positions and velocities are stored column-major, so a per-particle
-    operation runs along the particles. An ensemble is frozen and its arrays
-    are never modified in place: a step builds a new ensemble, which sorts its
-    radii at most once. The held sort is the one attribute that changes.
+    operation runs along the particles. An ensemble is frozen: a step builds
+    a new ensemble, which sorts its radii at most once. The held sort is the
+    one attribute that changes. No array of an ensemble handed to a caller is
+    modified in place; inside evolve, each step writes over the arrays of
+    the run's step before, which nothing else holds.
     """
 
     positions: np.ndarray     # (n, 3)
@@ -103,11 +106,14 @@ class ParticleEnsemble:
     def speeds(self) -> np.ndarray:
         return np.sqrt(_row_norm2(self.velocities))
 
-    def shells(self) -> _Shells:
-        """The radii and their sort, computed on first use and kept."""
+    def shells(self, work: Optional[_Workspace] = None) -> _Shells:
+        """The radii and their sort, computed on first use and kept; made
+        in work's sort arrays when a run's workspace is given."""
         if self._shells is None:
-            r = self.radii()
-            self._hold(_Shells(r, *_sorted_shell_data(self.weights, r)))
+            work = work or _Workspace(self.weights)
+            r = np.sqrt(_row_norm2(self.positions, out=work.r, tmp=work.r_sorted),
+                        out=work.r)
+            self._hold(_Shells(r, *_sorted_shell_data(self.weights, r, work)))
         return self._shells
 
     def _hold(self, shells: Optional[_Shells]) -> None:
@@ -115,11 +121,66 @@ class ParticleEnsemble:
         object.__setattr__(self, "_shells", shells)
 
 
-def _row_norm2(a: np.ndarray) -> np.ndarray:
-    """Squared length of each row of an (n, 3) array. numpy's row sum adds
-    the three squares left to right too, so the bits are those of
-    np.sum(a * a, axis=1), at a third of its cost."""
-    return a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2]
+def _row_norm2(a: np.ndarray, out: Optional[np.ndarray] = None,
+               tmp: Optional[np.ndarray] = None) -> np.ndarray:
+    """Squared length of each row of an (n, 3) array, into out with tmp as
+    scratch when they are given. numpy's row sum adds the three squares left
+    to right too, so the bits are those of np.sum(a * a, axis=1), at a third
+    of its cost."""
+    out = np.multiply(a[:, 0], a[:, 0], out=out)
+    out += np.multiply(a[:, 1], a[:, 1], out=tmp)
+    out += np.multiply(a[:, 2], a[:, 2], out=tmp)
+    return out
+
+
+class _Workspace:
+    """The arrays a run of steps writes into, so that a step allocates
+    nothing of the ensemble's size. A fresh one per call is the same as
+    allocating each array.
+
+    ``spare`` hands out an (n, 3) buffer that is none of the live arrays it
+    is given. A step never holds more than three (positions, velocities and
+    accelerations) while it fills a fourth, so a run makes at most four. The
+    sort's n-vectors are rewritten by every sort, so an ensemble may hold a
+    sort made here only until the next one. Equal weights (every sampler's)
+    are found once per workspace: their sort is the weights themselves, and
+    their half-self masses are computed once.
+    """
+
+    def __init__(self, weights: np.ndarray):
+        self.weights = weights
+        self.n = len(weights)
+        self._pool = []
+        self.keys = np.empty(self.n, dtype=np.uint64)
+        self.r = np.empty(self.n)
+        self.r_sorted = np.empty(self.n)
+
+    def spare(self, *live: np.ndarray) -> np.ndarray:
+        for buf in self._pool:
+            for a in live:
+                if buf is a:
+                    break
+            else:
+                return buf
+        self._pool.append(np.empty((self.n, 3), order="F"))
+        return self._pool[-1]
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """The packed sort's index keys."""
+        return np.arange(self.n, dtype=np.uint64)
+
+    @cached_property
+    def m_half(self) -> Optional[np.ndarray]:
+        """The half-self enclosed masses of equal weights, else None. Any
+        permutation of bitwise equal weights is the weights array itself."""
+        w = self.weights
+        if not (self.n and w.dtype == np.float64):
+            return None
+        bits = w.view(np.uint64)
+        if not np.all(bits == bits[0]):
+            return None
+        return np.cumsum(w) - 0.5 * w
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -217,33 +278,54 @@ def sample_density(f: PhaseDensity, params: ModelParams, n: int,
                    params, n, seed)
 
 
-def _sorted_shell_data(weights: np.ndarray, r: np.ndarray):
+def _sorted_shell_data(weights: np.ndarray, r: np.ndarray,
+                       work: Optional[_Workspace] = None):
     """Radii sorted ascending (tied radii keep index order), matching weights,
-    and half-self enclosed mass.
+    and half-self enclosed mass, in work's sort arrays when it is given.
 
     Nonnegative doubles order like their bit patterns, so one value sort of
     uint64 keys, each a radius's bits with the low bits replaced by the
     particle's index, yields a permutation. When it sorts the radii strictly
-    increasing, it is the only permutation that does. Otherwise (ties, radii
-    that agree in their kept bits, -0.0, negative values, nan) the stable
-    argsort gives the order: the same permutation on any nan-free input."""
+    increasing, it is the only permutation that does. Otherwise, on
+    nonnegative nan-free radii, only the runs of radii that agree in their
+    kept bits (ties among them) are out of place: each run sits where it
+    belongs, in index order, so a stable sort of the runs by radius repairs
+    the order. On -0.0, negative values or nan the stable argsort gives it:
+    the same permutation on any nan-free input."""
+    work = work or _Workspace(weights)
     n = len(r)
     low = np.uint64((1 << max((n - 1).bit_length(), 1)) - 1)
-    keys = r.view(np.uint64) & ~low
-    keys |= np.arange(n, dtype=np.uint64)
+    keys = np.bitwise_and(r.view(np.uint64), ~low, out=work.keys)
+    keys |= work.index
     keys.sort()
     keys &= low
     order = keys.view(np.int64)
-    r_sorted = r[order]
+    # the indices are in range; "clip" lets take write straight into out
+    r_sorted = np.take(r, order, out=work.r_sorted, mode="clip")
     if not np.all(r_sorted[1:] > r_sorted[:-1]):
-        order = np.argsort(r, kind="stable")
-        r_sorted = r[order]
+        # keys order +0.0 < ... < inf < nan < -0.0 < negatives, so the last
+        # sorted radius tells whether any is -0.0, negative or nan
+        if math.isnan(r_sorted[-1]) or math.copysign(1.0, r_sorted[-1]) < 0:
+            order = np.argsort(r, kind="stable")
+        else:
+            high = r_sorted.view(np.uint64) & ~low
+            same = high[1:] == high[:-1]
+            in_run = np.zeros(n, dtype=bool)
+            in_run[1:] = same
+            in_run[:-1] |= same
+            runs = np.flatnonzero(in_run)
+            sub = order[runs]
+            order[runs] = sub[np.argsort(r[sub], kind="stable")]
+        np.take(r, order, out=r_sorted, mode="clip")
+    if weights is work.weights and work.m_half is not None:
+        return order, r_sorted, weights, work.m_half
     w_sorted = weights[order]
     m_half = np.cumsum(w_sorted) - 0.5 * w_sorted   # mass below + half own
     return order, r_sorted, w_sorted, m_half
 
 
-def field_from_particles(ens: ParticleEnsemble) -> np.ndarray:
+def field_from_particles(ens: ParticleEnsemble, *,
+                         _work: Optional[_Workspace] = None) -> np.ndarray:
     """Self-consistent shell accelerations of the ensemble, shape (n, 3).
 
     Each particle is pulled toward the origin by m_half / (4 pi (r^2 +
@@ -253,81 +335,128 @@ def field_from_particles(ens: ParticleEnsemble) -> np.ndarray:
     index order: of two particles at exactly the same radius, the lower index
     counts the other as outside and the higher index counts it as enclosed.
     No radius is cut off, so escapers stay part of the mass budget.
+
+    ``_work`` is the run's workspace (evolve's): the sort, unless the
+    ensemble holds one, and the result are made in it.
     """
-    shells = ens.shells()
-    soft_r3 = (shells.r_sorted ** 2 + ens.eps_soft ** 2) ** 1.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pull = np.where(soft_r3 > 0, shells.m_half / (4.0 * np.pi * soft_r3), 0.0)
-    pull_p = np.empty_like(pull)
+    work = _work or _Workspace(ens.weights)
+    shells = ens.shells(work)
+    out = work.spare(ens.positions, ens.velocities)
+    # the pull is built in the result's columns: sorted in the second,
+    # in particle order in the first
+    pull, pull_p = out[:, 1], out[:, 0]
+    np.multiply(shells.r_sorted, shells.r_sorted, out=pull)
+    pull += ens.eps_soft ** 2
+    np.power(pull, 1.5, out=pull)   # the softened r^3, ascending, nan last
+    if ens.n and pull[0] > 0 and not math.isnan(pull[-1]):
+        pull *= 4.0 * np.pi
+        np.divide(shells.m_half, pull, out=pull)
+    else:   # a zero or nan soft radius pulls with 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pull[:] = np.where(pull > 0, shells.m_half / (4.0 * np.pi * pull), 0.0)
     pull_p[shells.order] = pull
-    return -pull_p[:, None] * ens.positions
+    np.negative(pull_p, out=pull_p)
+    for axis in (1, 2, 0):   # the first column last: it holds the pull
+        np.multiply(pull_p, ens.positions[:, axis], out=out[:, axis])
+    return out
 
 
-def _drift_velocity(ens: ParticleEnsemble, velocities: np.ndarray) -> np.ndarray:
+def _drift_velocity(ens: ParticleEnsemble, velocities: np.ndarray,
+                    out: Optional[np.ndarray] = None,
+                    scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """velocities / sqrt(1 + |v|^2/c^2) (velocities themselves when
+    classical), into out with two columns of scratch when they are given."""
     if ens.params.is_classical:
         return velocities
-    c = ens.params.c
-    v2 = _row_norm2(velocities)[:, None]
-    return velocities / np.sqrt(1.0 + v2 / c ** 2)
+    cols = (scratch[:, 0], scratch[:, 1]) if scratch is not None else (None, None)
+    v2 = _row_norm2(velocities, *cols)
+    v2 /= ens.params.c ** 2
+    v2 += 1.0
+    return np.divide(velocities, np.sqrt(v2, out=v2)[:, None], out=out)
 
 
 def push(ens: ParticleEnsemble, dt: float,
          accel: Optional[np.ndarray] = None,
-         external: Optional[Callable] = None):
+         external: Optional[Callable] = None, *,
+         _work: Optional[_Workspace] = None):
     """One kick-drift-kick step; returns (ensemble, post-step accelerations).
 
     With ``external`` set (a positions -> accelerations callable) the field is
     frozen to that rule and the step is exactly time-reversible; otherwise
     field_from_particles is recomputed on the drifted ensemble, and the
     returned ensemble keeps the sort that force call made.
+
+    ``_work`` is the run's workspace (evolve's): the step writes its arrays
+    into it, and may overwrite the arrays of ``ens`` and ``accel`` that live
+    there. Without it the step writes into a fresh one, so the caller's
+    arrays are never touched.
     """
     if dt == 0.0 or not math.isfinite(dt):
         raise PreconditionError(f"dt must be nonzero and finite, got {dt}")
+    work = _work or _Workspace(ens.weights)
     if external is None:
-        force = field_from_particles
+        def force(state):
+            return field_from_particles(state, _work=work)
     else:
-        force = lambda state: external(state.positions)
+        def force(state):
+            return external(state.positions)
     if accel is None:
+        if external is None:
+            ens.shells()   # the caller's ensemble keeps a sort of its own
         accel = force(ens)
 
-    # In place only on arrays this step allocated, and in the operation order
-    # of ens.velocities + 0.5 * dt * accel and its like, so the bits are the
-    # expressions'. A caller that passed its only references (evolve does)
-    # has the old accelerations and ensemble freed here, before the force
-    # call, so a step holds about one state.
-    v_half = accel * (0.5 * dt)
+    # In the operation order of ens.velocities + 0.5 * dt * accel and its
+    # like, so the bits are the expressions'.
+    v_half = np.multiply(accel, 0.5 * dt, out=work.spare(ens.positions, ens.velocities))
     v_half += ens.velocities
-    del accel
-    x_new = _drift_velocity(ens, v_half)
-    if x_new is v_half:   # the classical drift velocity is v_half itself
-        x_new = v_half.copy(order="K")
-    x_new *= dt
+    x_new = work.spare(ens.positions, v_half)
+    drift = _drift_velocity(ens, v_half, out=x_new,
+                            scratch=work.spare(ens.positions, v_half, x_new))
+    np.multiply(drift, dt, out=x_new)   # classical: drift is v_half itself
     x_new += ens.positions
     drifted = replace(ens, positions=x_new, velocities=v_half)
-    del ens
     accel_new = force(drifted)
-    v_new = accel_new * (0.5 * dt)
+    v_new = np.multiply(accel_new, 0.5 * dt, out=work.spare(x_new, v_half, accel_new))
     v_new += v_half
+    _check_state(drifted, v_new, dt, work.spare(x_new, v_new, accel_new))
+    out = replace(drifted, velocities=v_new)
+    out._hold(drifted._shells)   # same positions and weights, same sort
+    return out, accel_new
 
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
+
+def _check_state(drifted: ParticleEnsemble, v_new: np.ndarray, dt: float,
+                 scratch: np.ndarray) -> None:
+    """NumericsError unless the pushed state is finite and, at finite c,
+    drifts slower than c.
+
+    Finite radii imply finite positions, and at finite c a finite largest
+    |v|^2 implies finite velocities; the (n, 3) scans run only when one of
+    them is not finite."""
+    x_new = drifted.positions
+    u2 = None
+    if not drifted.params.is_classical:
+        u2 = float(np.max(_row_norm2(v_new, scratch[:, 0], scratch[:, 1]),
+                          initial=0.0))
+    shells = drifted._shells   # None under an external force
+    x_finite = (shells is not None
+                and (not drifted.n or math.isfinite(shells.r_sorted[-1]))
+                or np.all(np.isfinite(x_new)))
+    v_finite = u2 is not None and math.isfinite(u2) or np.all(np.isfinite(v_new))
+    if not (x_finite and v_finite):
         bad = int(np.sum(~np.isfinite(x_new))) + int(np.sum(~np.isfinite(v_new)))
         raise NumericsError(
             f"non-finite state after push (dt={dt}, {bad} bad components; "
             f"max|x|={np.nanmax(np.abs(x_new)):.3e}, "
             f"max|v|={np.nanmax(np.abs(v_new)):.3e})")
-    if not drifted.params.is_classical:
+    if u2 is not None:
         # |dx/dt| = |v|/sqrt(1+|v|^2/c^2) < c in exact arithmetic and rises
         # with |v|, so the fastest particle decides whether rounding broke it
         c = drifted.params.c
-        u2 = float(np.max(_row_norm2(v_new), initial=0.0))
         drift = math.sqrt(u2 / (1.0 + u2 / c ** 2))
         if not drift < c:
             raise NumericsError(
                 f"drift speed reached c={c} after push (dt={dt}, "
                 f"max|v|={math.sqrt(u2):.3e})")
-    out = replace(drifted, velocities=v_new)
-    out._hold(drifted._shells)   # same positions and weights, same sort
-    return out, accel_new
 
 
 _ENSEMBLE_HEADER = ["x", "y", "z", "vx", "vy", "vz", "w", "f"]
@@ -387,9 +516,12 @@ def _binned_shell_masses(weights: np.ndarray, edges: np.ndarray,
     """Summed weight per bin of edges, from _sorted_shell_data's order and
     sorted radii. Bins are found on the sorted radii, which is cheaper, but
     the weights are summed in index order."""
+    found = np.searchsorted(edges, r_sorted, side="right")
+    found -= 1
     idx = np.empty(len(order), dtype=np.intp)
-    idx[order] = np.searchsorted(edges, r_sorted, side="right") - 1
-    idx = np.clip(idx, 0, len(edges) - 2)
+    idx[order] = found
+    del found
+    np.clip(idx, 0, len(edges) - 2, out=idx)
     return np.bincount(idx, weights=weights, minlength=len(edges) - 1)
 
 
@@ -407,22 +539,37 @@ def _reference_shell_masses(state: GroundState):
 
 def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
                  ref_masses: Optional[np.ndarray] = None,
-                 ref_edges: Optional[np.ndarray] = None) -> DiagnosticsRecord:
-    """The record at time t, from the ensemble's sort."""
+                 ref_edges: Optional[np.ndarray] = None,
+                 scratch: Optional[np.ndarray] = None) -> DiagnosticsRecord:
+    """The record at time t, from the ensemble's sort. Its per-particle
+    temporaries go into the columns of scratch, an (n, 3) array, when one is
+    given."""
     r, order, r_sorted, w_sorted, m_half = ens.shells()
+    cols = (scratch[:, 0], scratch[:, 1], scratch[:, 2]) if scratch is not None else (None,) * 3
     # exact field energy (1/2) int |grad phi|^2 of the unsoftened shell
-    # system: (1/(4 pi)) sum_i w_i M_half(<r_i) / r_i; computed before the
-    # speeds exist, so its gathers and theirs are never held at once
-    good = r_sorted > 0
-    epot = float(np.sum(w_sorted[good] * m_half[good] / r_sorted[good]) / (4.0 * np.pi))
-    speeds = ens.speeds()
-    ekin = float(np.sum(ens.weights * kinetic_weight(ens.params, speeds)))
+    # system: (1/(4 pi)) sum_i w_i M_half(<r_i) / r_i over r_i > 0, one
+    # slice of the sorted radii (zeros first, nan last)
+    lo, hi = np.searchsorted(r_sorted, (0.0, math.inf), side="right")
+    shell = np.multiply(w_sorted[lo:hi], m_half[lo:hi],
+                        out=None if scratch is None else cols[0][:hi - lo])
+    shell /= r_sorted[lo:hi]
+    epot = float(np.sum(shell) / (4.0 * np.pi))
+    speeds = _row_norm2(ens.velocities, cols[0], cols[1])
+    np.sqrt(speeds, out=speeds)
+    kinetic = kinetic_weight(ens.params, speeds)
+    kinetic *= ens.weights
+    ekin = float(np.sum(kinetic))
+    del kinetic
     hc = ekin - epot
-    u2 = speeds ** 2
+    u2 = np.multiply(speeds, speeds, out=cols[1])
     if ens.params.is_classical:
-        vir_lhs = float(np.sum(ens.weights * u2))
+        u2 *= ens.weights
     else:
-        vir_lhs = float(np.sum(ens.weights * u2 / np.sqrt(1.0 + u2 / ens.params.c ** 2)))
+        den = np.divide(u2, ens.params.c ** 2, out=cols[2])
+        den += 1.0
+        u2 *= ens.weights
+        u2 /= np.sqrt(den, out=den)
+    vir_lhs = float(np.sum(u2))
     virial = (vir_lhs - epot) / max(abs(vir_lhs), abs(epot), 1e-300)
 
     rho_center = _ball_density(ens.weights, r, center_bin)
@@ -444,15 +591,18 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
 
     Weights and f values ride along unchanged, so the Monte Carlo estimate of
     every Casimir functional is conserved exactly and is not recorded.
-    ``stop_condition(record, sorted_radii)`` returns True to end the run.
+    ``stop_condition(record, sorted_radii)`` returns True to end the run;
+    the sorted radii are valid only during the call.
     Returns (records, ensemble).
 
     Each force call sorts once, and a record reads the sort of its step's
     force call. The run works on its own copy of ``ens`` and takes over any
     sort ``ens`` holds; that sort serves the first record and the first force.
     Each step's sort is dropped before the next push, so none outlives its
-    record. Each push gets the only references to the last step's ensemble
-    and accelerations, so it frees them before its force call.
+    record. The run owns one workspace: every push writes its positions,
+    velocities, accelerations and sort into it, over the arrays of the step
+    before, so a step allocates nothing of the ensemble's size. The returned
+    ensemble's arrays are the run's last ones.
     """
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise PreconditionError("dt and t_end must be positive and finite, "
@@ -471,21 +621,25 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     run = replace(ens)
     run._hold(ens._shells)
     ens._hold(None)   # the caller keeps no sort
-    records = [_diagnostics(run, 0.0, center_bin, ref_masses, ref_edges)]
-    state = [run, None]   # the ensemble and accelerations after the last step
-    del run
+    work = _Workspace(run.weights)
+    run.shells(work)
+    records = [_diagnostics(run, 0.0, center_bin, ref_masses, ref_edges,
+                            work.spare(run.positions, run.velocities))]
+    accel = field_from_particles(run, _work=work)
+    run._hold(None)
     for k in range(1, steps + 1):
-        state[:] = push(state.pop(0), dt, accel=state.pop())
+        run, accel = push(run, dt, accel=accel, _work=work)
         stop = False
         if k % diag_every == 0 or k == steps:
-            records.append(_diagnostics(state[0], k * dt, center_bin,
-                                        ref_masses, ref_edges))
+            records.append(_diagnostics(run, k * dt, center_bin, ref_masses,
+                                        ref_edges, work.spare(run.positions,
+                                                              run.velocities, accel)))
             stop = (stop_condition is not None
-                    and stop_condition(records[-1], state[0].shells().r_sorted))
-        state[0]._hold(None)
+                    and stop_condition(records[-1], run.shells().r_sorted))
+        run._hold(None)
         if stop:
             break
-    return records, state[0]
+    return records, run
 
 
 # --- experiments -----------------------------------------------------------------

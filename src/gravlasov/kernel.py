@@ -88,6 +88,13 @@ class FunctionalReport:
                    hc=ekin - epot, ej_norm=m1 + mj + ekin)
 
 
+def _check_nonnegative(name: str, values: np.ndarray) -> None:
+    """PreconditionError naming the first value that is negative or nan."""
+    if not np.all(values >= 0):
+        bad = values[~(values >= 0)].flat[0]
+        raise PreconditionError(f"{name} must be nonnegative, got {bad}")
+
+
 def kinetic_weight(params: ModelParams, speed):
     """Kinetic energy per unit mass at |v| = speed.
 
@@ -96,8 +103,7 @@ def kinetic_weight(params: ModelParams, speed):
     y = c/u, where a square overflows (+inf at u = inf); no overflow warns.
     """
     u = np.asarray(speed, dtype=float)
-    if np.any(u < 0):
-        raise PreconditionError("speed must be nonnegative")
+    _check_nonnegative("speed", u)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if params.is_classical:
             out = 0.5 * u * u
@@ -114,8 +120,7 @@ def kinetic_weight(params: ModelParams, speed):
 def kinetic_weight_inverse(params: ModelParams, energy):
     """Speed u with kinetic_weight(u) = energy (exact algebraic inversion)."""
     e = np.asarray(energy, dtype=float)
-    if np.any(e < 0):
-        raise PreconditionError("energy must be nonnegative")
+    _check_nonnegative("energy", e)
     if params.is_classical:
         out = np.sqrt(2.0 * e)
     else:

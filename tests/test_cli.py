@@ -541,6 +541,20 @@ def test_froots_overflow_is_numerics_error_without_warnings(tmp_path, capsys, mu
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("c", ["1", "inf"])
+def test_blowup_overflow_is_numerics_error_without_warnings(tmp_path, capsys, c):
+    # the bump's Casimir mass f^2 overflows first; the run once went on to
+    # a verdict on -inf energy (c=inf) or a drift-speed error (c=1)
+    out = str(tmp_path / "o")
+    assert run(["blowup", "--c", c, "--amplitude", "1e300", "--n", "129",
+                "--m", "129", "--n-particles", "1000", "--out", out]) == 1
+    results = read_summary(out)["results"]
+    assert results["error"] == "NumericsError"
+    assert "amplitude 1e+300" in results["message"]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("mu0", ["3e98", "1e100", "2e102"])
 def test_froots_skips_scan_points_outside_double_range(tmp_path, capsys, mu0):
     # F overflows at the top of the scan but not at |mu0|: those points

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -325,9 +326,9 @@ def test_evolve_makes_one_force_call_per_step(state_p2_rel, monkeypatch):
     calls = []
     exact = dynamics.field_from_particles
 
-    def counted(ens):
+    def counted(ens, **kwargs):
         calls.append(ens.n)
-        return exact(ens)
+        return exact(ens, **kwargs)
 
     monkeypatch.setattr(dynamics, "field_from_particles", counted)
     ens = sample_state(state_p2_rel, 1500, seed=6)
@@ -341,9 +342,9 @@ def test_evolve_sorts_once_per_force_call_and_record(state_p2_rel, monkeypatch):
     sorts = []
     exact = dynamics._sorted_shell_data
 
-    def counted(weights, r):
+    def counted(weights, r, *args):
         sorts.append(len(r))
-        return exact(weights, r)
+        return exact(weights, r, *args)
 
     monkeypatch.setattr(dynamics, "_sorted_shell_data", counted)
     ens = sample_state(state_p2_rel, 1500, seed=6)
@@ -364,9 +365,9 @@ def test_blowup_sorts_once_per_force_call(spec_p2, monkeypatch):
     sorts, pushes = [], []
     exact_sort, exact_push = dynamics._sorted_shell_data, dynamics.push
 
-    def counted_sort(weights, r):
+    def counted_sort(weights, r, *args):
         sorts.append(len(r))
-        return exact_sort(weights, r)
+        return exact_sort(weights, r, *args)
 
     def counted_push(*args, **kwargs):
         pushes.append(1)
@@ -450,6 +451,37 @@ def test_packed_sort_is_the_stable_argsort(r, seed):
     got = dynamics._sorted_shell_data(weights, r)
     for a, b in zip(got, stable_shell_data(weights, r)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("odd", [None, -0.0, -1.0, math.nan])
+def test_packed_sort_repairs_its_runs_locally(monkeypatch, odd):
+    # nonnegative nan-free radii that agree in their kept high bits are
+    # re-sorted alone; -0.0, a negative value or nan takes the full argsort
+    n = 100_000
+    r = np.random.default_rng(2).uniform(0.0, 3.0, n)
+    low = (1 << (n - 1).bit_length()) - 1
+    top = (int(r[10].view(np.uint64)) & ~low) | low
+    r[[10, 500, 9000]] = np.arange(top, top - 3, -1, dtype=np.uint64).view(np.float64)
+    r[20] = r[30]                                               # an exact tie
+    if odd is not None:
+        r[40] = odd
+    weights = np.random.default_rng(3).uniform(0.5, 1.5, n)
+    sizes = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    got = dynamics._sorted_shell_data(weights, r)
+    monkeypatch.undo()
+    for a, b in zip(got, stable_shell_data(weights, r)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if odd is None:
+        assert len(sizes) == 1 and 5 <= sizes[0] < 100
+    else:
+        assert sizes == [n]
 
 
 def two_pass_record(ens, edges, ref_masses):
@@ -583,6 +615,62 @@ def test_push_speed_bound_is_numerics_error():
         push(ens, 0.01, external=lambda pos: np.zeros_like(pos))
 
 
+_REL_MAX = "max|x|=2.582e+00, max|v|=1.474e+00"
+_CL_MAX = "max|x|=2.929e+00, max|v|=1.147e+00"
+
+
+_NON_FINITE = [
+    ("state_p2_rel", "positions", math.nan, f"6 bad components; {_REL_MAX}"),
+    ("state_p2_rel", "positions", math.inf, f"6 bad components; {_REL_MAX}"),
+    ("state_p2_rel", "positions", -math.inf, f"6 bad components; {_REL_MAX}"),
+    ("state_p2_rel", "velocities", math.nan, f"6 bad components; {_REL_MAX}"),
+    ("state_p2_rel", "velocities", math.inf, f"2 bad components; {_REL_MAX}"),
+    ("state_p2_rel", "velocities", -math.inf, f"2 bad components; {_REL_MAX}"),
+    ("state_p2_cl", "positions", math.nan, f"2 bad components; {_CL_MAX}"),
+    ("state_p2_cl", "positions", math.inf, f"2 bad components; {_CL_MAX}"),
+    ("state_p2_cl", "positions", -math.inf, f"2 bad components; {_CL_MAX}"),
+    ("state_p2_cl", "velocities", math.nan, f"2 bad components; {_CL_MAX}"),
+    ("state_p2_cl", "velocities", math.inf,
+     "2 bad components; max|x|=inf, max|v|=1.147e+00"),
+    ("state_p2_cl", "velocities", -math.inf,
+     "2 bad components; max|x|=inf, max|v|=1.147e+00"),
+]
+
+
+@pytest.mark.parametrize("state_name, where, bad, message", _NON_FINITE,
+                         ids=[f"{s[9:]}-{w}-{b}" for s, w, b, _ in _NON_FINITE])
+def test_push_names_a_non_finite_state(request, state_name, where, bad, message):
+    # one bad component of one particle; the counts and maxima are those of
+    # the scans over the pushed positions and velocities
+    ens = sample_state(request.getfixturevalue(state_name), 2000, seed=5)
+    values = getattr(ens, where).copy()
+    values[7, 1] = bad
+    ens = replace(ens, **{where: values})
+    with np.errstate(all="ignore"), pytest.raises(NumericsError) as info:
+        push(ens, 0.01)
+    assert str(info.value) == f"non-finite state after push (dt=0.01, {message})"
+
+
+@pytest.mark.parametrize("state_name, digest", [
+    ("state_p2_rel", "2d5db3040976005631acb1ddc121c18a131687d6f8c19f195ffdd66dabf4db7e"),
+    ("state_p2_cl", "7e64bc739c96907f2bfba6771bc67ace44fb6f5f3ca321881712047c32d6699d"),
+], ids=["rel", "cl"])
+def test_push_of_a_finite_state_whose_radii_overflow(request, state_name, digest):
+    # r^2 overflows at |x| ~ 1e200, so the radii are inf and the positions
+    # finite: the finiteness scans decide, and the step goes on
+    ens = sample_state(request.getfixturevalue(state_name), 2000, seed=5)
+    positions = ens.positions.copy()
+    positions[[3, 9, 400]] *= 1e200
+    ens = replace(ens, positions=positions)
+    with np.errstate(over="ignore"):
+        out, accel = push(ens, 0.01)
+    assert np.isinf(out.shells().r_sorted[-1])
+    h = hashlib.sha256(out.positions.tobytes())
+    h.update(out.velocities.tobytes())
+    h.update(accel.tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_push_rejects_zero_dt(state_p2_rel):
     ens = sample_state(state_p2_rel, 1500, seed=5)
     with pytest.raises(PreconditionError):
@@ -637,10 +725,13 @@ def test_evolve_conservation_short(state_p2_rel, spec_p2):
     ens = sample_state(st, 20_000, seed=21)
     f0 = ens.f_values.copy()
     w0 = ens.weights.copy()
+    x0, v0 = ens.positions.copy(), ens.velocities.copy()
     estimates = casimir_estimates(ens, spec_p2)
     records, final = evolve(ens, 2.0 * td, 0.05 * td, diag_every=5, reference=st)
     assert np.array_equal(final.f_values, f0)     # bit-identical transport values
     assert np.array_equal(final.weights, w0)
+    # the run's workspace never writes into the caller's arrays
+    assert np.array_equal(ens.positions, x0) and np.array_equal(ens.velocities, v0)
     m1s = [rec.m1 for rec in records]
     assert max(m1s) == min(m1s) == pytest.approx(st.m1, rel=1e-14)
     assert casimir_estimates(final, spec_p2) == estimates   # Casimirs frozen

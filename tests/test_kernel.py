@@ -37,6 +37,21 @@ def test_kinetic_weight_negative_speed_rejected():
         kinetic_weight_inverse(ModelParams(c=2.0), -1e-9)
 
 
+@pytest.mark.parametrize("params", [ModelParams(), ModelParams(c=1.0)],
+                         ids=["classical", "c=1"])
+@pytest.mark.parametrize("value, named", [
+    (math.nan, "nan"),
+    (np.array([0.5, math.nan, 2.0]), "nan"),
+    (np.array([1.0, -3.0, math.nan]), "-3.0"),   # the first bad value
+], ids=["scalar", "array", "negative-first"])
+def test_kinetic_weight_rejects_nan(params, value, named):
+    # nan is no speed or energy: it raises and is named, not passed on
+    with pytest.raises(PreconditionError, match=rf"^speed must be nonnegative, got {named}$"):
+        kinetic_weight(params, value)
+    with pytest.raises(PreconditionError, match=rf"^energy must be nonnegative, got {named}$"):
+        kinetic_weight_inverse(params, value)
+
+
 def test_kinetic_weight_bounds_and_limit():
     u = np.linspace(0.0, 10.0, 200)
     for c in (0.5, 1.0, 3.0):
