@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -47,7 +47,7 @@ __all__ = [
 
 
 class _Shells(NamedTuple):
-    """One sort of an ensemble's radii: the radii in particle order, the
+    """One sort of a run's radii: the radii in particle order, the
     sorting permutation, the sorted radii and weights, and the half-self
     enclosed mass at each sorted radius."""
 
@@ -64,11 +64,10 @@ class ParticleEnsemble:
     weights summing to the represented mass, and frozen phase-density values.
 
     Positions and velocities are stored column-major, so a per-particle
-    operation runs along the particles. An ensemble is frozen: a step builds
-    a new ensemble, which sorts its radii at most once. The held sort is the
-    one attribute that changes. No array of an ensemble handed to a caller is
-    modified in place; inside evolve, each step writes over the arrays of
-    the run's step before, which nothing else holds.
+    operation runs along the particles. An ensemble is plain frozen data: it
+    holds no sort and no buffer, and no function of this module writes its
+    arrays. A flow steps a run of its own (see _Run), which starts from
+    copies of the ensemble's arrays.
     """
 
     positions: np.ndarray     # (n, 3)
@@ -77,8 +76,6 @@ class ParticleEnsemble:
     f_values: np.ndarray      # (n,)
     params: ModelParams
     eps_soft: float = 0.0
-    _shells: Optional[_Shells] = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     def __post_init__(self):
         n = len(self.weights)
@@ -106,20 +103,6 @@ class ParticleEnsemble:
     def speeds(self) -> np.ndarray:
         return np.sqrt(_row_norm2(self.velocities))
 
-    def shells(self, work: Optional[_Workspace] = None) -> _Shells:
-        """The radii and their sort, computed on first use and kept; made
-        in work's sort arrays when a run's workspace is given."""
-        if self._shells is None:
-            work = work or _Workspace(self.weights)
-            r = np.sqrt(_row_norm2(self.positions, out=work.r, tmp=work.r_sorted),
-                        out=work.r)
-            self._hold(_Shells(r, *_sorted_shell_data(self.weights, r, work)))
-        return self._shells
-
-    def _hold(self, shells: Optional[_Shells]) -> None:
-        """Keep shells as this ensemble's sort (None drops it)."""
-        object.__setattr__(self, "_shells", shells)
-
 
 def _row_norm2(a: np.ndarray, out: Optional[np.ndarray] = None,
                tmp: Optional[np.ndarray] = None) -> np.ndarray:
@@ -133,54 +116,56 @@ def _row_norm2(a: np.ndarray, out: Optional[np.ndarray] = None,
     return out
 
 
-class _Workspace:
-    """The arrays a run of steps writes into, so that a step allocates
-    nothing of the ensemble's size. A fresh one per call is the same as
-    allocating each array.
-
-    ``spare`` hands out an (n, 3) buffer that is none of the live arrays it
-    is given. A step never holds more than three (positions, velocities and
-    accelerations) while it fills a fourth, so a run makes at most four. The
-    sort's n-vectors are rewritten by every sort, so an ensemble may hold a
-    sort made here only until the next one. Equal weights (every sampler's)
-    are found once per workspace: their sort is the weights themselves, and
-    their half-self masses are computed once.
+class _Run:
+    """One run of steps from an ensemble, which owns its state: copies of the
+    positions and velocities, the accelerations, one (n, 3) scratch array,
+    the sort's n-vectors and the current sort (None once the positions move).
+    Each step updates them in place, so it allocates nothing of the
+    ensemble's size. push, field_from_particles and evolve work in place on
+    a run they are given, and on a fresh one when given an ensemble.
     """
 
-    def __init__(self, weights: np.ndarray):
-        self.weights = weights
-        self.n = len(weights)
-        self._pool = []
-        self.keys = np.empty(self.n, dtype=np.uint64)
-        self.r = np.empty(self.n)
-        self.r_sorted = np.empty(self.n)
-
-    def spare(self, *live: np.ndarray) -> np.ndarray:
-        for buf in self._pool:
-            for a in live:
-                if buf is a:
-                    break
-            else:
-                return buf
-        self._pool.append(np.empty((self.n, 3), order="F"))
-        return self._pool[-1]
-
-    @cached_property
-    def index(self) -> np.ndarray:
-        """The packed sort's index keys."""
-        return np.arange(self.n, dtype=np.uint64)
+    def __init__(self, ens: ParticleEnsemble):
+        self.ens = ens   # weights, f values, model and softening: never written
+        self.n = n = ens.n
+        self.positions = np.array(ens.positions, order="F")
+        self.velocities = np.array(ens.velocities, order="F")
+        self.accel = np.empty((n, 3), order="F")
+        self.scratch = np.empty((n, 3), order="F")
+        self.keys = np.empty(n, dtype=np.uint64)
+        self.index = np.arange(n, dtype=np.uint64)   # the packed sort's index keys
+        self.r = np.empty(n)
+        self.r_sorted = np.empty(n)
+        self.shells: Optional[_Shells] = None
 
     @cached_property
     def m_half(self) -> Optional[np.ndarray]:
-        """The half-self enclosed masses of equal weights, else None. Any
-        permutation of bitwise equal weights is the weights array itself."""
-        w = self.weights
+        """The half-self enclosed masses of equal weights (every sampler's),
+        else None; found once per run. Any permutation of bitwise equal
+        weights is the weights array itself."""
+        w = self.ens.weights
         if not (self.n and w.dtype == np.float64):
             return None
         bits = w.view(np.uint64)
         if not np.all(bits == bits[0]):
             return None
         return np.cumsum(w) - 0.5 * w
+
+    def sort(self) -> _Shells:
+        """The sort of the current positions by radius, made on first use."""
+        if self.shells is None:
+            r = np.sqrt(_row_norm2(self.positions, out=self.r, tmp=self.r_sorted),
+                        out=self.r)
+            self.shells = _Shells(r, *_sorted_shell_data(r, self))
+        return self.shells
+
+    def ensemble(self) -> ParticleEnsemble:
+        """The run's state as an ensemble that shares no array with the one
+        the run started from."""
+        return replace(self.ens, positions=self.positions,
+                       velocities=self.velocities,
+                       weights=self.ens.weights.copy(),
+                       f_values=self.ens.f_values.copy())
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -278,10 +263,10 @@ def sample_density(f: PhaseDensity, params: ModelParams, n: int,
                    params, n, seed)
 
 
-def _sorted_shell_data(weights: np.ndarray, r: np.ndarray,
-                       work: Optional[_Workspace] = None):
-    """Radii sorted ascending (tied radii keep index order), matching weights,
-    and half-self enclosed mass, in work's sort arrays when it is given.
+def _sorted_shell_data(r: np.ndarray, run: _Run):
+    """Radii sorted ascending (tied radii keep index order), the run's
+    weights in their order, and half-self enclosed mass, in the run's sort
+    arrays.
 
     Nonnegative doubles order like their bit patterns, so one value sort of
     uint64 keys, each a radius's bits with the low bits replaced by the
@@ -292,16 +277,16 @@ def _sorted_shell_data(weights: np.ndarray, r: np.ndarray,
     belongs, in index order, so a stable sort of the runs by radius repairs
     the order. On -0.0, negative values or nan the stable argsort gives it:
     the same permutation on any nan-free input."""
-    work = work or _Workspace(weights)
     n = len(r)
+    keys, r_sorted = run.keys, run.r_sorted
     low = np.uint64((1 << max((n - 1).bit_length(), 1)) - 1)
-    keys = np.bitwise_and(r.view(np.uint64), ~low, out=work.keys)
-    keys |= work.index
+    np.bitwise_and(r.view(np.uint64), ~low, out=keys)
+    keys |= run.index
     keys.sort()
     keys &= low
     order = keys.view(np.int64)
     # the indices are in range; "clip" lets take write straight into out
-    r_sorted = np.take(r, order, out=work.r_sorted, mode="clip")
+    np.take(r, order, out=r_sorted, mode="clip")
     if not np.all(r_sorted[1:] > r_sorted[:-1]):
         # keys order +0.0 < ... < inf < nan < -0.0 < negatives, so the last
         # sorted radius tells whether any is -0.0, negative or nan
@@ -317,15 +302,14 @@ def _sorted_shell_data(weights: np.ndarray, r: np.ndarray,
             sub = order[runs]
             order[runs] = sub[np.argsort(r[sub], kind="stable")]
         np.take(r, order, out=r_sorted, mode="clip")
-    if weights is work.weights and work.m_half is not None:
-        return order, r_sorted, weights, work.m_half
-    w_sorted = weights[order]
+    if run.m_half is not None:
+        return order, r_sorted, run.ens.weights, run.m_half
+    w_sorted = run.ens.weights[order]
     m_half = np.cumsum(w_sorted) - 0.5 * w_sorted   # mass below + half own
     return order, r_sorted, w_sorted, m_half
 
 
-def field_from_particles(ens: ParticleEnsemble, *,
-                         _work: Optional[_Workspace] = None) -> np.ndarray:
+def field_from_particles(ens: ParticleEnsemble) -> np.ndarray:
     """Self-consistent shell accelerations of the ensemble, shape (n, 3).
 
     Each particle is pulled toward the origin by m_half / (4 pi (r^2 +
@@ -336,19 +320,19 @@ def field_from_particles(ens: ParticleEnsemble, *,
     counts the other as outside and the higher index counts it as enclosed.
     No radius is cut off, so escapers stay part of the mass budget.
 
-    ``_work`` is the run's workspace (evolve's): the sort, unless the
-    ensemble holds one, and the result are made in it.
+    Given a run (evolve's and push's), the result is made in its
+    accelerations, from the sort of its current positions.
     """
-    work = _work or _Workspace(ens.weights)
-    shells = ens.shells(work)
-    out = work.spare(ens.positions, ens.velocities)
+    run = ens if isinstance(ens, _Run) else _Run(ens)
+    shells = run.sort()
+    out = run.accel
     # the pull is built in the result's columns: sorted in the second,
     # in particle order in the first
     pull, pull_p = out[:, 1], out[:, 0]
     np.multiply(shells.r_sorted, shells.r_sorted, out=pull)
-    pull += ens.eps_soft ** 2
+    pull += run.ens.eps_soft ** 2
     np.power(pull, 1.5, out=pull)   # the softened r^3, ascending, nan last
-    if ens.n and pull[0] > 0 and not math.isnan(pull[-1]):
+    if run.n and pull[0] > 0 and not math.isnan(pull[-1]):
         pull *= 4.0 * np.pi
         np.divide(shells.m_half, pull, out=pull)
     else:   # a zero or nan soft radius pulls with 0
@@ -357,89 +341,74 @@ def field_from_particles(ens: ParticleEnsemble, *,
     pull_p[shells.order] = pull
     np.negative(pull_p, out=pull_p)
     for axis in (1, 2, 0):   # the first column last: it holds the pull
-        np.multiply(pull_p, ens.positions[:, axis], out=out[:, axis])
+        np.multiply(pull_p, run.positions[:, axis], out=out[:, axis])
     return out
-
-
-def _drift_velocity(ens: ParticleEnsemble, velocities: np.ndarray,
-                    out: Optional[np.ndarray] = None,
-                    scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """velocities / sqrt(1 + |v|^2/c^2) (velocities themselves when
-    classical), into out with two columns of scratch when they are given."""
-    if ens.params.is_classical:
-        return velocities
-    cols = (scratch[:, 0], scratch[:, 1]) if scratch is not None else (None, None)
-    v2 = _row_norm2(velocities, *cols)
-    v2 /= ens.params.c ** 2
-    v2 += 1.0
-    return np.divide(velocities, np.sqrt(v2, out=v2)[:, None], out=out)
 
 
 def push(ens: ParticleEnsemble, dt: float,
          accel: Optional[np.ndarray] = None,
-         external: Optional[Callable] = None, *,
-         _work: Optional[_Workspace] = None):
+         external: Optional[Callable] = None):
     """One kick-drift-kick step; returns (ensemble, post-step accelerations).
 
-    With ``external`` set (a positions -> accelerations callable) the field is
-    frozen to that rule and the step is exactly time-reversible; otherwise
-    field_from_particles is recomputed on the drifted ensemble, and the
-    returned ensemble keeps the sort that force call made.
+    ``accel`` is the acceleration at the starting positions, computed when
+    not given. With ``external`` set (a positions -> accelerations callable)
+    the field is frozen to that rule and the step is exactly time-reversible;
+    otherwise field_from_particles is recomputed on the drifted positions.
 
-    ``_work`` is the run's workspace (evolve's): the step writes its arrays
-    into it, and may overwrite the arrays of ``ens`` and ``accel`` that live
-    there. Without it the step writes into a fresh one, so the caller's
-    arrays are never touched.
+    The step runs on a fresh run of the ensemble (see _Run), so no caller's
+    array is written or shared by what is returned. Given a run, the step
+    updates it in place and returns it.
     """
     if dt == 0.0 or not math.isfinite(dt):
         raise PreconditionError(f"dt must be nonzero and finite, got {dt}")
-    work = _work or _Workspace(ens.weights)
-    if external is None:
-        def force(state):
-            return field_from_particles(state, _work=work)
-    else:
-        def force(state):
-            return external(state.positions)
-    if accel is None:
+    run = ens if isinstance(ens, _Run) else _Run(ens)
+    x, v, a, s = run.positions, run.velocities, run.accel, run.scratch
+    params = run.ens.params
+
+    def force():
         if external is None:
-            ens.shells()   # the caller's ensemble keeps a sort of its own
-        accel = force(ens)
+            return field_from_particles(run)
+        a[...] = external(x)
+        return a
 
     # In the operation order of ens.velocities + 0.5 * dt * accel and its
-    # like, so the bits are the expressions'.
-    v_half = np.multiply(accel, 0.5 * dt, out=work.spare(ens.positions, ens.velocities))
-    v_half += ens.velocities
-    x_new = work.spare(ens.positions, v_half)
-    drift = _drift_velocity(ens, v_half, out=x_new,
-                            scratch=work.spare(ens.positions, v_half, x_new))
-    np.multiply(drift, dt, out=x_new)   # classical: drift is v_half itself
-    x_new += ens.positions
-    drifted = replace(ens, positions=x_new, velocities=v_half)
-    accel_new = force(drifted)
-    v_new = np.multiply(accel_new, 0.5 * dt, out=work.spare(x_new, v_half, accel_new))
-    v_new += v_half
-    _check_state(drifted, v_new, dt, work.spare(x_new, v_new, accel_new))
-    out = replace(drifted, velocities=v_new)
-    out._hold(drifted._shells)   # same positions and weights, same sort
-    return out, accel_new
+    # like, so the bits are the expressions'. A non-finite state makes
+    # invalid values in the force and the drift; the check below names it.
+    with np.errstate(invalid="ignore"):
+        if accel is None:
+            accel = force()
+        v += np.multiply(accel, 0.5 * dt, out=s)
+        if params.is_classical:
+            np.multiply(v, dt, out=s)
+        else:   # |v|^2 in the columns of a, which the kick has spent
+            v2 = _row_norm2(v, a[:, 0], a[:, 1])
+            v2 /= params.c ** 2
+            v2 += 1.0
+            np.divide(v, np.sqrt(v2, out=v2)[:, None], out=s)
+            s *= dt
+        x += s
+        run.shells = None
+        force()
+    v += np.multiply(a, 0.5 * dt, out=s)
+    _check_state(run, dt)
+    return (run if run is ens else run.ensemble()), a
 
 
-def _check_state(drifted: ParticleEnsemble, v_new: np.ndarray, dt: float,
-                 scratch: np.ndarray) -> None:
+def _check_state(run: _Run, dt: float) -> None:
     """NumericsError unless the pushed state is finite and, at finite c,
     drifts slower than c.
 
     Finite radii imply finite positions, and at finite c a finite largest
     |v|^2 implies finite velocities; the (n, 3) scans run only when one of
     them is not finite."""
-    x_new = drifted.positions
+    x_new, v_new, params = run.positions, run.velocities, run.ens.params
     u2 = None
-    if not drifted.params.is_classical:
-        u2 = float(np.max(_row_norm2(v_new, scratch[:, 0], scratch[:, 1]),
+    if not params.is_classical:
+        u2 = float(np.max(_row_norm2(v_new, run.scratch[:, 0], run.scratch[:, 1]),
                           initial=0.0))
-    shells = drifted._shells   # None under an external force
+    shells = run.shells   # None under an external force
     x_finite = (shells is not None
-                and (not drifted.n or math.isfinite(shells.r_sorted[-1]))
+                and (not run.n or math.isfinite(shells.r_sorted[-1]))
                 or np.all(np.isfinite(x_new)))
     v_finite = u2 is not None and math.isfinite(u2) or np.all(np.isfinite(v_new))
     if not (x_finite and v_finite):
@@ -451,7 +420,7 @@ def _check_state(drifted: ParticleEnsemble, v_new: np.ndarray, dt: float,
     if u2 is not None:
         # |dx/dt| = |v|/sqrt(1+|v|^2/c^2) < c in exact arithmetic and rises
         # with |v|, so the fastest particle decides whether rounding broke it
-        c = drifted.params.c
+        c = params.c
         drift = math.sqrt(u2 / (1.0 + u2 / c ** 2))
         if not drift < c:
             raise NumericsError(
@@ -537,50 +506,62 @@ def _reference_shell_masses(state: GroundState):
     return np.concatenate(([0.0], inner, [np.inf])), np.diff(quantiles)
 
 
-def _diagnostics(ens: ParticleEnsemble, t: float, center_bin: float,
+def _diagnostics(run: _Run, shells: _Shells, t: float, center_bin: float,
                  ref_masses: Optional[np.ndarray] = None,
-                 ref_edges: Optional[np.ndarray] = None,
-                 scratch: Optional[np.ndarray] = None) -> DiagnosticsRecord:
-    """The record at time t, from the ensemble's sort. Its per-particle
-    temporaries go into the columns of scratch, an (n, 3) array, when one is
-    given."""
-    r, order, r_sorted, w_sorted, m_half = ens.shells()
-    cols = (scratch[:, 0], scratch[:, 1], scratch[:, 2]) if scratch is not None else (None,) * 3
+                 ref_edges: Optional[np.ndarray] = None) -> DiagnosticsRecord:
+    """The record at time t of the run's state, from shells, the sort of its
+    positions. Its per-particle temporaries go into the run's scratch."""
+    r, order, r_sorted, w_sorted, m_half = shells
+    weights, params = run.ens.weights, run.ens.params
+    cols = run.scratch[:, 0], run.scratch[:, 1], run.scratch[:, 2]
     # exact field energy (1/2) int |grad phi|^2 of the unsoftened shell
     # system: (1/(4 pi)) sum_i w_i M_half(<r_i) / r_i over r_i > 0, one
     # slice of the sorted radii (zeros first, nan last)
     lo, hi = np.searchsorted(r_sorted, (0.0, math.inf), side="right")
-    shell = np.multiply(w_sorted[lo:hi], m_half[lo:hi],
-                        out=None if scratch is None else cols[0][:hi - lo])
+    shell = np.multiply(w_sorted[lo:hi], m_half[lo:hi], out=cols[0][:hi - lo])
     shell /= r_sorted[lo:hi]
     epot = float(np.sum(shell) / (4.0 * np.pi))
-    speeds = _row_norm2(ens.velocities, cols[0], cols[1])
+    speeds = _row_norm2(run.velocities, cols[0], cols[1])
     np.sqrt(speeds, out=speeds)
-    kinetic = kinetic_weight(ens.params, speeds)
-    kinetic *= ens.weights
+    kinetic = kinetic_weight(params, speeds)
+    kinetic *= weights
     ekin = float(np.sum(kinetic))
     del kinetic
     hc = ekin - epot
     u2 = np.multiply(speeds, speeds, out=cols[1])
-    if ens.params.is_classical:
-        u2 *= ens.weights
+    if params.is_classical:
+        u2 *= weights
     else:
-        den = np.divide(u2, ens.params.c ** 2, out=cols[2])
+        den = np.divide(u2, params.c ** 2, out=cols[2])
         den += 1.0
-        u2 *= ens.weights
+        u2 *= weights
         u2 /= np.sqrt(den, out=den)
     vir_lhs = float(np.sum(u2))
     virial = (vir_lhs - epot) / max(abs(vir_lhs), abs(epot), 1e-300)
 
-    rho_center = _ball_density(ens.weights, r, center_bin)
+    rho_center = _ball_density(weights, r, center_bin)
 
     dist = math.nan
     if ref_masses is not None and ref_edges is not None:
-        masses = _binned_shell_masses(ens.weights, ref_edges, order, r_sorted)
+        masses = _binned_shell_masses(weights, ref_edges, order, r_sorted)
         dist = float(np.sum(np.abs(masses - ref_masses)))
-    return DiagnosticsRecord(t=t, hc=hc, m1=ens.total_mass, ekin=ekin,
+    return DiagnosticsRecord(t=t, hc=hc, m1=run.ens.total_mass, ekin=ekin,
                              epot=epot, virial=virial, rho_center=rho_center,
                              dist_rho=dist)
+
+
+def _check_input(run: _Run) -> None:
+    """PreconditionError naming the first particle whose position or velocity
+    is not finite, or whose weight is not finite and nonnegative."""
+    w = run.ens.weights
+    for name, values, ok in (
+            ("positions", run.positions, np.isfinite(run.positions).all(axis=1)),
+            ("velocities", run.velocities, np.isfinite(run.velocities).all(axis=1)),
+            ("weights", w, np.isfinite(w) & (w >= 0))):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            need = "finite and nonnegative" if values is w else "finite"
+            raise PreconditionError(f"{name} must be {need}, got {values[i]} at particle {i}")
 
 
 def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
@@ -593,16 +574,11 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     every Casimir functional is conserved exactly and is not recorded.
     ``stop_condition(record, sorted_radii)`` returns True to end the run;
     the sorted radii are valid only during the call.
-    Returns (records, ensemble).
+    Returns (records, ensemble); the ensemble shares no array with ``ens``.
 
-    Each force call sorts once, and a record reads the sort of its step's
-    force call. The run works on its own copy of ``ens`` and takes over any
-    sort ``ens`` holds; that sort serves the first record and the first force.
-    Each step's sort is dropped before the next push, so none outlives its
-    record. The run owns one workspace: every push writes its positions,
-    velocities, accelerations and sort into it, over the arrays of the step
-    before, so a step allocates nothing of the ensemble's size. The returned
-    ensemble's arrays are the run's last ones.
+    The flow steps a _Run of ``ens`` in place. Each force call sorts once,
+    a record reads the sort of its step's force call, and the first sort
+    serves the first record and the first force.
     """
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise PreconditionError("dt and t_end must be positive and finite, "
@@ -611,35 +587,27 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     if steps < 1:
         raise PreconditionError(
             f"t_end/dt must round to at least one step, got t_end={t_end:g}, dt={dt:g}")
+    run = ens if isinstance(ens, _Run) else _Run(ens)
+    _check_input(run)
+    shells = run.sort()
     if center_bin is None:
         center_bin = (reference.r_support / 20.0 if reference is not None
-                      else float(np.percentile(ens.radii(), 50)) / 10.0)
+                      else float(np.percentile(shells.r, 50)) / 10.0)
     ref_masses = ref_edges = None
     if reference is not None:
         ref_edges, ref_masses = _reference_shell_masses(reference)
 
-    run = replace(ens)
-    run._hold(ens._shells)
-    ens._hold(None)   # the caller keeps no sort
-    work = _Workspace(run.weights)
-    run.shells(work)
-    records = [_diagnostics(run, 0.0, center_bin, ref_masses, ref_edges,
-                            work.spare(run.positions, run.velocities))]
-    accel = field_from_particles(run, _work=work)
-    run._hold(None)
+    records = [_diagnostics(run, shells, 0.0, center_bin, ref_masses, ref_edges)]
+    field_from_particles(run)
     for k in range(1, steps + 1):
-        run, accel = push(run, dt, accel=accel, _work=work)
-        stop = False
+        push(run, dt, accel=run.accel)
         if k % diag_every == 0 or k == steps:
-            records.append(_diagnostics(run, k * dt, center_bin, ref_masses,
-                                        ref_edges, work.spare(run.positions,
-                                                              run.velocities, accel)))
-            stop = (stop_condition is not None
-                    and stop_condition(records[-1], run.shells().r_sorted))
-        run._hold(None)
-        if stop:
-            break
-    return records, run
+            records.append(_diagnostics(run, run.shells, k * dt, center_bin,
+                                        ref_masses, ref_edges))
+            if (stop_condition is not None
+                    and stop_condition(records[-1], run.shells.r_sorted)):
+                break
+    return records, run.ensemble()
 
 
 # --- experiments -----------------------------------------------------------------
@@ -796,16 +764,17 @@ def blowup_experiment(spec: CasimirSpec, params: ModelParams,
         raise PreconditionError(
             f"blow-up experiment needs negative energy, got hc = {rep.hc:.6g}")
     ens = sample_density(initial, params, n, seed)
-    ens = replace(ens, eps_soft=0.5 * ens.eps_soft)   # concentration needs finer forces
+    # concentration needs finer forces
+    run = _Run(replace(ens, eps_soft=0.5 * ens.eps_soft))
     # the central bin starts with ~0.2% of the mass so a 100x density growth
-    # has headroom; a quarter-mass bin would saturate long before that
-    shells = ens.shells()
+    # has headroom; a quarter-mass bin would saturate long before that. The
+    # run's sort serves the set-up and then its first record and force.
+    shells = run.sort()
     center_bin = float(shells.r_sorted[max(int(0.002 * n), 50)])
-    rho0 = _ball_density(ens.weights, shells.r, center_bin)
+    rho0 = _ball_density(run.ens.weights, shells.r, center_bin)
     if dt is None:
-        bulk = _ball_density(ens.weights, shells.r, shells.r_sorted[n // 2])
+        bulk = _ball_density(run.ens.weights, shells.r, shells.r_sorted[n // 2])
         dt = 0.01 * dynamical_time(max(bulk, 1e-12))
-    del shells   # evolve takes the sort over and drops it after its first push
 
     threshold = _GROWTH_THRESHOLD * max(rho0, 1e-300)
     halted_at = None
@@ -814,12 +783,12 @@ def blowup_experiment(spec: CasimirSpec, params: ModelParams,
         nonlocal halted_at
         if rec.rho_center >= threshold:
             return True
-        if _one_percent_radius(r_sorted) < 1.5 * ens.eps_soft:
+        if _one_percent_radius(r_sorted) < 1.5 * run.ens.eps_soft:
             halted_at = rec.t
             return True
         return False
 
-    records, _ = evolve(ens, t_end, dt, diag_every=_BLOWUP_DIAG_EVERY,
+    records, _ = evolve(run, t_end, dt, diag_every=_BLOWUP_DIAG_EVERY,
                         center_bin=center_bin, stop_condition=guard)
     peak = max(rec.rho_center for rec in records)
     # a crossing stops the run, so only the last record can cross

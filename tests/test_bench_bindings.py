@@ -1,8 +1,10 @@
-"""Every name bench/tracing.py wraps exists, with the arguments its span reads.
+"""Every name bench/tracing.py wraps exists, with the arguments its span reads,
+and the flow's calls pass through the wrapped names.
 
 The benchmark replaces module attributes of the program for the length of a
-pass, so a rename or a changed signature in src/ would only show when the
-benchmark runs; these tests show it in the suite.
+pass, so a rename, a changed signature or a call that bypasses the module
+attribute in src/ would only show when the benchmark runs; these tests show
+it in the suite.
 """
 
 import importlib.util
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from gravlasov import dynamics
 from gravlasov.kernel import ModelParams, make_polytrope
 from gravlasov.radial import RadialGrid
 
@@ -49,3 +52,20 @@ def test_shot_spans_read_grid_and_fast(tracing, kwargs, fast):
             make_polytrope(2.0), ModelParams(), -1.0, -1.0, grid, **kwargs)
         bound.apply_defaults()
         assert on_args(bound.arguments) == {"n": 257, "fast": fast}
+
+
+def test_flow_spans_count_each_push_and_force_call(tracing, state_p2_rel):
+    # the benchmark's self-test compares two runs with each other, so a
+    # change that hid push or field_from_particles from the wrappers would
+    # read 0 in both; a 7-step evolve must read 7 pushes and 8 force calls,
+    # all but the first inside a push
+    ens = dynamics.sample_state(state_p2_rel, 2000, seed=6)
+    tracer = tracing.Tracer()
+    with tracer.installed(trace=1):
+        records, _ = dynamics.evolve(ens, 7 * 0.01, 0.01, diag_every=3)
+    assert len(records) == 4
+    pushes = {i for i, span in enumerate(tracer.spans) if span.name == "dynamics.push"}
+    forces = [span for span in tracer.spans
+              if span.name == "dynamics.field_from_particles"]
+    assert len(pushes) == 7 and len(forces) == 8
+    assert sum(span.parent in pushes for span in forces) == 7

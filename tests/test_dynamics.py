@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -180,15 +181,21 @@ def test_ensemble_shapes_checked_where_built(name, bad):
         ParticleEnsemble(params=CL, **arrays_ok)
 
 
+_ENSEMBLE_FIELDS = {"positions", "velocities", "weights", "f_values", "params",
+                    "eps_soft"}
+
+
 def test_ensemble_fields_are_frozen():
-    # a field assigned past construction would skip the shape check and leave
-    # a held sort stale; a new ensemble comes from replace instead
+    # a field assigned past construction would skip the shape check; a new
+    # ensemble comes from replace instead, and an ensemble is its fields alone:
+    # no sort or buffer rides along into the one replace builds
     ens = single_particle()
-    ens.shells()
     for name in ("positions", "velocities", "weights", "f_values", "eps_soft"):
         with pytest.raises(FrozenInstanceError):
             setattr(ens, name, getattr(ens, name))
-    assert replace(ens, eps_soft=0.5)._shells is None
+    field_from_particles(ens)
+    push(ens, 0.01)
+    assert set(vars(ens)) == set(vars(replace(ens, eps_soft=0.5))) == _ENSEMBLE_FIELDS
 
 
 # --- row norms -----------------------------------------------------------------
@@ -342,9 +349,9 @@ def test_evolve_sorts_once_per_force_call_and_record(state_p2_rel, monkeypatch):
     sorts = []
     exact = dynamics._sorted_shell_data
 
-    def counted(weights, r, *args):
+    def counted(r, run):
         sorts.append(len(r))
-        return exact(weights, r, *args)
+        return exact(r, run)
 
     monkeypatch.setattr(dynamics, "_sorted_shell_data", counted)
     ens = sample_state(state_p2_rel, 1500, seed=6)
@@ -355,7 +362,7 @@ def test_evolve_sorts_once_per_force_call_and_record(state_p2_rel, monkeypatch):
     # one sort per force evaluation: the first record and the first force
     # share the start's sort, and each later record reads its push's sort
     assert len(sorts) == steps + 1
-    assert ens._shells is None and final._shells is None   # none outlives its run
+    assert set(vars(ens)) == set(vars(final)) == _ENSEMBLE_FIELDS   # no sort outlives its run
 
 
 def test_blowup_sorts_once_per_force_call(spec_p2, monkeypatch):
@@ -365,9 +372,9 @@ def test_blowup_sorts_once_per_force_call(spec_p2, monkeypatch):
     sorts, pushes = [], []
     exact_sort, exact_push = dynamics._sorted_shell_data, dynamics.push
 
-    def counted_sort(weights, r, *args):
+    def counted_sort(r, run):
         sorts.append(len(r))
-        return exact_sort(weights, r, *args)
+        return exact_sort(r, run)
 
     def counted_push(*args, **kwargs):
         pushes.append(1)
@@ -380,12 +387,19 @@ def test_blowup_sorts_once_per_force_call(spec_p2, monkeypatch):
     assert len(sorts) == len(pushes) + 1
 
 
+def record(ens, *args):
+    """The t = 0 record of a run of ens, from the run's own sort."""
+    run = dynamics._Run(ens)
+    return dynamics._diagnostics(run, run.sort(), 0.0, *args)
+
+
 def test_record_after_replace_matches_fresh_ensemble(state_p2_rel):
-    # a new ensemble never carries the sort of the one it was built from
+    # an ensemble built by replace records like a fresh copy of its arrays:
+    # nothing of the force call on the ensemble it came from rides along
     from gravlasov.dynamics import _perturb
     ens = sample_state(state_p2_rel, 2000, seed=4)
     edges, ref_masses = dynamics._reference_shell_masses(state_p2_rel)
-    ens.shells()
+    field_from_particles(ens)
     rng = np.random.default_rng(3)
     variants = [replace(ens, weights=rng.uniform(0.5, 1.5, ens.n) * ens.weights),
                 _perturb(ens, 0.03, "amplitude"),
@@ -395,12 +409,22 @@ def test_record_after_replace_matches_fresh_ensemble(state_p2_rel):
             positions=variant.positions.copy(), velocities=variant.velocities.copy(),
             weights=variant.weights.copy(), f_values=variant.f_values.copy(),
             params=variant.params, eps_soft=variant.eps_soft)
-        got = dynamics._diagnostics(variant, 0.0, 0.1, ref_masses, edges)
-        want = dynamics._diagnostics(fresh, 0.0, 0.1, ref_masses, edges)
+        got = record(variant, 0.1, ref_masses, edges)
+        want = record(fresh, 0.1, ref_masses, edges)
         assert repr(got) == repr(want)
-        assert got != dynamics._diagnostics(ens, 0.0, 0.1, ref_masses, edges)
+        assert got != record(ens, 0.1, ref_masses, edges)
         assert np.array_equal(field_from_particles(variant),
                               field_from_particles(fresh))
+
+
+def packed_shell_data(weights, r):
+    """_sorted_shell_data of radii r, in the sort arrays of a run of an
+    ensemble with these weights."""
+    n = len(r)
+    run = dynamics._Run(ParticleEnsemble(
+        positions=np.zeros((n, 3)), velocities=np.zeros((n, 3)), weights=weights,
+        f_values=np.zeros(n), params=CL))
+    return dynamics._sorted_shell_data(r, run)
 
 
 def stable_shell_data(weights, r):
@@ -448,7 +472,7 @@ def shell_radii(draw):
 @example(r=np.array([2.0, np.nextafter(2.0, 0.0)]), seed=0)
 def test_packed_sort_is_the_stable_argsort(r, seed):
     weights = np.random.default_rng(seed).uniform(0.5, 1.5, len(r))
-    got = dynamics._sorted_shell_data(weights, r)
+    got = packed_shell_data(weights, r)
     for a, b in zip(got, stable_shell_data(weights, r)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -474,7 +498,7 @@ def test_packed_sort_repairs_its_runs_locally(monkeypatch, odd):
         return argsort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", counted)
-    got = dynamics._sorted_shell_data(weights, r)
+    got = packed_shell_data(weights, r)
     monkeypatch.undo()
     for a, b in zip(got, stable_shell_data(weights, r)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -517,8 +541,10 @@ def test_record_matches_two_pass_reference(state_p2_rel):
     # the sampled edges end at infinity; finite ones clip into the last bin
     finite = np.array([0.0, 0.5 * edges[1], edges[-2]])
     for edges_k, masses_k in ((edges, ref_masses), (finite, np.array([0.1, 0.2]))):
-        rec = dynamics._diagnostics(ens, 0.0, 0.1, masses_k, edges_k)
-        assert ens.shells().r_sorted.tobytes() == np.sort(ens.radii()).tobytes()
+        run = dynamics._Run(ens)
+        shells = run.sort()
+        rec = dynamics._diagnostics(run, shells, 0.0, 0.1, masses_k, edges_k)
+        assert shells.r_sorted.tobytes() == np.sort(ens.radii()).tobytes()
         assert (rec.epot, rec.dist_rho) == two_pass_record(ens, edges_k, masses_k)
 
 
@@ -646,7 +672,7 @@ def test_push_names_a_non_finite_state(request, state_name, where, bad, message)
     values = getattr(ens, where).copy()
     values[7, 1] = bad
     ens = replace(ens, **{where: values})
-    with np.errstate(all="ignore"), pytest.raises(NumericsError) as info:
+    with pytest.raises(NumericsError) as info:   # and no warning before it
         push(ens, 0.01)
     assert str(info.value) == f"non-finite state after push (dt=0.01, {message})"
 
@@ -664,7 +690,7 @@ def test_push_of_a_finite_state_whose_radii_overflow(request, state_name, digest
     ens = replace(ens, positions=positions)
     with np.errstate(over="ignore"):
         out, accel = push(ens, 0.01)
-    assert np.isinf(out.shells().r_sorted[-1])
+        assert np.isinf(np.max(out.radii()))
     h = hashlib.sha256(out.positions.tobytes())
     h.update(out.velocities.tobytes())
     h.update(accel.tobytes())
@@ -681,6 +707,47 @@ def test_evolve_rejects_a_run_of_no_steps(state_p2_rel):
     ens = sample_state(state_p2_rel, 1500, seed=5)
     with pytest.raises(PreconditionError, match=r"got t_end=1e-09, dt=1$"):
         evolve(ens, 1e-9, 1.0)
+
+
+@pytest.mark.parametrize("where, bad, message", [
+    ("velocities", math.nan, r"velocities must be finite, got \[.*nan.*\]"),
+    ("positions", math.inf, r"positions must be finite, got \[.*inf.*\]"),
+    ("weights", -1e-3, r"weights must be finite and nonnegative, got -0\.001"),
+    ("weights", math.nan, r"weights must be finite and nonnegative, got nan"),
+])
+def test_evolve_names_a_bad_input(state_p2_rel, where, bad, message):
+    # checked once, before the first record: the first bad particle is named,
+    # and no warning comes before the error
+    ens = sample_state(state_p2_rel, 1500, seed=5)
+    values = getattr(ens, where).copy()
+    values[[7, 40]] = bad
+    ens = replace(ens, **{where: values})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match=rf"^{message} at particle 7$"):
+            evolve(ens, 0.02, 0.01)
+
+
+@pytest.mark.parametrize("call", ["push", "push-accel", "field", "evolve"])
+@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"])
+def test_no_callers_array_is_written_or_aliased(request, state_name, call):
+    # each call steps a run of its own: the inputs keep their bits, and what
+    # comes back shares no memory with them
+    ens = sample_state(request.getfixturevalue(state_name), 2000, seed=5)
+    accel = field_from_particles(ens)
+    inputs = (ens.positions, ens.velocities, ens.weights, ens.f_values, accel)
+    before = [a.copy() for a in inputs]
+    if call == "field":
+        returned = [field_from_particles(ens)]
+    elif call == "evolve":
+        _, out = evolve(ens, 0.03, 0.01, diag_every=2)
+        returned = [out.positions, out.velocities, out.weights, out.f_values]
+    else:
+        out, accel_new = push(ens, 0.01, accel=accel if call == "push-accel" else None)
+        returned = [out.positions, out.velocities, out.weights, out.f_values, accel_new]
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert not any(np.shares_memory(got, a) for got in returned for a in inputs)
 
 
 @pytest.mark.parametrize("external", [None, central_mass_accel(1.0)],
@@ -701,7 +768,9 @@ def test_push_leaves_the_callers_state_unchanged(request, state_name, external):
     assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
                for a, b in zip(kept, before))
     v_half = ens.velocities + 0.5 * dt * accel
-    x_new = ens.positions + dt * dynamics._drift_velocity(ens, v_half)
+    drift = v_half / np.sqrt(1.0 + np.sum(v_half * v_half, axis=1, keepdims=True)
+                             / ens.params.c ** 2)
+    x_new = ens.positions + dt * drift
     want_accel = force(replace(ens, positions=x_new))
     v_new = v_half + 0.5 * dt * want_accel
     for got, want in ((out.positions, x_new), (out.velocities, v_new),
@@ -940,5 +1009,5 @@ def test_one_percent_radius_is_the_partition_statistic(n, distinct, seed):
     rng = np.random.default_rng(seed)
     r = rng.choice(rng.uniform(0.0, 2.0, distinct), size=n)
     k = max(int(0.01 * n) - 1, 0)
-    _, r_sorted, _, _ = dynamics._sorted_shell_data(np.ones(n), r)
+    _, r_sorted, _, _ = packed_shell_data(np.ones(n), r)
     assert dynamics._one_percent_radius(r_sorted) == np.partition(r, k)[k]
