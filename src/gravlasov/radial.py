@@ -47,6 +47,7 @@ __all__ = [
     "write_csv",
     "write_json",
     "read_csv",
+    "radius_text",
     "write_radial_field",
     "read_radial_field",
     "write_phase_density",
@@ -380,9 +381,18 @@ def read_csv(path, header) -> np.ndarray:
         return np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, len(header))
 
 
-def write_radial_field(path, field_: RadialField) -> None:
-    write_csv(path, ["r", "value"],
-              np.column_stack((field_.grid.nodes, field_.values)))
+def radius_text(grid: RadialGrid) -> list:
+    """The grid's nodes as write_csv writes a float."""
+    return list(map(_FLOAT.format, grid.nodes.tolist()))
+
+
+def write_radial_field(path, field_: RadialField, r_text=None) -> None:
+    """Write (r, value) rows; r_text, the grid's radius_text, lets fields on
+    one grid format their radii once."""
+    if r_text is None:
+        r_text = radius_text(field_.grid)
+    values = np.asarray(field_.values, dtype=float).tolist()
+    write_csv(path, ["r", "value"], zip(r_text, values))
 
 
 def read_radial_field(path) -> RadialField:

@@ -92,6 +92,31 @@ def test_radial_field_round_trip_gives_an_equal_grid(tmp_path):
     assert read_radial_field(path).grid == grid
 
 
+@pytest.mark.parametrize("grid", [RadialGrid(r_max=1.0, n=2), RadialGrid(r_max=0.7, n=1000),
+                                  RadialGrid(r_max=20.0, n=4096)], ids=lambda g: str(g.n))
+def test_radial_field_writes_the_bytes_of_a_float_table(tmp_path, grid):
+    # each file is the one the (r, value) float table gives, whatever the
+    # values' dtype, with its radii formatted afresh or shared from radius_text
+    n = grid.n
+    fields = {
+        "signed": np.where(np.arange(n) % 3 == 1, -0.0, np.sin(grid.nodes)),
+        "special": np.resize([math.nan, -0.0, 5e-324, 1e-310, -math.inf, 3.0], n),
+        "subnormal": 5e-324 * np.arange(n),
+        "integer": np.arange(n) - n // 2,
+        "float32": np.cos(grid.nodes).astype(np.float32),
+    }
+    r_text = radial.radius_text(grid)
+    for name, values in fields.items():
+        field_ = RadialField(grid=grid, values=values)
+        write_radial_field(tmp_path / f"{name}.csv", field_)
+        write_radial_field(tmp_path / f"{name}_shared.csv", field_, r_text)
+        write_csv(tmp_path / f"{name}_table.csv", ["r", "value"],
+                  np.column_stack((grid.nodes, values)))
+        table = (tmp_path / f"{name}_table.csv").read_bytes()
+        assert (tmp_path / f"{name}.csv").read_bytes() == table, name
+        assert (tmp_path / f"{name}_shared.csv").read_bytes() == table, name
+
+
 def test_phase_density_validation(grids):
     grid_r, grid_u = grids
     bad = np.ones((grid_r.n, grid_u.m))

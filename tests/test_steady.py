@@ -21,7 +21,8 @@ from scipy.special import beta as beta_function
 
 from gravlasov import steady
 from gravlasov.errors import (BoundaryConditionError, FixedPointDivergenceError,
-                             NumericsError, PreconditionError, ResolutionError,
+                             GravlasovError, NonNegativeLambdaError, NumericsError,
+                             PreconditionError, ResolutionError,
                              SupportExceedsGridError, TargetsUnreachableError)
 from gravlasov.kernel import ModelParams, kinetic_weight, make_polytrope
 from gravlasov.radial import RadialGrid
@@ -682,6 +683,131 @@ def test_shoot_errors(spec_p2):
         steady._shoot(-1.0, -1.0, RadialGrid(r_max=20.0, n=9), table)
 
 
+def _stepwise_shoot(psi0, mu, grid, table):
+    """_shoot as a call of rk4() per node, each stage a table(x) float lookup:
+    the reference of the inline stages."""
+    r = grid.nodes
+    nodes = r.tolist()
+    h = grid.h
+    mu_abs = abs(mu)
+
+    if table(-psi0 / mu_abs) <= 0.0:
+        raise NumericsError("central density vanished for negative psi0")
+
+    def accel(rr, z):
+        p = z / rr if rr > 0.0 else psi0
+        return rr * table(-p / mu_abs) if p < 0.0 else 0.0
+
+    def rk4(rr, z, v, step):
+        k1z, k1v = v, accel(rr, z)
+        k2z, k2v = v + 0.5 * step * k1v, accel(rr + 0.5 * step, z + 0.5 * step * k1z)
+        k3z, k3v = v + 0.5 * step * k2v, accel(rr + 0.5 * step, z + 0.5 * step * k2z)
+        k4z, k4v = v + step * k3v, accel(rr + step, z + step * k3z)
+        return (z + (step / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z),
+                v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+    zs, vs = [0.0], [psi0]
+    for i in range(grid.n - 1):
+        z, v = rk4(nodes[i], zs[i], vs[i], h)
+        if not (math.isfinite(z) and math.isfinite(v)):
+            raise NumericsError("shooting integration produced non-finite values")
+        if z >= 0.0:
+            break
+        zs.append(z)
+        vs.append(v)
+    else:
+        raise SupportExceedsGridError(
+            "psi never crossed zero inside the grid; enlarge r_max")
+    if i < 2:
+        raise ResolutionError("support ends within the first two radial cells")
+
+    r_i, z_i, v_i = nodes[i], zs[i], vs[i]
+    tau = brentq(lambda step: rk4(r_i, z_i, v_i, step)[0], 0.0, h,
+                 xtol=1e-12 * grid.r_max)
+    r_supp = r_i + tau
+    z_end, v_end = rk4(r_i, z_i, v_i, tau)
+    w_r = r_supp * v_end - z_end
+
+    lam = -w_r / r_supp
+    if not lam < 0.0:
+        raise NonNegativeLambdaError("exterior match produced lambda >= 0")
+
+    z, v = np.array(zs), np.array(vs)
+    psi = np.empty_like(r)
+    w = np.empty_like(r)
+    psi[0], w[0] = psi0, 0.0
+    inner = slice(1, i + 1)
+    psi[inner] = z[inner] / r[inner]
+    w[inner] = r[inner] * v[inner] - z[inner]
+    outer = r >= r_supp
+    psi[outer] = -lam - w_r / r[outer]
+    w[outer] = w_r
+    return psi, w, r_supp, w_r, lam
+
+
+def _shot_outcome(shoot, psi0, mu, grid, table):
+    """A shot's profiles as bytes and scalars by float.hex, or its error."""
+    try:
+        psi, w, r_supp, w_r, lam = shoot(psi0, mu, grid, table)
+    except GravlasovError as exc:
+        return type(exc), str(exc)
+    return psi.tobytes(), w.tobytes(), [float(x).hex() for x in (r_supp, w_r, lam)]
+
+
+# (-1, -1) and the polish shots on 4096 nodes of the criterion-1 solves, at
+# c = 1 to (12.5, 1.9) and at c = inf to (16.0, 2.6); the last of each is the state
+SHOT_POINTS = [(-1.0, -1.0)] + [(float.fromhex(x), float.fromhex(y)) for x, y in (
+    ("-0x1.a0c9c342b09f5p-1", "-0x1.a886d53dd6dd4p-1"),
+    ("-0x1.a0c9c2f321107p-1", "-0x1.a886d4f94e689p-1"),
+    ("-0x1.a0c9c385f9443p-1", "-0x1.a886d4eccd23ap-1"),
+    ("-0x1.a0caae9d95184p-1", "-0x1.a887cfe3fbf18p-1"),
+    ("-0x1.b8c17972de5e1p-1", "-0x1.bb1c08278403fp-1"),
+    ("-0x1.b8c1791e3a3a4p-1", "-0x1.bb1c07e09673fp-1"),
+    ("-0x1.b8c179b96b7acp-1", "-0x1.bb1c07d26c29ap-1"),
+    ("-0x1.b8c1c68c3a03cp-1", "-0x1.bb1c603894306p-1"))]
+
+
+@pytest.mark.parametrize("weight, c", [("spec_p2", 1.0), ("spec_p2", 0.5),
+                                       ("spec_p2", math.inf), ("spec_cubic", 1.0)])
+def test_inline_stages_are_the_stepwise_shot_to_the_bit(request, weight, c):
+    # spec_cubic is not a pure power: it builds a table per shot
+    spec, params = request.getfixturevalue(weight), ModelParams(c=c)
+    for psi0, mu in SHOT_POINTS:
+        table = _shot_table(spec, params, psi0, mu)
+        for n in (257, 513, 4096):
+            grid = RadialGrid(r_max=20.0, n=n)
+            outcome = _shot_outcome(steady._shoot, psi0, mu, grid, table)
+            assert isinstance(outcome[0], bytes), (psi0, mu, n, outcome)
+            assert outcome == _shot_outcome(_stepwise_shoot, psi0, mu, grid, table)
+
+
+def _planted_table(spec, params, psi0, mu, g):
+    """A shot's table whose every kind reads the constant g."""
+    table = _shot_table(spec, params, psi0, mu)
+    table._rows = {kind: [[0.0, 0.0, 0.0, g]] * len(rows)
+                   for kind, rows in table._rows.items()}
+    return table
+
+
+def test_inline_stages_fail_as_the_stepwise_shot(spec_p2):
+    cases = [
+        (NumericsError, "central density vanished", -1.0, RadialGrid(r_max=20.0, n=513),
+         _planted_table(spec_p2, REL, -1.0, -1.0, -0.0)),
+        (ResolutionError, "first two radial cells", -1.0, RadialGrid(r_max=20.0, n=9),
+         _shot_table(spec_p2, CL, -1.0, -1.0)),
+        (SupportExceedsGridError, "never crossed zero", -1.0, RadialGrid(r_max=3.0, n=257),
+         _shot_table(spec_p2, CL, -1.0, -1.0)),
+        (NumericsError, "non-finite values", math.nan, RadialGrid(r_max=20.0, n=513),
+         _shot_table(spec_p2, REL, -1.0, -1.0)),
+        (NumericsError, "non-finite values", -1.0, RadialGrid(r_max=20.0, n=513),
+         _planted_table(spec_p2, REL, -1.0, -1.0, 1e308)),
+    ]
+    for error, match, psi0, grid, table in cases:
+        outcome = _shot_outcome(steady._shoot, psi0, -1.0, grid, table)
+        assert outcome[0] is error and match in outcome[1], outcome
+        assert outcome == _shot_outcome(_stepwise_shoot, psi0, -1.0, grid, table)
+
+
 def _breakpoints(table):
     """The depths of the spline's nodes and of their midpoints, up to a_max."""
     zeta = table._splines["rho"].x
@@ -711,6 +837,14 @@ def test_moment_table_lookup_matches_masked_lookup(spec_p2, spec_cubic, c):
             assert table(a, kind).tobytes() == ref.tobytes()
             scalars = np.array([table(float(x), kind) for x in a])
             assert scalars.tobytes() == ref.tobytes()
+            # the float lookup a shot binds, built once per table and kind
+            lookup = table.lookup(kind)
+            assert table.lookup(kind) is lookup
+            assert np.array([lookup(x) for x in a.tolist()]).tobytes() == ref.tobytes()
+            assert math.isnan(lookup(math.nan))
+            assert math.isnan(table(np.array([math.nan]), kind)[0])
+            with pytest.raises(PreconditionError, match="outside tabulated range"):
+                lookup(table.a_max * (1.0 + 2e-8))
         with pytest.raises(PreconditionError, match="outside tabulated range"):
             table(table.a_max * (1.0 + 2e-8))
         with pytest.raises(PreconditionError, match="outside tabulated range"):
