@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import dynamics, rigidity, steady
-from .errors import ConfigError, GravlasovError, NumericsError, PreconditionError
+from .errors import ConfigError, GravlasovError, NumericsError
 from .kernel import ModelParams, check_casimir, make_polytrope
 from .radial import RadialGrid, SpeedGrid, bump_density, write_csv, write_json
 from .steady import SolveTargets
@@ -51,6 +51,7 @@ def _one_of(*choices):
 
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
+_NEGATIVE = (lambda v: v < 0, "must be negative")
 _EXPONENT = (lambda v: v > 1.5, "must exceed 3/2")
 _LADDER = (lambda v: all(d >= 0 for d in v) and any(d > 0 for d in v),
            "must be nonnegative sizes, at least one positive")
@@ -81,8 +82,8 @@ _KEYS = {
     "targets.m1": _Key(_finite, None, "m1", _POSITIVE),
     "targets.mj": _Key(_finite, None, "mj", _POSITIVE),
     "targets.tol": _Key(_finite, 1e-8, "tol", _POSITIVE),
-    "solve.psi0": _Key(_finite, None, "psi0", (lambda v: v <= 0, "must be <= 0")),
-    "solve.mu": _Key(_finite, None, "mu", (lambda v: v < 0, "must be negative")),
+    "solve.psi0": _Key(_finite, None, "psi0", _NEGATIVE),
+    "solve.mu": _Key(_finite, None, "mu", _NEGATIVE),
     "dynamics.n_particles": _Key(int, 50_000, "n_particles", _at_least(1000)),
     "dynamics.dt": _Key(_finite, None, "dt", _POSITIVE),
     "dynamics.t_end": _Key(_finite, None, "t_end", _POSITIVE),
@@ -269,8 +270,6 @@ def _cmd_scan(config: RunConfig, outdir: str) -> dict:
 
 def _cmd_equimeasure(config: RunConfig, outdir: str) -> dict:
     state = _solve_state(config)
-    if state.trivial:
-        raise PreconditionError("equimeasure needs a nontrivial state, got psi0 = 0")
     lam = config["equimeasure.lam"]
     f = state.tabulate(config["grid.m"])
     peak = float(np.max(f.values))

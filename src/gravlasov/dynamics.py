@@ -244,8 +244,6 @@ def _sample(density_fn, r_hi: float, u_hi: float, mass: float,
 
 def sample_state(state: GroundState, n: int, seed: int) -> ParticleEnsemble:
     """Monte Carlo representation of a solved steady profile Q(r, u)."""
-    if state.trivial or state.m1 <= 0:
-        raise PreconditionError("cannot sample the trivial state")
     return _sample(state.profile, state.r_support, state.u_bound, state.m1,
                    state.params, n, seed)
 
@@ -268,15 +266,15 @@ def _sorted_shell_data(r: np.ndarray, run: _Run):
     weights in their order, and half-self enclosed mass, in the run's sort
     arrays.
 
-    Nonnegative doubles order like their bit patterns, so one value sort of
+    A radius is the root of a sum of squares: +0.0 to inf, or nan. Such
+    doubles order like their bit patterns, nan last, so one value sort of
     uint64 keys, each a radius's bits with the low bits replaced by the
     particle's index, yields a permutation. When it sorts the radii strictly
-    increasing, it is the only permutation that does. Otherwise, on
-    nonnegative nan-free radii, only the runs of radii that agree in their
-    kept bits (ties among them) are out of place: each run sits where it
-    belongs, in index order, so a stable sort of the runs by radius repairs
-    the order. On -0.0, negative values or nan the stable argsort gives it:
-    the same permutation on any nan-free input."""
+    increasing, it is the only permutation that does. Otherwise only the
+    runs of radii that agree in their kept bits (ties among them, and nans
+    of one bit pattern) are out of place: each run sits where it belongs, in
+    index order, so a stable sort of the runs by radius repairs the order.
+    Nans of other patterns keep the order of their bits; each pulls with 0."""
     n = len(r)
     keys, r_sorted = run.keys, run.r_sorted
     low = np.uint64((1 << max((n - 1).bit_length(), 1)) - 1)
@@ -288,19 +286,14 @@ def _sorted_shell_data(r: np.ndarray, run: _Run):
     # the indices are in range; "clip" lets take write straight into out
     np.take(r, order, out=r_sorted, mode="clip")
     if not np.all(r_sorted[1:] > r_sorted[:-1]):
-        # keys order +0.0 < ... < inf < nan < -0.0 < negatives, so the last
-        # sorted radius tells whether any is -0.0, negative or nan
-        if math.isnan(r_sorted[-1]) or math.copysign(1.0, r_sorted[-1]) < 0:
-            order = np.argsort(r, kind="stable")
-        else:
-            high = r_sorted.view(np.uint64) & ~low
-            same = high[1:] == high[:-1]
-            in_run = np.zeros(n, dtype=bool)
-            in_run[1:] = same
-            in_run[:-1] |= same
-            runs = np.flatnonzero(in_run)
-            sub = order[runs]
-            order[runs] = sub[np.argsort(r[sub], kind="stable")]
+        high = r_sorted.view(np.uint64) & ~low
+        same = high[1:] == high[:-1]
+        in_run = np.zeros(n, dtype=bool)
+        in_run[1:] = same
+        in_run[:-1] |= same
+        runs = np.flatnonzero(in_run)
+        sub = order[runs]
+        order[runs] = sub[np.argsort(r[sub], kind="stable")]
         np.take(r, order, out=r_sorted, mode="clip")
     if run.m_half is not None:
         return order, r_sorted, run.ens.weights, run.m_half
@@ -326,12 +319,12 @@ def field_from_particles(ens: ParticleEnsemble) -> np.ndarray:
     run = ens if isinstance(ens, _Run) else _Run(ens)
     shells = run.sort()
     out = run.accel
-    # the pull is built in the result's columns: sorted in the second,
-    # in particle order in the first
+    # the pull is built in the result's columns: sorted in the second (its
+    # root in the third), in particle order in the first
     pull, pull_p = out[:, 1], out[:, 0]
     np.multiply(shells.r_sorted, shells.r_sorted, out=pull)
     pull += run.ens.eps_soft ** 2
-    np.power(pull, 1.5, out=pull)   # the softened r^3, ascending, nan last
+    pull *= np.sqrt(pull, out=out[:, 2])   # the softened r^3, ascending, nan last
     if run.n and pull[0] > 0 and not math.isnan(pull[-1]):
         pull *= 4.0 * np.pi
         np.divide(shells.m_half, pull, out=pull)
@@ -452,7 +445,7 @@ def central_mass_accel(mass: float) -> Callable:
     a = -M x / (4 pi |x|^3)."""
     def accel(positions):
         r2 = _row_norm2(positions)[:, None]
-        return -mass * positions / (4.0 * np.pi * r2 ** 1.5)
+        return -mass * positions / (4.0 * np.pi * (r2 * np.sqrt(r2)))
     return accel
 
 

@@ -432,8 +432,6 @@ def level_asymptotic(state: GroundState, tau_fracs=None) -> LevelAsymptoticFit:
     near a, fits C (a - tau)^q in log-log, and compares C against
     (4 pi^3/3) (|mu| / sqrt(phi''(0)))^3.
     """
-    if state.trivial:
-        raise PreconditionError("level asymptotics need a nontrivial state")
     grid = state.phi.grid
     r = grid.nodes
     h = grid.h

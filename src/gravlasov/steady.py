@@ -201,7 +201,7 @@ def _similarity_table(p: float, classical: bool, bucket: int):
         prof = _moment_profile(make_polytrope(p), ModelParams(c=0.5 ** bucket), -1.0,
                                s[1:] ** 2, tuple(powers))
         for row, vals, (coef, _, expo) in zip(g, prof, powers.values()):
-            row[1:] = vals / (coef * s[1:] ** (2.0 * expo))
+            row[1:] = vals / (coef * _POW(s[1:], 2.0 * expo).astype(float))
     splines = {kind: CubicSpline(zeta, row) for kind, row in zip(powers, g)}
     return (zeta.tolist(), splines,
             {kind: spl.c.T.tolist() for kind, spl in splines.items()}, powers)
@@ -322,15 +322,14 @@ class GroundState:
     hc: float
     profile: Callable = field(repr=False, compare=False)  # f(r, u); tabulate(m) tables it
     u_bound: float
-    trivial: bool = False
     # auxiliary moments used by the identity verifiers
-    jpq: float = 0.0        # int j'(Q) Q
-    ineg: float = 0.0       # int c^2 (1 - 1/sqrt(1+u^2/c^2)) Q
-    phi_q: float = 0.0      # int phi Q dx dv = int phi rho dx
+    jpq: float              # int j'(Q) Q
+    ineg: float             # int c^2 (1 - 1/sqrt(1+u^2/c^2)) Q
+    phi_q: float            # int phi Q dx dv = int phi rho dx
 
     def speed_grid(self, m: int) -> SpeedGrid:
-        """m speed nodes to 1.2 u_bound, past the support box (to 1 when trivial)."""
-        return SpeedGrid(1.2 * self.u_bound or 1.0, m)
+        """m speed nodes to 1.2 u_bound, past the support box."""
+        return SpeedGrid(1.2 * self.u_bound, m)
 
     def tabulate(self, m: int) -> PhaseDensity:
         """f from the profile on the radial grid and speed_grid(m)."""
@@ -416,16 +415,6 @@ def _finalize_state(spec, params, table: _MomentTable, lam, mu, grid: RadialGrid
         epot=epot, hc=hc, profile=profile, u_bound=u_bound, phi_q=phi_q,
         **{name: totals[kind] for kind, name in _TOTALS.items()},
     )
-
-
-def _trivial_state(spec, params, grid: RadialGrid, mu: float) -> GroundState:
-    zeros = np.zeros(grid.n)
-    return GroundState(params=params, spec=spec, lam=0.0, mu=mu, psi0=0.0, a=0.0,
-                       phi=RadialField(grid=grid, values=zeros),
-                       rho=RadialField(grid=grid, values=zeros.copy()),
-                       r_support=0.0, m1=0.0, mj=0.0, ekin=0.0, epot=0.0, hc=0.0,
-                       profile=lambda r, u: np.zeros(np.broadcast(r, u).shape),
-                       u_bound=0.0, trivial=True)
 
 
 # --- shooting solver ----------------------------------------------------------
@@ -541,10 +530,8 @@ def integrate_state(spec: CasimirSpec, params: ModelParams, psi0: float,
     """
     if not mu < 0:
         raise PreconditionError("mu must be negative")
-    if psi0 == 0.0:
-        return _trivial_state(spec, params, grid, mu)
     if not psi0 < 0:
-        raise PreconditionError("psi0 must be negative (0 gives the trivial state)")
+        raise PreconditionError(f"psi0 must be negative, got {psi0}")
 
     table = _MomentTable(spec, params, mu, -psi0 / abs(mu))
     psi, w, r_supp, w_r, lam = _shoot(psi0, mu, grid, table)
@@ -757,10 +744,8 @@ def virial_residual(state: GroundState) -> float:
     """Relative defect of the kinetic/potential balance of a steady state.
 
     Compares int u^2/sqrt(1+u^2/c^2) Q against -(1/2) int phi rho dx computed
-    from the tabulated profiles; zero for the trivial state.
+    from the tabulated profiles.
     """
-    if state.trivial or state.m1 == 0.0:
-        return 0.0
     lhs = state.vir_kin
     rhs = -0.5 * state.phi_q
     return (lhs - rhs) / max(abs(lhs), abs(rhs), _TINY)
@@ -835,9 +820,9 @@ def support_check(state: GroundState, m: int = 257) -> SupportReport:
 def state_to_dir(state: GroundState, outdir) -> dict:
     """Write state.json plus CSV profiles (phi, rho) under outdir.
 
-    Returns the state's scalars and identity residuals (none for the trivial
-    state); state.json holds them with the model, the trivial flag and the
-    profile paths. f is not written: state_from_dir rebuilds it from these.
+    Returns the state's scalars and identity residuals; state.json holds them
+    with the model and the profile paths. f is not written: state_from_dir
+    rebuilds it from these.
     """
     r_text = radius_text(state.phi.grid)   # phi and rho share the grid
     write_radial_field(os.path.join(outdir, "profiles", "phi.csv"), state.phi, r_text)
@@ -853,13 +838,12 @@ def state_to_dir(state: GroundState, outdir) -> dict:
         "ekin": state.ekin,
         "epot": state.epot,
         "hc": state.hc,
-        "residuals": {} if state.trivial else multiplier_identities(state).residuals,
+        "residuals": multiplier_identities(state).residuals,
     }
     doc = results | {
         "c": state.params.c,
         "casimir": state.spec.name,
         "p": state.spec.p,
-        "trivial": state.trivial,
         "profiles": {"phi": "profiles/phi.csv", "rho": "profiles/rho.csv"},
     }
     write_json(os.path.join(outdir, "state.json"), doc)

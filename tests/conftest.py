@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,39 @@ from gravlasov.steady import integrate_state
 # example database; property tests that solve a state may take seconds
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
+
+
+def _avx512_groups():
+    """numpy's dispatch targets that need AVX-512 and that this CPU has, or
+    None where numpy's private dispatch info cannot be read."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return None
+    return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)
+            and (name.startswith("AVX512") or name == "X86_V4")]
+
+
+@pytest.fixture(scope="session")
+def no_avx512_env():
+    """The environment of a child process whose numpy runs without the AVX-512
+    kernels it reports, with the package on its path; skips where it reports
+    none or its dispatch info cannot be read."""
+    groups = _avx512_groups()
+    if groups is None:
+        pytest.skip("numpy dispatch info unavailable")
+    if not groups:
+        pytest.skip("numpy reports no AVX-512 kernels")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = os.environ | {"PYTHONPATH": src,
+                        "NPY_DISABLE_CPU_FEATURES": " ".join(groups)}
+    # the child's numpy runs without them
+    probe = subprocess.run(
+        [sys.executable, "-c", "from numpy._core._multiarray_umath import "
+         "__cpu_features__ as f; print(*[name for name in f if f[name]])"],
+        check=True, env=env, capture_output=True, text=True)
+    assert not set(groups) & set(probe.stdout.split())
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -108,7 +108,7 @@ def test_solve_verify_pipeline(tmp_path):
     assert not os.path.exists(os.path.join(out, "profiles", "f.csv"))
     assert state_doc["profiles"] == {"phi": "profiles/phi.csv", "rho": "profiles/rho.csv"}
     # the summary reports the record state.json holds, minus model and paths
-    model_keys = ("c", "casimir", "p", "trivial", "profiles")
+    model_keys = ("c", "casimir", "p", "profiles")
     assert read_summary(out)["results"] == {
         key: value for key, value in state_doc.items() if key not in model_keys}
     assert len(state_doc["residuals"]) == 8
@@ -128,14 +128,17 @@ def test_solve_verify_pipeline(tmp_path):
         "phi_below_lambda": support.phi_below_lambda}
 
 
-def test_trivial_solve_reports_no_residuals(tmp_path):
-    out = str(tmp_path / "trivial")
-    assert run(["solve", "--psi0", "0", "--mu", "-1", "--n", "129",
-                "--out", out]) == 0
-    state_doc = json.loads(open(os.path.join(out, "state.json")).read())
-    assert state_doc["trivial"] is True
-    assert state_doc["residuals"] == {}
-    assert read_summary(out)["results"]["residuals"] == {}
+@pytest.mark.parametrize("args", [
+    ["solve"],
+    ["evolve", "--n-particles", "1000", "--t-end", "0.1", "--dt", "0.1"],
+    ["equimeasure"],
+], ids=["solve", "evolve", "equimeasure"])
+def test_zero_psi0_is_config_error(tmp_path, capsys, args):
+    # the zero state is no solve: every command names psi0 and writes nothing
+    out = tmp_path / "zero"
+    assert run(args + ["--psi0", "0", "--mu", "-1", "--n", "129", "--out", str(out)]) == 2
+    assert "solve.psi0 must be negative, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_with_targets(tmp_path):
@@ -232,6 +235,8 @@ def test_negative_targets_rejected(tmp_path):
 @pytest.mark.parametrize("args", [
     ["solve", "--psi0", "0.5", "--mu", "-1"],
     ["scan", "--param", "psi0", "--from", "-1", "--to", "0.5", "--steps", "4",
+     "--mu", "-1"],
+    ["scan", "--param", "psi0", "--from", "-1", "--to", "0", "--steps", "4",
      "--mu", "-1"],
 ])
 def test_out_of_range_psi0_is_config_error(tmp_path, capsys, args):
@@ -515,9 +520,6 @@ def test_verify_on_an_inconsistent_solve_is_a_named_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("args, error", [
-    (["evolve", "--psi0", "0", "--mu", "-1", "--n", "65", "--n-particles", "1000",
-      "--t-end", "0.1", "--dt", "0.1"], "PreconditionError"),    # trivial state
-    (["equimeasure", "--psi0", "0", "--mu", "-1", "--n", "65"], "PreconditionError"),
     (["froots", "--c", "1", "--a", "1", "--mu0", "-1e-320"], "NumericsError"),
     # 4 pi mu0^2 is subnormal: F(|mu0|) has lost digits
     (["froots", "--c", "0.5", "--a", "1", "--mu0", "1e-155"], "NumericsError"),
@@ -568,8 +570,8 @@ def test_froots_skips_scan_points_outside_double_range(tmp_path, capsys, mu0):
 
 # --- fuzzing the CLI from the key table ------------------------------------------
 
-def _floats(lo, hi):
-    return st.floats(lo, hi).map(repr)
+def _floats(lo, hi, exclude_max=False):
+    return st.floats(lo, hi, exclude_max=exclude_max).map(repr)
 
 
 def _ints(lo, hi):
@@ -589,7 +591,7 @@ def _draw_config(draw, command):
         cfg["grid.m"] = draw(_ints(2, 65))
     if command in ("solve", "verify", "equimeasure", "evolve", "stability"):
         if draw(st.booleans()):
-            cfg["solve.psi0"] = draw(_floats(-3.0, 0.0))
+            cfg["solve.psi0"] = draw(_floats(-3.0, 0.0, exclude_max=True))
             cfg["solve.mu"] = draw(_floats(-3.0, -0.05))
         else:
             cfg["targets.m1"] = draw(_floats(0.1, 50.0))
@@ -623,10 +625,11 @@ def _draw_config(draw, command):
             cfg["targets.mj"] = draw(_floats(0.05, 10.0))
     if command == "scan":
         param = draw(st.sampled_from(["mu", "psi0"]))
-        hi = 0.0 if param == "psi0" else -0.05
+        bound = (_floats(-3.0, 0.0, exclude_max=True) if param == "psi0"
+                 else _floats(-3.0, -0.05))
         cfg["scan.param"] = param
-        cfg["scan.from"] = draw(_floats(-3.0, hi))
-        cfg["scan.to"] = draw(_floats(-3.0, hi))
+        cfg["scan.from"] = draw(bound)
+        cfg["scan.to"] = draw(bound)
         cfg["scan.steps"] = draw(_ints(1, 4))
     if command == "froots":
         cfg["froots.a"] = draw(_floats(0.05, 5.0))

@@ -2,13 +2,14 @@
 
 A change to how a shot or a profile file is computed must leave every byte of
 `solve --p 2 --n 4096 --r-max 20` where it was, at c = 1 to (12.5, 1.9) and
-at c = inf to (16.0, 2.6). summary.json is left out: it records the output
+at c = inf to (16.0, 2.6), and the results `verify` reports on the c = 1
+solve. The rest of summary.json is left out: it records the output
 directory. Where numpy reports AVX-512 kernels, the solves rerun in a process
 with them disabled, and give the same bytes.
 """
 
 import hashlib
-import os
+import json
 import subprocess
 import sys
 
@@ -21,11 +22,12 @@ SOLVES = {"1": ("12.5", "1.9"), "inf": ("16.0", "2.6")}
 GOLDEN = {
     "1": ("251d8c068caae104cde3de7134e755f3256e74222c60f97dfae51802b9049973",
           "237e986e3035639b6b640b90e31abc97f1bb22bd16393810b6833947900956d1",
-          "19ac4d32849f38392ed229599943697f14d2b449d68b98046d856b338efec447"),
+          "92be877e180fd2e06373191f20f45d2a17fb1a312a664bc16d1d4a2cc7cda964"),
     "inf": ("8e45fe513cc72fd4419b99fa71732169473d951a63767fdb84f42b2d1d219a70",
             "1c57a7a16dbe2102ab0a0b92aa53727ef245d54ad4775330c594e5dfdc3e2891",
-            "7b587861694f1de53ce0fc22ec8a631669bc2d3f5261b7afda076b2f34fca3a6"),
+            "f4b213a8b55e89bc6e23bef43c4749fdbe524946cd60978211d8f28ba20d5d27"),
 }
+VERIFIED = "76664ff592e9d01a754ba60b40f0d156d2f0dcf204619b39e4318c6299475c71"  # c = 1
 
 
 def _argv(c, out):
@@ -38,15 +40,9 @@ def _digests(out):
     return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES)
 
 
-def _avx512_groups():
-    """numpy's dispatch targets that need AVX-512 and that this CPU has, or
-    None where numpy's private dispatch info cannot be read."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:
-        return None
-    return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)
-            and (name.startswith("AVX512") or name == "X86_V4")]
+def _verified(out):
+    results = json.loads((out / "summary.json").read_text())["results"]
+    return hashlib.sha256(json.dumps(results).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("c", SOLVES)
@@ -55,21 +51,19 @@ def test_criterion_one_solve_digests(tmp_path, c):
     assert _digests(tmp_path) == GOLDEN[c]
 
 
-def test_criterion_one_solve_digests_without_avx512(tmp_path):
-    groups = _avx512_groups()
-    if groups is None:
-        pytest.skip("numpy dispatch info unavailable")
-    if not groups:
-        pytest.skip("numpy reports no AVX-512 kernels")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = os.environ | {"PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(groups)}
-    # the child's numpy runs without them
-    probe = subprocess.run(
-        [sys.executable, "-c", "from numpy._core._multiarray_umath import "
-         "__cpu_features__ as f; print(*[name for name in f if f[name]])"],
-        check=True, env=env, capture_output=True, text=True)
-    assert not set(groups) & set(probe.stdout.split())
+def test_verify_results_digest(tmp_path):
+    assert cli.main(_argv("1", tmp_path)) == 0
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+    assert _verified(tmp_path) == VERIFIED
+
+
+def test_criterion_one_solve_digests_without_avx512(tmp_path, no_avx512_env):
+    def child(*argv):
+        subprocess.run([sys.executable, "-m", "gravlasov.cli", *argv], check=True,
+                       env=no_avx512_env, stdout=subprocess.DEVNULL)
+
     for c in SOLVES:
-        subprocess.run([sys.executable, "-m", "gravlasov.cli", *_argv(c, tmp_path / c)],
-                       check=True, env=env, stdout=subprocess.DEVNULL)
+        child(*_argv(c, tmp_path / c))
         assert _digests(tmp_path / c) == GOLDEN[c], c
+    child("verify", "--out", str(tmp_path / "1"))
+    assert _verified(tmp_path / "1") == VERIFIED

@@ -119,10 +119,9 @@ def test_integrate_state_pointwise_form(state_p2_rel):
     assert_allclose(f.values[rows, :], expected[rows, :], rtol=1e-6, atol=1e-9)
 
 
-def test_integrate_state_trivial_flag(spec_p2, grid_20):
-    st = integrate_state(spec_p2, CL, 0.0, -1.0, grid_20)
-    assert st.trivial
-    assert st.m1 == 0.0
+def test_integrate_state_rejects_zero_psi0(spec_p2, grid_20):
+    with pytest.raises(PreconditionError, match="psi0 must be negative, got 0.0"):
+        integrate_state(spec_p2, CL, 0.0, -1.0, grid_20)
 
 
 def test_integrate_state_support_errors(spec_p2):
