@@ -520,6 +520,11 @@ def test_verify_on_an_inconsistent_solve_is_a_named_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("args, error", [
+    # a bump with no mass, and one too light to bind: neither has negative energy
+    (["blowup", "--c", "inf", "--amplitude", "0", "--n", "129", "--m", "129",
+      "--n-particles", "1000"], "PreconditionError"),
+    (["blowup", "--c", "inf", "--amplitude", "0.001", "--n", "129", "--m", "129",
+      "--n-particles", "1000"], "PreconditionError"),
     (["froots", "--c", "1", "--a", "1", "--mu0", "-1e-320"], "NumericsError"),
     # 4 pi mu0^2 is subnormal: F(|mu0|) has lost digits
     (["froots", "--c", "0.5", "--a", "1", "--mu0", "1e-155"], "NumericsError"),
