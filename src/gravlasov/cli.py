@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dynamics, rigidity, steady
 from .errors import ConfigError, GravlasovError, NumericsError
-from .kernel import ModelParams, check_casimir, make_polytrope
+from .kernel import ModelParams, make_polytrope
 from .radial import RadialGrid, SpeedGrid, bump_density, write_csv, write_json
 from .steady import SolveTargets
 
@@ -107,7 +107,7 @@ _KEYS = {
                          (lambda v: 1.0 < v < 1.5, "must lie in (1, 3/2)")),
     "blowup.r_scale": _Key(_finite, 1.0, "r_scale", _POSITIVE),
     "blowup.u_scale": _Key(_finite, 1.5, "u_scale", _POSITIVE),
-    "blowup.amplitude": _Key(_finite, 1.0, "amplitude"),
+    "blowup.amplitude": _Key(_finite, 1.0, "amplitude", _at_least(0)),
     "output.directory": _Key(str.strip, "out", "out"),
 }
 
@@ -206,11 +206,6 @@ def _solve_state(config: RunConfig):
                            mj_target=config["targets.mj"],
                            tol=config["targets.tol"])
     return steady.solve_targets(spec, params, targets, grid)
-
-
-def _cmd_check_casimir(config: RunConfig, outdir: str) -> dict:
-    report = check_casimir(config.casimir())
-    return asdict(report) | {"passed": report.passed}
 
 
 def _cmd_solve(config: RunConfig, outdir: str) -> dict:
@@ -373,7 +368,6 @@ def _cmd_blowup(config: RunConfig, outdir: str) -> dict:
 
 
 _HANDLERS = {
-    "check-casimir": _cmd_check_casimir,
     "solve": _cmd_solve,
     "verify": _cmd_verify,
     "kj": _cmd_kj,

@@ -345,7 +345,8 @@ def push(ens: ParticleEnsemble, dt: float,
 
     ``accel`` is the acceleration at the starting positions, computed when
     not given. With ``external`` set (a positions -> accelerations callable)
-    the field is frozen to that rule and the step is exactly time-reversible;
+    the field is frozen to that rule and the step is time-reversible in exact
+    arithmetic (in doubles a step back returns to the start up to rounding);
     otherwise field_from_particles is recomputed on the drifted positions.
 
     The step runs on a fresh run of the ensemble (see _Run), so no caller's
@@ -500,10 +501,10 @@ def _reference_shell_masses(state: GroundState):
 
 
 def _diagnostics(run: _Run, shells: _Shells, t: float, center_bin: float,
-                 ref_masses: Optional[np.ndarray] = None,
-                 ref_edges: Optional[np.ndarray] = None) -> DiagnosticsRecord:
+                 ref: Optional[tuple] = None) -> DiagnosticsRecord:
     """The record at time t of the run's state, from shells, the sort of its
-    positions. Its per-particle temporaries go into the run's scratch."""
+    positions; ref is the (edges, masses) pair of _reference_shell_masses, or
+    None. Its per-particle temporaries go into the run's scratch."""
     r, order, r_sorted, w_sorted, m_half = shells
     weights, params = run.ens.weights, run.ens.params
     cols = run.scratch[:, 0], run.scratch[:, 1], run.scratch[:, 2]
@@ -535,7 +536,8 @@ def _diagnostics(run: _Run, shells: _Shells, t: float, center_bin: float,
     rho_center = _ball_density(weights, r, center_bin)
 
     dist = math.nan
-    if ref_masses is not None and ref_edges is not None:
+    if ref is not None:
+        ref_edges, ref_masses = ref
         masses = _binned_shell_masses(weights, ref_edges, order, r_sorted)
         dist = float(np.sum(np.abs(masses - ref_masses)))
     return DiagnosticsRecord(t=t, hc=hc, m1=run.ens.total_mass, ekin=ekin,
@@ -586,17 +588,13 @@ def evolve(ens: ParticleEnsemble, t_end: float, dt: float, diag_every: int = 10,
     if center_bin is None:
         center_bin = (reference.r_support / 20.0 if reference is not None
                       else float(np.percentile(shells.r, 50)) / 10.0)
-    ref_masses = ref_edges = None
-    if reference is not None:
-        ref_edges, ref_masses = _reference_shell_masses(reference)
-
-    records = [_diagnostics(run, shells, 0.0, center_bin, ref_masses, ref_edges)]
+    ref = _reference_shell_masses(reference) if reference is not None else None
+    records = [_diagnostics(run, shells, 0.0, center_bin, ref)]
     field_from_particles(run)
     for k in range(1, steps + 1):
         push(run, dt, accel=run.accel)
         if k % diag_every == 0 or k == steps:
-            records.append(_diagnostics(run, run.shells, k * dt, center_bin,
-                                        ref_masses, ref_edges))
+            records.append(_diagnostics(run, run.shells, k * dt, center_bin, ref))
             if (stop_condition is not None
                     and stop_condition(records[-1], run.shells.r_sorted)):
                 break

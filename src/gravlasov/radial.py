@@ -298,6 +298,8 @@ def bump_density(grid_r: RadialGrid, grid_u: SpeedGrid, r_scale: float,
     for name, scale in (("r_scale", r_scale), ("u_scale", u_scale)):
         if not 0 < scale < math.inf:
             raise PreconditionError(f"{name} must be positive and finite, got {scale}")
+    if not 0 <= amplitude < math.inf:
+        raise PreconditionError(f"amplitude must be nonnegative and finite, got {amplitude}")
     s_cut = min((0.9 * grid_r.r_max / r_scale) ** 2,
                 (0.9 * grid_u.u_max / u_scale) ** 2)
     floor = np.exp(-s_cut)

@@ -63,6 +63,7 @@ __all__ = [
 _ROOT_WINDOW = (1e-4, 1e4)   # f_roots searches |mu0| times this range
 _ROOT_SCAN = 64              # geometric scan points that bracket the roots
 _LEVEL_QUAD_NODES = 2000
+_LEVEL_FRACS = np.geomspace(1e-3, 1e-1, 25)   # (a - tau)/a of the fitted levels
 _BOOTSTRAP_MAX_ITER = 10_000
 
 THRESHOLD_CAVEAT = (
@@ -425,7 +426,7 @@ LEVEL_VOLUME_CONSTANT = 4.0 * math.pi ** 3 / 3.0
 # phase-space volume of {u^2/2 + b r^2/2 < s} is (4 pi^3/3) s^3 b^(-3/2)
 
 
-def level_asymptotic(state: GroundState, tau_fracs=None) -> LevelAsymptoticFit:
+def level_asymptotic(state: GroundState) -> LevelAsymptoticFit:
     """Fit the cubic shrinkage law of near-peak level sets.
 
     Measures vol{ kinetic(u) + phi(r) - phi(0) < |mu| (a - tau) } for tau
@@ -450,12 +451,7 @@ def level_asymptotic(state: GroundState, tau_fracs=None) -> LevelAsymptoticFit:
     phi2 = 2.0 * coefs[1] / width ** 2
     phi2_rho = state.rho.values[0] / 3.0
 
-    if tau_fracs is None:
-        tau_fracs = np.geomspace(1e-3, 1e-1, 25)
-    tau_fracs = np.asarray(tau_fracs, dtype=float)
-    if not np.all((tau_fracs > 0.0) & (tau_fracs < 1.0)):
-        raise PreconditionError(f"level fractions must lie in (0, 1), got {tau_fracs}")
-    eps_values = mu_abs * a * tau_fracs
+    eps_values = mu_abs * a * _LEVEL_FRACS
 
     dphi = phi - phi[0]
     dphi_spline = CubicSpline(r, dphi)
@@ -471,8 +467,6 @@ def level_asymptotic(state: GroundState, tau_fracs=None) -> LevelAsymptoticFit:
         u_edge = kinetic_weight_inverse(params, depth)
         vols[idx] = 16.0 * math.pi ** 2 * simpson(rr * rr * u_edge ** 3 / 3.0, x=rr)
 
-    if len(vols) < 2:
-        raise PreconditionError("the level-set fit needs two or more levels")
     x = np.log(eps_values / mu_abs)   # = log(a - tau)
     y = np.log(vols)
     slope, _ = np.polyfit(x, y, 1)

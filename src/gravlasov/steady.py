@@ -112,28 +112,6 @@ _NEWTON_MAX_ITER = 40
 _TOTALS = {"rho": "m1", "kin": "ekin", "cas": "mj", "jpq": "jpq", "ineg": "ineg"}
 
 
-def _kind_factor(spec: CasimirSpec, params: ModelParams, mu_abs: float,
-                 q, s, g_s, kind: str):
-    """Kernel K(q, s) G(s) for the supported moment kinds.
-
-    kinds: "rho" (plain density), "kin" (kinetic weight), "cas" (j(Q)),
-    "jpq" (j'(Q) Q, using j'(G(s)) = s), "ineg" (c^2 (1 - 1/sqrt(1+u^2/c^2))).
-    """
-    if kind == "rho":
-        return g_s
-    if kind == "cas":
-        return np.asarray(spec.j(g_s), dtype=float)
-    if kind == "jpq":
-        return s * g_s
-    if kind == "kin" or (kind == "ineg" and params.is_classical):
-        return mu_abs * q * g_s
-    if kind == "ineg":
-        c = params.c
-        x = mu_abs * q / c ** 2
-        return c ** 2 * x / (1.0 + x) * g_s
-    raise PreconditionError(f"unknown moment kind {kind!r}")
-
-
 def _q_weight(params: ModelParams, mu_abs: float, q):
     """Jacobian u^2 du/dq of the scaled-energy substitution."""
     if params.is_classical:
@@ -144,35 +122,46 @@ def _q_weight(params: ModelParams, mu_abs: float, q):
 
 
 def _moment_integrand(spec: CasimirSpec, params: ModelParams, mu_abs: float,
-                      a_depth, theta, kinds):
-    """Integrands in theta, one per kind, at depth A after the substitution
-    q = A sin^2 theta, s = A - q = A cos^2 theta: with its Jacobian 2 A sin cos
-    the sqrt(q) endpoint of w becomes sin^2 and the s^m endpoint of G cos^(2m+1)."""
+                      a_depth, theta):
+    """Integrands in theta of the kernels K(q, s) G(s) of every kind, in
+    _TOTALS order: rho (G), kin (kinetic weight), cas (j(Q)), jpq (j'(Q) Q,
+    using j'(G(s)) = s) and ineg (c^2 (1 - 1/sqrt(1+u^2/c^2))), at depth A
+    after the substitution q = A sin^2 theta, s = A - q = A cos^2 theta: with
+    its Jacobian 2 A sin cos the sqrt(q) endpoint of w becomes sin^2 and the
+    s^m endpoint of G cos^(2m+1)."""
     sin, cos = math.sin(theta), math.cos(theta)
     q, s = a_depth * (sin * sin), a_depth * (cos * cos)
     g_s = np.asarray(spec.g_inv(s), dtype=float)
     weight = _q_weight(params, mu_abs, q) * (2.0 * sin * cos) * a_depth
-    return [_kind_factor(spec, params, mu_abs, q, s, g_s, kind) * weight for kind in kinds]
+    kin = mu_abs * q * g_s
+    if params.is_classical:
+        ineg = kin
+    else:
+        c = params.c
+        x = mu_abs * q / c ** 2
+        ineg = c ** 2 * x / (1.0 + x) * g_s
+    return np.stack([g_s * weight, kin * weight,
+                     np.asarray(spec.j(g_s), dtype=float) * weight,
+                     s * g_s * weight, ineg * weight])
 
 
 def _moment_profile(spec: CasimirSpec, params: ModelParams, mu: float,
-                    a_values: np.ndarray, kinds) -> np.ndarray:
-    """Moments of every kind at many depths A_i, shape (len(kinds), len(A)).
+                    a_values: np.ndarray) -> np.ndarray:
+    """Moments of every kind at many depths A_i, shape (len(_TOTALS), len(A)).
 
     Substituting q = A sin^2 theta maps every depth to the common interval
     theta in [0, pi/2], so one quad_vec call integrates every kind and depth on
     one subdivision.
     """
     a = np.asarray(a_values, dtype=float)
-    out = np.zeros((len(kinds), a.size))
+    out = np.zeros((len(_TOTALS), a.size))
     mask = a > 0
     if not np.any(mask):
         return out
     am = a[mask]
     mu_abs = abs(mu)
-    val, _ = quad_vec(
-        lambda theta: np.stack(_moment_integrand(spec, params, mu_abs, am, theta, kinds)),
-        0.0, 0.5 * math.pi, epsabs=1e-14, epsrel=1e-11, norm="max")
+    val, _ = quad_vec(partial(_moment_integrand, spec, params, mu_abs, am),
+                      0.0, 0.5 * math.pi, epsabs=1e-14, epsrel=1e-11, norm="max")
     out[:, mask] = 4.0 * np.pi * np.maximum(val, 0.0)
     return out
 
@@ -193,13 +182,13 @@ def _similarity_table(p: float, classical: bool, bucket: int):
               "kin": (base * 1.5 * math.gamma(m + 1.0) / math.gamma(m + 3.5), 2.5, m + 2.5),
               "cas": (base / p * math.gamma(m + 2.0) / math.gamma(m + 3.5), 1.5, m + 2.5),
               "jpq": (base * math.gamma(m + 2.0) / math.gamma(m + 3.5), 1.5, m + 2.5)}
-    powers["ineg"] = powers["kin"]
+    powers["ineg"] = powers["kin"]   # _TOTALS order, as _moment_profile's rows
     zeta, g = np.array([0.0, 1.0]), np.ones((len(powers), 2))
     if not classical:
         s = np.linspace(0.0, 8.0, 2049)
         zeta, g = s * 2.0 ** bucket, np.ones((len(powers), s.size))
         prof = _moment_profile(make_polytrope(p), ModelParams(c=0.5 ** bucket), -1.0,
-                               s[1:] ** 2, tuple(powers))
+                               s[1:] ** 2)
         for row, vals, (coef, _, expo) in zip(g, prof, powers.values()):
             row[1:] = vals / (coef * _POW(s[1:], 2.0 * expo).astype(float))
     splines = {kind: CubicSpline(zeta, row) for kind, row in zip(powers, g)}
@@ -239,7 +228,7 @@ class _MomentTable:
         zeta = np.linspace(0.0, math.sqrt(self.a_max), 1025)
         self._nodes, self._var = zeta.tolist(), 1.0
         self._splines = {kind: CubicSpline(zeta, vals) for kind, vals in zip(
-            _TOTALS, _moment_profile(spec, params, mu, zeta * zeta, tuple(_TOTALS)))}
+            _TOTALS, _moment_profile(spec, params, mu, zeta * zeta))}
         self._rows = {kind: spl.c.T.tolist() for kind, spl in self._splines.items()}
         self._power = dict.fromkeys(_TOTALS, (1.0, 0.0))
 

@@ -50,6 +50,27 @@ def no_avx512_env():
     return env
 
 
+# the golden tests that rerun with AVX-512 off, in one child pytest
+GOLDEN = ("tests/test_flow_digests.py", "tests/test_solve_digests.py",
+          "tests/test_dynamics.py::test_push_of_a_finite_state_whose_radii_overflow")
+
+
+@pytest.fixture(scope="session")
+def golden_without_avx512(no_avx512_env, tmp_path_factory):
+    """The ids (`file::name`) of the golden tests that passed in one child
+    pytest whose numpy runs without AVX-512, and the child's output. The reruns
+    themselves (named `..._without_avx512`) are left out of the child; each
+    counts its own cases, so a failure in one golden file fails its rerun only."""
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+         "--basetemp", str(tmp_path_factory.mktemp("golden") / "child"),
+         "-k", "not without_avx512", *GOLDEN],
+        cwd=os.path.join(os.path.dirname(__file__), os.pardir), env=no_avx512_env,
+        capture_output=True, text=True)
+    return {line.split()[1] for line in child.stdout.splitlines()
+            if line.startswith("PASSED ")}, child.stdout
+
+
 @pytest.fixture(scope="session")
 def spec_p2():
     return make_polytrope(2.0)

@@ -392,7 +392,7 @@ def test_record_after_replace_matches_fresh_ensemble(state_p2_rel):
     # nothing of the force call on the ensemble it came from rides along
     from gravlasov.dynamics import _perturb
     ens = sample_state(state_p2_rel, 2000, seed=4)
-    edges, ref_masses = dynamics._reference_shell_masses(state_p2_rel)
+    ref = dynamics._reference_shell_masses(state_p2_rel)
     field_from_particles(ens)
     rng = np.random.default_rng(3)
     variants = [replace(ens, weights=rng.uniform(0.5, 1.5, ens.n) * ens.weights),
@@ -403,10 +403,10 @@ def test_record_after_replace_matches_fresh_ensemble(state_p2_rel):
             positions=variant.positions.copy(), velocities=variant.velocities.copy(),
             weights=variant.weights.copy(), f_values=variant.f_values.copy(),
             params=variant.params, eps_soft=variant.eps_soft)
-        got = record(variant, 0.1, ref_masses, edges)
-        want = record(fresh, 0.1, ref_masses, edges)
+        got = record(variant, 0.1, ref)
+        want = record(fresh, 0.1, ref)
         assert repr(got) == repr(want)
-        assert got != record(ens, 0.1, ref_masses, edges)
+        assert got != record(ens, 0.1, ref)
         assert np.array_equal(field_from_particles(variant),
                               field_from_particles(fresh))
 
@@ -531,7 +531,7 @@ def test_record_matches_two_pass_reference(state_p2_rel):
     for edges_k, masses_k in ((edges, ref_masses), (finite, np.array([0.1, 0.2]))):
         run = dynamics._Run(ens)
         shells = run.sort()
-        rec = dynamics._diagnostics(run, shells, 0.0, 0.1, masses_k, edges_k)
+        rec = dynamics._diagnostics(run, shells, 0.0, 0.1, (edges_k, masses_k))
         assert shells.r_sorted.tobytes() == np.sort(ens.radii()).tobytes()
         assert (rec.epot, rec.dist_rho) == two_pass_record(ens, edges_k, masses_k)
 

@@ -5,14 +5,12 @@ sort) must leave every bit of the flow where it was. Each case hashes, with
 sha256, the repr of the records and the bytes of the final positions and
 velocities of a 5k-particle, 20-step evolve; the ladder case hashes a tiny
 stability experiment's report and records. Where numpy reports AVX-512
-kernels, these tests and the pushes whose radii overflow rerun in a process
-with them disabled, and pass there too.
+kernels, these tests and the pushes whose radii overflow rerun in one child
+pytest (the `golden_without_avx512` fixture) with them disabled, and pass
+there too.
 """
 
 import hashlib
-import os
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -62,12 +60,10 @@ def test_stability_ladder_digest(state_p2_rel):
         "22470a41631fb7945dad6b105f5de67c61709dc9903da6785b08ea5e6d2cdb50")
 
 
-def test_flow_digests_without_avx512(no_avx512_env):
-    child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_flow_digests.py", "-k", "not without_avx512",
-         "tests/test_dynamics.py::test_push_of_a_finite_state_whose_radii_overflow"],
-        cwd=os.path.join(os.path.dirname(__file__), os.pardir), env=no_avx512_env,
-        capture_output=True, text=True)
-    assert child.returncode == 0, child.stdout
-    assert "7 passed" in child.stdout
+def test_flow_digests_without_avx512(golden_without_avx512):
+    passed, stdout = golden_without_avx512
+    # 4 evolve runs and the ladder, and the 2 pushes whose radii overflow
+    assert len([t for t in passed if t.startswith((
+        "tests/test_flow_digests.py::",
+        "tests/test_dynamics.py::test_push_of_a_finite_state_whose_radii_overflow"))]
+    ) == 7, stdout

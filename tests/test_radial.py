@@ -142,6 +142,13 @@ def test_bump_density_names_a_bad_scale(grids, name, scale):
         bump_density(*grids, **scales)
 
 
+@pytest.mark.parametrize("amplitude", [-1.0, math.nan])
+def test_bump_density_names_a_bad_amplitude(grids, amplitude):
+    with pytest.raises(PreconditionError, match="amplitude must be nonnegative and "
+                                                f"finite, got {amplitude}"):
+        bump_density(*grids, 0.5, 0.6, amplitude)
+
+
 def test_from_callable_matches_meshgrid_bit_for_bit(state_p2_rel):
     # from_callable passes broadcast axes; the values must be those of the
     # full meshgrid, also for callables whose result does not span both axes

@@ -4,14 +4,13 @@ A change to how a shot or a profile file is computed must leave every byte of
 `solve --p 2 --n 4096 --r-max 20` where it was, at c = 1 to (12.5, 1.9) and
 at c = inf to (16.0, 2.6), and the results `verify` reports on the c = 1
 solve. The rest of summary.json is left out: it records the output
-directory. Where numpy reports AVX-512 kernels, the solves rerun in a process
-with them disabled, and give the same bytes.
+directory. Where numpy reports AVX-512 kernels, the solves and `verify` rerun
+in one child pytest (the `golden_without_avx512` fixture) with them disabled,
+and give the same bytes.
 """
 
 import hashlib
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -57,13 +56,8 @@ def test_verify_results_digest(tmp_path):
     assert _verified(tmp_path) == VERIFIED
 
 
-def test_criterion_one_solve_digests_without_avx512(tmp_path, no_avx512_env):
-    def child(*argv):
-        subprocess.run([sys.executable, "-m", "gravlasov.cli", *argv], check=True,
-                       env=no_avx512_env, stdout=subprocess.DEVNULL)
-
-    for c in SOLVES:
-        child(*_argv(c, tmp_path / c))
-        assert _digests(tmp_path / c) == GOLDEN[c], c
-    child("verify", "--out", str(tmp_path / "1"))
-    assert _verified(tmp_path / "1") == VERIFIED
+def test_criterion_one_solve_digests_without_avx512(golden_without_avx512):
+    passed, stdout = golden_without_avx512
+    # the 2 solves and `verify` on the c = 1 solve
+    assert len([t for t in passed
+                if t.startswith("tests/test_solve_digests.py::")]) == 3, stdout

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.special import beta as beta_function
@@ -274,7 +274,9 @@ def _live_splines_and_shots():
 
 @pytest.mark.parametrize("call", [
     lambda st: fixed_point_solve(st.spec, st.params, st.lam, st.mu, st.phi.grid),
-    lambda st: level_asymptotic(st, tau_fracs=np.geomspace(1e-2, 1e-1, 5)),
+    # the smallest default level sets need n = 2049
+    lambda st: level_asymptotic(integrate_state(st.spec, st.params, st.psi0, st.mu,
+                                                RadialGrid(r_max=20.0, n=2049))),
     lambda st: solve_targets(st.spec, st.params, SolveTargets(st.m1, st.mj, 1e-8),
                              st.phi.grid),
 ], ids=["fixed_point_solve", "level_asymptotic", "solve_targets"])
@@ -457,13 +459,13 @@ def test_state_serialization_roundtrip(tmp_path, state_p2_rel, state_p2_cl):
 
 
 def _counted_quadratures(monkeypatch):
-    """Record every _moment_profile call (its kinds: a table build) and every shot."""
+    """Record every _moment_profile call (a table build) and every shot."""
     calls = []
     profile, shoot = steady._moment_profile, steady._shoot
 
-    def counted_profile(spec, params, mu, a_values, kinds):
-        calls.append(tuple(kinds))
-        return profile(spec, params, mu, a_values, kinds)
+    def counted_profile(spec, params, mu, a_values):
+        calls.append("build")
+        return profile(spec, params, mu, a_values)
 
     def counted_shoot(*args):
         calls.append("shoot")
@@ -480,7 +482,7 @@ def test_full_shot_builds_at_most_one_table(spec_p2, spec_cubic, grid_20, monkey
     # every kind: any other weight builds one per shot, a pure power reads the
     # shared one of p
     calls = _counted_quadratures(monkeypatch)
-    build = tuple(steady._TOTALS)
+    build = "build"
     for spec, c, fast_calls, full_calls in (
             (spec_cubic, 1.0, [build, "shoot"], [build, "shoot"]),
             # the first table of p builds the shared spline, the next reads it;
@@ -500,7 +502,7 @@ def test_solve_targets_builds_at_most_two_tables(spec_p2, grid_20, monkeypatch, 
     params = ModelParams(c=c)
     targets = (12.5, 1.9) if c == 1.0 else (16.0, 2.6)
     st = solve_targets(spec_p2, params, SolveTargets(*targets, 1e-8), grid_20)
-    assert [kinds for kinds in calls if kinds != "shoot"] == [tuple(steady._TOTALS)] * builds
+    assert [call for call in calls if call != "shoot"] == ["build"] * builds
     f_roots(REL, 1.0, spec_p2, -0.5)
     # once the buckets they read exist, nothing integrates a moment again
     calls.clear()
@@ -509,7 +511,7 @@ def test_solve_targets_builds_at_most_two_tables(spec_p2, grid_20, monkeypatch, 
     state_from_dir(tmp_path)
     fixed_point_solve(spec_p2, params, st.lam, st.mu, grid_20)
     f_roots(REL, 1.0, spec_p2, -0.5)
-    assert [kinds for kinds in calls if kinds != "shoot"] == []
+    assert [call for call in calls if call != "shoot"] == []
 
 
 @pytest.mark.parametrize("c", [1.0, math.inf])
@@ -542,13 +544,18 @@ def test_solved_state_is_the_full_shot_to_the_bit(spec_p2, grid_20, c):
 
 @pytest.mark.parametrize("c", [1.0, math.inf])
 def test_stacked_rows_equal_rows_integrated_alone(spec_p2, c):
-    params, kinds = ModelParams(c=c), tuple(steady._TOTALS)
+    params = ModelParams(c=c)
     zeta = np.linspace(0.0, math.sqrt(0.814 / 0.829), 513)
-    stacked = steady._moment_profile(spec_p2, params, -0.829, zeta * zeta, kinds)
-    assert stacked.shape == (len(kinds), len(zeta))
-    for kind, row in zip(kinds, stacked):
-        alone = steady._moment_profile(spec_p2, params, -0.829, zeta * zeta, (kind,))
-        assert row.tobytes() == alone[0].tobytes(), kind
+    stacked = steady._moment_profile(spec_p2, params, -0.829, zeta * zeta)
+    assert stacked.shape == (len(steady._TOTALS), len(zeta))
+    for i, (kind, row) in enumerate(zip(steady._TOTALS, stacked)):
+        # one row through quad_vec on its own subdivision, with
+        # _moment_profile's tolerances
+        alone, _ = quad_vec(lambda theta: steady._moment_integrand(
+            spec_p2, params, 0.829, zeta[1:] ** 2, theta)[i],
+            0.0, 0.5 * math.pi, epsabs=1e-14, epsrel=1e-11, norm="max")
+        assert row[0] == 0.0, kind
+        assert row[1:].tobytes() == (4.0 * np.pi * np.maximum(alone, 0.0)).tobytes(), kind
 
 
 def test_stacked_rows_share_the_density_subdivision():
@@ -556,42 +563,44 @@ def test_stacked_rows_share_the_density_subdivision():
     # kind integrated alone stops early, stacked they ride on rho's accuracy
     spec, params, mu_abs = make_polytrope(3.0), ModelParams(c=0.5), 1e3
     zeta = np.linspace(0.0, math.sqrt(1e-3 / mu_abs), 65)[1:]
-    a_depth, kinds = zeta * zeta, tuple(steady._TOTALS)
-    stacked = steady._moment_profile(spec, params, -mu_abs, a_depth, kinds)
-    for kind, row in zip(kinds, stacked):
+    a_depth = zeta * zeta
+    stacked = steady._moment_profile(spec, params, -mu_abs, a_depth)
+    for i, (kind, row) in enumerate(zip(steady._TOTALS, stacked)):
         # scalar quad per depth; 1.2e-14 is its smallest epsrel with epsabs=0
         ref = [quad(lambda theta: float(steady._moment_integrand(
-            spec, params, mu_abs, a, theta, (kind,))[0]),
+            spec, params, mu_abs, a, theta)[i]),
             0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1.2e-14)[0] for a in a_depth]
         assert_allclose(row, 4.0 * np.pi * np.array(ref), rtol=1e-10, atol=0,
                         err_msg=kind)
 
 
 @settings(max_examples=200)
-# q = 0 or q >= 1e-200, so x = |mu| q / c^2 is 0 or a normal double: a
-# subnormal x keeps only a few significant bits, and no relative bound holds
-@given(q=strategies.one_of(strategies.just(0.0), strategies.floats(1e-200, 1e6)),
+# theta = 0 or theta >= 1e-60, so q = A sin^2 theta, x = |mu| q / c^2 and
+# every row are 0 or normal doubles: a subnormal keeps only a few
+# significant bits, and no relative bound holds
+@given(a=strategies.floats(1e-3, 1e3),
+       theta=strategies.one_of(strategies.just(0.0), strategies.floats(1e-60, 0.5 * math.pi)),
        mu_abs=strategies.floats(1e-3, 1e3),
-       c=strategies.one_of(strategies.floats(0.1, 1e4), strategies.just(math.inf)),
-       g_s=strategies.floats(1e-3, 1e3))
-def test_kinetic_and_binding_moments_sum_to_the_virial_kernel(q, mu_abs, c, g_s):
-    # u^2/gamma = c^2 (gamma - 1) + c^2 (1 - 1/gamma), with gamma = 1 + x
+       c=strategies.one_of(strategies.floats(0.1, 1e4), strategies.just(math.inf)))
+def test_kinetic_and_binding_moments_sum_to_the_virial_kernel(a, theta, mu_abs, c):
+    # u^2/gamma = c^2 (gamma - 1) + c^2 (1 - 1/gamma), with gamma = 1 + x;
+    # the rows share the density row's factor G(s) times the Jacobian
     params = ModelParams(c=c)
-    kin, ineg = (steady._kind_factor(None, params, mu_abs, q, 0.0, g_s, kind)
-                 for kind in ("kin", "ineg"))
+    rho, kin, _, _, ineg = steady._moment_integrand(make_polytrope(2.0), params,
+                                                    mu_abs, a, theta)
+    q = a * math.sin(theta) ** 2
     if params.is_classical:
-        assert kin + ineg == 2.0 * mu_abs * q * g_s
+        assert ineg == kin
+        want = 2.0 * mu_abs * q * rho
     else:
         x = mu_abs * q / c ** 2
-        assert_allclose(kin + ineg, c ** 2 * x * (2.0 + x) / (1.0 + x) * g_s,
-                        rtol=1e-14, atol=0)
+        want = c ** 2 * x * (2.0 + x) / (1.0 + x) * rho
+    assert_allclose(kin + ineg, want, rtol=1e-14, atol=0)
 
 
 def test_virial_moment_is_kinetic_plus_binding(state_p2_cl, state_p2_rel):
     for st in (state_p2_cl, state_p2_rel):
         assert st.vir_kin == st.ekin + st.ineg
-    with pytest.raises(PreconditionError, match="unknown moment kind"):
-        steady._kind_factor(state_p2_rel.spec, REL, 1.0, 1.0, 0.0, 1.0, "vir")
 
 
 # --- the float shooting stage against the array stage it replaced -------------
@@ -916,9 +925,9 @@ def test_similarity_view_matches_a_direct_quadrature(classical, p, log_a, log_mu
     c = math.inf if classical else math.sqrt(-mu * a / math.exp(log_beta))
     spec, params = make_polytrope(p), ModelParams(c=c)
     table = steady._MomentTable(spec, params, mu, a)
-    for kind in steady._TOTALS:
+    for i, kind in enumerate(steady._TOTALS):
         direct = 4.0 * math.pi * quad(lambda theta: float(steady._moment_integrand(
-            spec, params, -mu, a, theta, (kind,))[0]), 0.0, 0.5 * math.pi, epsabs=0.0,
+            spec, params, -mu, a, theta)[i]), 0.0, 0.5 * math.pi, epsabs=0.0,
             epsrel=1e-13, limit=200)[0]
         assert_allclose(table(a, kind), direct, atol=0,
                         rtol=1e-14 if classical else 1e-10, err_msg=kind)
@@ -929,13 +938,13 @@ def test_similarity_buckets_end_where_their_build_would_overflow(spec_p2):
     # overflows; a depth past it is a named error before any numpy warning,
     # and nothing is cached for it
     a = np.linspace(0.0, 8.0, 2049)[1:] ** 2
-    spec, kinds = make_polytrope(1.5001), tuple(steady._TOTALS)
+    spec = make_polytrope(1.5001)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         last = steady._similarity_table(1.5001, False, 253)[1]
         assert all(np.all(np.isfinite(spl.c)) for spl in last.values())
         with pytest.raises(RuntimeWarning, match="overflow"):
-            steady._moment_profile(spec, ModelParams(c=0.5 ** 254), -1.0, a, kinds)
+            steady._moment_profile(spec, ModelParams(c=0.5 ** 254), -1.0, a)
         cached = steady._similarity_table.cache_info().currsize
         for weight, mu, c, a_max in ((spec, -1.0, 1.0, steady._BETA_LIMIT),
                                      (spec_p2, -1e60, 1e-50, 1e60),
@@ -946,16 +955,16 @@ def test_similarity_buckets_end_where_their_build_would_overflow(spec_p2):
 
 
 def _table_error(table, truth, a, kinds):
-    return max(float(np.max(np.abs(table(a, kind) - row)) / np.max(row))
-               for kind, row in zip(kinds, truth))
+    return max(float(np.max(np.abs(table(a, kind) - truth[kind])) / np.max(truth[kind]))
+               for kind in kinds)
 
 
-def _table_per_shot(spec, params, mu, a_max, kinds, n_tab):
+def _table_per_shot(spec, params, mu, a_max, n_tab):
     """The lookup of a table built for one shot: the moment itself on n_tab
     nodes of sqrt(A), A clipped to [0, a_max]."""
     zeta = np.linspace(0.0, math.sqrt(a_max), n_tab)
-    splines = dict(zip(kinds, (CubicSpline(zeta, row) for row in
-                               steady._moment_profile(spec, params, mu, zeta * zeta, kinds))))
+    splines = dict(zip(steady._TOTALS, (CubicSpline(zeta, row) for row in
+                                        steady._moment_profile(spec, params, mu, zeta * zeta))))
     return lambda a, kind: np.maximum(splines[kind](np.sqrt(np.clip(a, 0.0, a_max))), 0.0)
 
 
@@ -971,9 +980,10 @@ def test_similarity_view_is_no_less_accurate_than_a_table_per_shot(spec_p2, c):
                                         (8.0, ("rho",), 769)):
                 a_max = widen * psi0 / mu_abs
                 a = np.linspace(0.0, math.sqrt(a_max), 1537) ** 2
-                truth = steady._moment_profile(spec_p2, params, -mu_abs, a, kinds)
+                truth = dict(zip(steady._TOTALS,
+                                 steady._moment_profile(spec_p2, params, -mu_abs, a)))
                 view = steady._MomentTable(spec_p2, params, -mu_abs, a_max)
-                per_shot = _table_per_shot(spec_p2, params, -mu_abs, a_max, kinds, n_tab)
+                per_shot = _table_per_shot(spec_p2, params, -mu_abs, a_max, n_tab)
                 assert (_table_error(view, truth, a, kinds)
                         <= _table_error(per_shot, truth, a, kinds)), (psi0, mu_abs, n_tab)
 
