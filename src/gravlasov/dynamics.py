@@ -123,6 +123,10 @@ class _Run:
     Each step updates them in place, so it allocates nothing of the
     ensemble's size. push, field_from_particles and evolve work in place on
     a run they are given, and on a fresh one when given an ensemble.
+
+    A step ends with the half kick accel * (0.5 dt) in the scratch array;
+    kick_dt is that dt while the kick is intact, and None once anything
+    writes the accelerations or the scratch.
     """
 
     def __init__(self, ens: ParticleEnsemble):
@@ -137,6 +141,7 @@ class _Run:
         self.r = np.empty(n)
         self.r_sorted = np.empty(n)
         self.shells: Optional[_Shells] = None
+        self.kick_dt: Optional[float] = None
 
     @cached_property
     def m_half(self) -> Optional[np.ndarray]:
@@ -184,6 +189,7 @@ def _isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 _ENVELOPE_NODES = 256      # per axis of the rejection envelope's grid
+_CELL_MARGIN = 2.0 ** -10  # a cell bound's relative slack over f's rounding
 _WEIGH_CHUNK = 1 << 15     # candidates weighed at a time by the sampler
 _REFERENCE_EDGES = 24      # edges of the reference profile's 23 equal-mass bins
 _STABILITY_DIAG_EVERY = 10
@@ -191,61 +197,106 @@ _BLOWUP_DIAG_EVERY = 3
 _GROWTH_THRESHOLD = 100.0  # central-density growth that counts as concentration
 
 
-def _rejection_sample(rng, density_fn, r_hi, u_hi, n):
-    """Sample (r, u) pairs from the weight r^2 u^2 density_fn(r, u).
+def _cell_bounds(rr: np.ndarray, uu: np.ndarray, f_nodes: np.ndarray) -> np.ndarray:
+    """r_{i+1}^2 u_{j+1}^2 f(r_i, u_j) (1 + _CELL_MARGIN) on each cell of the
+    envelope's grid: a bound of r^2 u^2 f there when f does not increase in
+    r or in u. The margin covers, many times over, a computed f that is not
+    monotone to its last bits (a spline carries a ground state's potential)
+    and a cell index one short (_cell_index). Rounding lifts f past it only
+    where f's argument is within about 2^12 ulps of zero, at the edge of the
+    support, and a candidate there is lost only if its draw also falls
+    between the bound and its target: a chance below 1e-12."""
+    cells = rr[1:] ** 2 * uu[:, 1:] ** 2 * f_nodes[:-1, :-1]
+    cells *= 1.0 + _CELL_MARGIN
+    return cells
 
-    density_fn acts elementwise, so a batch's candidates are weighed
-    _WEIGH_CHUNK at a time, with the bits of one call on the whole batch and
-    a fraction of its temporaries."""
+
+def _cell_index(x: np.ndarray, hi: float) -> np.ndarray:
+    """The envelope cell of each x in [0, hi). Its scale is cut by 2^-40,
+    more than the rounding of the product and of the nodes, so the index
+    never passes the cell that holds x; it falls one short only for x within
+    2^-39 of the cell's lower node."""
+    return (x * ((_ENVELOPE_NODES - 1) / hi * (1.0 - 2.0 ** -40))).astype(np.intp)
+
+
+def _weigh(density_fn, cells, r_hi, u_hi, cand_r, cand_u, draw):
+    """The accept mask of a batch of candidates, and the density_fn values of
+    the accepted ones, in order; see _rejection_sample. Candidates are
+    weighed _WEIGH_CHUNK at a time: density_fn acts elementwise, so the bits
+    are those of one call on the whole batch, with a fraction of its
+    temporaries."""
+    accept = np.zeros(len(draw), dtype=bool)
+    kept = []
+    for lo in range(0, len(draw), _WEIGH_CHUNK):
+        s = slice(lo, lo + _WEIGH_CHUNK)
+        r, u, d = cand_r[s], cand_u[s], draw[s]
+        if cells is not None:
+            pick = np.flatnonzero(d < cells[_cell_index(r, r_hi), _cell_index(u, u_hi)])
+            r, u, d, s = r[pick], u[pick], d[pick], pick + lo
+        f = density_fn(r, u)
+        ok = d < r ** 2 * u ** 2 * f
+        accept[s] = ok
+        kept.append(f[ok])
+    return accept, np.concatenate(kept)
+
+
+def _rejection_sample(rng, density_fn, r_hi, u_hi, n, decreasing):
+    """Sample (r, u) pairs from the weight r^2 u^2 density_fn(r, u); returns
+    them with the density_fn value each was accepted with.
+
+    When density_fn does not increase in r or in u (decreasing: a ground
+    state's f, so sample_state's alone; a tabulated density need not be
+    monotone), a candidate whose draw reaches the bound of its envelope cell
+    (_cell_bounds) is rejected unweighed; the others are weighed as before,
+    so the accepted candidates are the same."""
     rr = np.linspace(0.0, r_hi, _ENVELOPE_NODES)[:, None]
     uu = np.linspace(0.0, u_hi, _ENVELOPE_NODES)[None, :]
-    target = rr ** 2 * uu ** 2 * density_fn(rr, uu)
-    bound = 1.2 * float(np.max(target))
+    f_nodes = density_fn(rr, uu)
+    bound = 1.2 * float(np.max(rr ** 2 * uu ** 2 * f_nodes))
     if bound <= 0:
         raise PreconditionError("cannot sample from an identically zero density")
-    out_r = np.empty(n)
-    out_u = np.empty(n)
+    cells = _cell_bounds(rr, uu, f_nodes) if decreasing else None
+    out_r, out_u, out_f = np.empty(n), np.empty(n), np.empty(n)
     filled = 0
     while filled < n:
         batch = max(4 * (n - filled), 1024)
         cand_r = rng.uniform(0.0, r_hi, batch)
         cand_u = rng.uniform(0.0, u_hi, batch)
         draw = rng.uniform(0.0, bound, batch)
-        accept = np.concatenate([
-            draw[s] < cand_r[s] ** 2 * cand_u[s] ** 2 * density_fn(cand_r[s], cand_u[s])
-            for s in (slice(lo, lo + _WEIGH_CHUNK)
-                      for lo in range(0, batch, _WEIGH_CHUNK))])
-        take = min(int(np.sum(accept)), n - filled)
-        out_r[filled:filled + take] = cand_r[accept][:take]
-        out_u[filled:filled + take] = cand_u[accept][:take]
+        accept, f = _weigh(density_fn, cells, r_hi, u_hi, cand_r, cand_u, draw)
+        take = min(len(f), n - filled)
+        for out, kept in ((out_r, cand_r[accept]), (out_u, cand_u[accept]), (out_f, f)):
+            out[filled:filled + take] = kept[:take]
         filled += take
-    return out_r, out_u
+    return out_r, out_u, out_f
 
 
 def _sample(density_fn, r_hi: float, u_hi: float, mass: float,
-            params: ModelParams, n: int, seed: int) -> ParticleEnsemble:
+            params: ModelParams, n: int, seed: int,
+            decreasing: bool = False) -> ParticleEnsemble:
     """Rejection-sample (r, u) from the phase-space weight r^2 u^2 density_fn,
     assign isotropic directions and equal weights mass/n, and freeze the
-    density value at each sample point."""
+    density value at each sample point. decreasing: see _rejection_sample."""
     if n < 1000:
         raise PreconditionError("need at least 1000 particles")
     if not 0 <= seed < 2 ** 128:  # Philox's key
         raise PreconditionError(f"seed must lie in [0, 2**128), got {seed}")
     rng = _rng(seed)
-    r_smp, u_smp = _rejection_sample(rng, density_fn, r_hi, u_hi, n)
+    r_smp, u_smp, f_smp = _rejection_sample(rng, density_fn, r_hi, u_hi, n, decreasing)
     positions = r_smp[:, None] * _isotropic_directions(rng, n)
     velocities = u_smp[:, None] * _isotropic_directions(rng, n)
     return ParticleEnsemble(
         positions=positions, velocities=velocities,
         weights=np.full(n, mass / n),
-        f_values=np.asarray(density_fn(r_smp, u_smp), dtype=float),
+        f_values=f_smp,
         params=params, eps_soft=r_hi / math.sqrt(n))
 
 
 def sample_state(state: GroundState, n: int, seed: int) -> ParticleEnsemble:
-    """Monte Carlo representation of a solved steady profile Q(r, u)."""
+    """Monte Carlo representation of a solved steady profile Q(r, u), which
+    does not increase in r or in u."""
     return _sample(state.profile, state.r_support, state.u_bound, state.m1,
-                   state.params, n, seed)
+                   state.params, n, seed, decreasing=True)
 
 
 def sample_density(f: PhaseDensity, params: ModelParams, n: int,
@@ -274,13 +325,22 @@ def _sorted_shell_data(r: np.ndarray, run: _Run):
     runs of radii that agree in their kept bits (ties among them, and nans
     of one bit pattern) are out of place: each run sits where it belongs, in
     index order, so a stable sort of the runs by radius repairs the order.
-    Nans of other patterns keep the order of their bits; each pulls with 0."""
+    Nans of other patterns keep the order of their bits; each pulls with 0.
+
+    With every radius finite, every key is a finite double (the index bits
+    lie below the exponent) that orders like its bits, so the keys sort as
+    doubles, faster in numpy's SIMD kernels; being unique, they sort the same
+    in every kernel. An inf or nan radius makes a nan key, whose payload the
+    float sort would rewrite, so those keys sort as uint64."""
     n = len(r)
     keys, r_sorted = run.keys, run.r_sorted
     low = np.uint64((1 << max((n - 1).bit_length(), 1)) - 1)
     np.bitwise_and(r.view(np.uint64), ~low, out=keys)
     keys |= run.index
-    keys.sort()
+    if np.max(r, initial=0.0) < math.inf:
+        keys.view(np.float64).sort()
+    else:
+        keys.sort()
     keys &= low
     order = keys.view(np.int64)
     # the indices are in range; "clip" lets take write straight into out
@@ -319,20 +379,21 @@ def field_from_particles(ens: ParticleEnsemble) -> np.ndarray:
     run = ens if isinstance(ens, _Run) else _Run(ens)
     shells = run.sort()
     out = run.accel
+    run.kick_dt = None
     # the pull is built in the result's columns: sorted in the second (its
-    # root in the third), in particle order in the first
+    # root in the third), in particle order in the first. It points inward:
+    # the sign rides in the divisor, as m / (-x) is -(m / x) exactly
     pull, pull_p = out[:, 1], out[:, 0]
     np.multiply(shells.r_sorted, shells.r_sorted, out=pull)
     pull += run.ens.eps_soft ** 2
     pull *= np.sqrt(pull, out=out[:, 2])   # the softened r^3, ascending, nan last
     if run.n and pull[0] > 0 and not math.isnan(pull[-1]):
-        pull *= 4.0 * np.pi
+        pull *= -4.0 * np.pi
         np.divide(shells.m_half, pull, out=pull)
     else:   # a zero or nan soft radius pulls with 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            pull[:] = np.where(pull > 0, shells.m_half / (4.0 * np.pi * pull), 0.0)
+            pull[:] = np.where(pull > 0, shells.m_half / (-4.0 * np.pi * pull), -0.0)
     pull_p[shells.order] = pull
-    np.negative(pull_p, out=pull_p)
     for axis in (1, 2, 0):   # the first column last: it holds the pull
         np.multiply(pull_p, run.positions[:, axis], out=out[:, axis])
     return out
@@ -351,7 +412,10 @@ def push(ens: ParticleEnsemble, dt: float,
 
     The step runs on a fresh run of the ensemble (see _Run), so no caller's
     array is written or shared by what is returned. Given a run, the step
-    updates it in place and returns it.
+    updates it in place and returns it. Its second half kick stays in the
+    run's scratch, and the next step of the run, given the run's own
+    accelerations and the same dt, kicks with it instead of computing it
+    again.
     """
     if dt == 0.0 or not math.isfinite(dt):
         raise PreconditionError(f"dt must be nonzero and finite, got {dt}")
@@ -362,6 +426,7 @@ def push(ens: ParticleEnsemble, dt: float,
     def force():
         if external is None:
             return field_from_particles(run)
+        run.kick_dt = None
         a[...] = external(x)
         return a
 
@@ -371,7 +436,11 @@ def push(ens: ParticleEnsemble, dt: float,
     with np.errstate(invalid="ignore"):
         if accel is None:
             accel = force()
-        v += np.multiply(accel, 0.5 * dt, out=s)
+        if accel is a and run.kick_dt == dt:
+            v += s   # the last step's second half kick: a * (0.5 * dt)
+        else:
+            v += np.multiply(accel, 0.5 * dt, out=s)
+        run.kick_dt = None   # the drift spends the scratch
         if params.is_classical:
             np.multiply(v, dt, out=s)
         else:   # |v|^2 in the columns of a, which the kick has spent
@@ -384,6 +453,7 @@ def push(ens: ParticleEnsemble, dt: float,
         run.shells = None
         force()
     v += np.multiply(a, 0.5 * dt, out=s)
+    run.kick_dt = dt
     _check_state(run, dt)
     return (run if run is ens else run.ensemble()), a
 
@@ -392,18 +462,28 @@ def _check_state(run: _Run, dt: float) -> None:
     """NumericsError unless the pushed state is finite and, at finite c,
     drifts slower than c.
 
-    Finite radii imply finite positions, and at finite c a finite largest
-    |v|^2 implies finite velocities; the (n, 3) scans run only when one of
-    them is not finite."""
+    Finite radii imply finite positions. The velocities take two reductions,
+    their largest and smallest component, which leave the carried half kick
+    in the scratch; only when those do not settle it does the exact check
+    run, in the scratch, with its (n, 3) scans when the state is not
+    finite."""
     x_new, v_new, params = run.positions, run.velocities, run.ens.params
-    u2 = None
-    if not params.is_classical:
-        u2 = float(np.max(_row_norm2(v_new, run.scratch[:, 0], run.scratch[:, 1]),
-                          initial=0.0))
     shells = run.shells   # None under an external force
     x_finite = (shells is not None
                 and (not run.n or math.isfinite(shells.r_sorted[-1]))
                 or np.all(np.isfinite(x_new)))
+    # |v|^2 <= 3 top^2, so below 2^46 c^2 every velocity is finite (a nan
+    # component makes both reductions nan, which fails the test) and every
+    # drift |v| / sqrt(1 + |v|^2/c^2) rounds below c: it can round up to c
+    # only near |v|^2/c^2 ~ 2^52
+    top = max(float(np.max(v_new, initial=0.0)), -float(np.min(v_new, initial=0.0)))
+    if x_finite and 3.0 * top * top < 2.0 ** 46 * params.c * params.c:
+        return
+    run.kick_dt = None
+    u2 = None
+    if not params.is_classical:
+        u2 = float(np.max(_row_norm2(v_new, run.scratch[:, 0], run.scratch[:, 1]),
+                          initial=0.0))
     v_finite = u2 is not None and math.isfinite(u2) or np.all(np.isfinite(v_new))
     if not (x_finite and v_finite):
         bad = int(np.sum(~np.isfinite(x_new))) + int(np.sum(~np.isfinite(v_new)))
@@ -488,6 +568,21 @@ def _binned_shell_masses(weights: np.ndarray, edges: np.ndarray,
     return np.bincount(idx, weights=weights, minlength=len(edges) - 1)
 
 
+def _counted_shell_masses(weights: np.ndarray, edges: np.ndarray,
+                          r_sorted: np.ndarray) -> np.ndarray:
+    """_binned_shell_masses of bitwise equal weights, from the count of each
+    bin alone: bincount adds a bin's weights one by one from 0.0, so a bin of
+    k particles holds 0.0 + cumsum(weights[:k])[k - 1]. A radius below the
+    first inner edge counts in the first bin and one past the last (inf and
+    nan too) in the last, as _binned_shell_masses clips them."""
+    below = np.searchsorted(r_sorted, edges[1:-1], side="left")
+    counts = np.diff(below, prepend=0, append=len(r_sorted))
+    masses = np.zeros(len(counts))
+    held = counts > 0
+    masses[held] += np.cumsum(weights[:counts.max(initial=0)])[counts[held] - 1]
+    return masses
+
+
 def _reference_shell_masses(state: GroundState):
     """Equal-mass radial bins of the reference profile (last bin reaches
     infinity so escapers count as mass out of place). The edges are quantiles
@@ -508,6 +603,7 @@ def _diagnostics(run: _Run, shells: _Shells, t: float, center_bin: float,
     r, order, r_sorted, w_sorted, m_half = shells
     weights, params = run.ens.weights, run.ens.params
     cols = run.scratch[:, 0], run.scratch[:, 1], run.scratch[:, 2]
+    run.kick_dt = None
     # exact field energy (1/2) int |grad phi|^2 of the unsoftened shell
     # system: (1/(4 pi)) sum_i w_i M_half(<r_i) / r_i over r_i > 0, one
     # slice of the sorted radii (zeros first, nan last)
@@ -538,7 +634,9 @@ def _diagnostics(run: _Run, shells: _Shells, t: float, center_bin: float,
     dist = math.nan
     if ref is not None:
         ref_edges, ref_masses = ref
-        masses = _binned_shell_masses(weights, ref_edges, order, r_sorted)
+        masses = (_counted_shell_masses(weights, ref_edges, r_sorted)
+                  if run.m_half is not None
+                  else _binned_shell_masses(weights, ref_edges, order, r_sorted))
         dist = float(np.sum(np.abs(masses - ref_masses)))
     return DiagnosticsRecord(t=t, hc=hc, m1=run.ens.total_mass, ekin=ekin,
                              epot=epot, virial=virial, rho_center=rho_center,

@@ -39,7 +39,8 @@ def test_every_traced_target_exists(tracing):
     assert missing == []
 
 
-@pytest.mark.parametrize("kwargs, fast", [({}, False), ({"fast": True}, True)])
+@pytest.mark.parametrize("kwargs, fast", [({}, False), ({"fast": True}, True)],
+                         ids=["kwargs0-False", "kwargs1-True"])
 def test_shot_spans_read_grid_and_fast(tracing, kwargs, fast):
     # the wrapper binds each call to the target's signature, defaults applied,
     # and hands the arguments to the span's reader

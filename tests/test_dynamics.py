@@ -164,7 +164,9 @@ def test_every_constructor_stores_column_major(state_p2_rel, bump_and_table,
 @pytest.mark.parametrize("name, bad", [
     ("positions", np.zeros((5, 2))), ("positions", np.zeros(15)),
     ("velocities", np.zeros((6, 3))), ("weights", np.ones((5, 1))),
-    ("f_values", np.ones(4))])
+    ("f_values", np.ones(4))],
+                         ids=["positions-bad0", "positions-bad1", "velocities-bad2",
+                              "weights-bad3", "f_values-bad4"])
 def test_ensemble_shapes_checked_where_built(name, bad):
     arrays_ok = dict(positions=np.zeros((5, 3)), velocities=np.zeros((5, 3)),
                      weights=np.ones(5), f_values=np.ones(5))
@@ -461,6 +463,10 @@ def shell_radii(draw):
 @settings(max_examples=300, deadline=None)
 @given(r=shell_radii(), seed=strategies.integers(0, 2 ** 16))
 @example(r=np.array([2.0, np.nextafter(2.0, 0.0)]), seed=0)
+# every radius finite: the keys sort as doubles, a subnormal key (0.0) first
+@example(r=np.array([3.0, 0.0, 1e-310, 0.0, 1e300, 5e-324, 3.0]), seed=1)
+# one inf and one nan radius: the keys sort as uint64
+@example(r=np.array([3.0, math.inf, 0.0, math.nan, 1e300, 5e-324, 3.0]), seed=2)
 def test_packed_sort_is_the_stable_argsort(r, seed):
     weights = np.random.default_rng(seed).uniform(0.5, 1.5, len(r))
     got = packed_shell_data(weights, r)
@@ -468,7 +474,7 @@ def test_packed_sort_is_the_stable_argsort(r, seed):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("odd", [None, math.nan])
+@pytest.mark.parametrize("odd", [None, math.nan], ids=["None", "nan"])
 def test_packed_sort_repairs_its_runs_locally(monkeypatch, odd):
     # radii that agree in their kept high bits are re-sorted alone, with a
     # nan radius sorted last
@@ -536,7 +542,8 @@ def test_record_matches_two_pass_reference(state_p2_rel):
         assert (rec.epot, rec.dist_rho) == two_pass_record(ens, edges_k, masses_k)
 
 
-@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"])
+@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"],
+                         ids=["state_p2_rel", "state_p2_cl"])
 def test_reference_bins_split_the_state_mass_equally(request, state_name):
     # the bins are quantiles of the state's own enclosed mass, so they hold
     # its m1 to the accuracy of the integral, with no interpolation offset
@@ -697,12 +704,16 @@ def test_evolve_rejects_a_run_of_no_steps(state_p2_rel):
         evolve(ens, 1e-9, 1.0)
 
 
-@pytest.mark.parametrize("where, bad, message", [
+_BAD_INPUTS = [
     ("velocities", math.nan, r"velocities must be finite, got \[.*nan.*\]"),
     ("positions", math.inf, r"positions must be finite, got \[.*inf.*\]"),
     ("weights", -1e-3, r"weights must be finite and nonnegative, got -0\.001"),
     ("weights", math.nan, r"weights must be finite and nonnegative, got nan"),
-])
+]
+
+
+@pytest.mark.parametrize("where, bad, message", _BAD_INPUTS,
+                         ids=[f"{w}-{b}-{m}" for w, b, m in _BAD_INPUTS])
 def test_evolve_names_a_bad_input(state_p2_rel, where, bad, message):
     # checked once, before the first record: the first bad particle is named,
     # and no warning comes before the error
@@ -716,8 +727,10 @@ def test_evolve_names_a_bad_input(state_p2_rel, where, bad, message):
             evolve(ens, 0.02, 0.01)
 
 
-@pytest.mark.parametrize("call", ["push", "push-accel", "field", "evolve"])
-@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"])
+@pytest.mark.parametrize("call", ["push", "push-accel", "field", "evolve"],
+                         ids=["push", "push-accel", "field", "evolve"])
+@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"],
+                         ids=["state_p2_rel", "state_p2_cl"])
 def test_no_callers_array_is_written_or_aliased(request, state_name, call):
     # each call steps a run of its own: the inputs keep their bits, and what
     # comes back shares no memory with them
@@ -740,7 +753,8 @@ def test_no_callers_array_is_written_or_aliased(request, state_name, call):
 
 @pytest.mark.parametrize("external", [None, central_mass_accel(1.0)],
                          ids=["self-consistent", "external"])
-@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"])
+@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"],
+                         ids=["state_p2_rel", "state_p2_cl"])
 def test_push_leaves_the_callers_state_unchanged(request, state_name, external):
     # push builds its temporaries in place, but only on arrays it allocated:
     # a caller that keeps ens and accel finds them bit for bit as they were,
@@ -796,7 +810,8 @@ def test_evolve_conservation_short(state_p2_rel, spec_p2):
     assert max(abs(r.hc - hc0) / abs(hc0) for r in records) < 1e-3
 
 
-@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"])
+@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"],
+                         ids=["state_p2_rel", "state_p2_cl"])
 def test_evolve_holds_about_one_state(request, state_name):
     # evolve hands each push the only references to the last step's state,
     # which push frees before its force call: a run peaks below seven (n, 3)
@@ -852,7 +867,8 @@ def test_stability_experiment_smoke(state_p2_rel):
     assert report.max_dist_rho[0] > report.noise_floor  # 5% is far above floor
 
 
-@pytest.mark.parametrize("deltas", [[], [0.0], [0.02, -0.01]])
+@pytest.mark.parametrize("deltas", [[], [0.0], [0.02, -0.01]],
+                         ids=["deltas0", "deltas1", "deltas2"])
 def test_stability_experiment_needs_a_positive_size(state_p2_rel, deltas):
     # a ladder without a positive size would compare the baseline to itself
     with pytest.raises(PreconditionError, match="at least one positive"):
@@ -868,8 +884,9 @@ def serial_ladder(state, deltas, mode, n, t_end, dt, seed):
             for d in (0.0,) + tuple(sorted(deltas))}
 
 
-@pytest.mark.parametrize("mode", ["amplitude", "kick"])
-@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"])
+@pytest.mark.parametrize("mode", ["amplitude", "kick"], ids=["amplitude", "kick"])
+@pytest.mark.parametrize("state_name", ["state_p2_rel", "state_p2_cl"],
+                         ids=["state_p2_rel", "state_p2_cl"])
 def test_ladder_on_the_cores_matches_the_serial_ladder(request, monkeypatch,
                                                        state_name, mode):
     state = request.getfixturevalue(state_name)
@@ -912,7 +929,7 @@ def test_ladder_raises_the_earliest_failure_in_ladder_order(state_p2_rel,
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("cores", [{0}, {0, 1}])
+@pytest.mark.parametrize("cores", [{0}, {0, 1}], ids=["cores0", "cores1"])
 def test_ladder_cancels_the_runs_after_a_failure(state_p2_rel, monkeypatch,
                                                  cores):
     started = []

@@ -94,7 +94,9 @@ def test_kinetic_weight_keeps_the_bits_of_the_cancellation_free_form(u, c):
     (1e150, 1e-10, 1e140),    # (u/c)**2 overflows and the form gave 0.0
     (1e10, 1e-300, 1e-290),   # u/c overflows
     (1e160, 1e160, math.inf),  # the value itself exceeds the largest float
-])
+], ids=["inf-1.0-inf", "inf-1e-300-inf", "1e+160-1.0-1e+160",
+        "1e+160-10000000000.0-1e+170", "1e+150-1e-10-1e+140",
+        "10000000000.0-1e-300-1e-290", "1e+160-1e+160-inf"])
 def test_kinetic_weight_of_a_huge_speed(u, c, want):
     params = ModelParams(c=c)
     assert _cancellation_free(u, c) is None

@@ -43,7 +43,7 @@ def test_grid_invariants():
     assert np.all(np.diff(g.nodes) > 0)
 
 
-@pytest.mark.parametrize("grid", [RadialGrid, SpeedGrid])
+@pytest.mark.parametrize("grid", [RadialGrid, SpeedGrid], ids=["RadialGrid", "SpeedGrid"])
 def test_grid_node_checks(grid):
     for top, count in [(-1.0, 5), (0.0, 5), (math.nan, 5), (math.inf, 5), (2.0, 1)]:
         with pytest.raises(PreconditionError, match="2 or more nodes"):
@@ -68,7 +68,11 @@ def test_grid_node_checks(grid):
     ([0.0], "2 or more nodes"),
     ([0.0, 0.5, 1.0, 1.5, 2.1], "uniform nodes"),                              # last step long
     (np.linspace(0.0, 2.0, 5) + [0.0, 0.0, 1e-7, 0.0, 0.0], "uniform nodes"),  # off by 2e-7 h
-])
+], ids=["column0-uniform nodes", "column1-uniform nodes",
+        "column2-uniform nodes", "column3-2 or more nodes",
+        "column4-uniform nodes", "column5-uniform nodes",
+        "column6-2 or more nodes", "column7-2 or more nodes",
+        "column8-uniform nodes", "column9-uniform nodes"])
 def test_read_radial_field_checks_its_r_column(tmp_path, column, match):
     path = tmp_path / "field.csv"
     write_csv(path, ["r", "value"], np.column_stack((column, np.zeros(len(column)))))
@@ -133,8 +137,9 @@ def test_phase_density_validation(grids):
             PhaseDensity(grid_r=grid_r, grid_u=grid_u, values=bad3)
 
 
-@pytest.mark.parametrize("name", ["r_scale", "u_scale"])
-@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["r_scale", "u_scale"], ids=["r_scale", "u_scale"])
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf],
+                         ids=["0.0", "-1.0", "nan", "inf"])
 def test_bump_density_names_a_bad_scale(grids, name, scale):
     scales = {"r_scale": 0.5, "u_scale": 0.6} | {name: scale}
     with pytest.raises(PreconditionError, match=f"{name} must be positive and finite, "
@@ -142,7 +147,7 @@ def test_bump_density_names_a_bad_scale(grids, name, scale):
         bump_density(*grids, **scales)
 
 
-@pytest.mark.parametrize("amplitude", [-1.0, math.nan])
+@pytest.mark.parametrize("amplitude", [-1.0, math.nan], ids=["-1.0", "nan"])
 def test_bump_density_names_a_bad_amplitude(grids, amplitude):
     with pytest.raises(PreconditionError, match="amplitude must be nonnegative and "
                                                 f"finite, got {amplitude}"):
@@ -256,7 +261,8 @@ def test_poisson_zero_and_shape_checks():
 
 
 @pytest.mark.parametrize("potential", [lambda r: -1.0 / (1.0 + r) - 0.5 * r,
-                                       lambda r: 1.0 / (1.0 + r)])
+                                       lambda r: 1.0 / (1.0 + r)],
+                         ids=["<lambda>0", "<lambda>1"])
 def test_poisson_breakdown_is_numerics_error(monkeypatch, potential):
     # a decreasing or a positive potential is a numerical breakdown, which
     # the CLI reports as a named failure

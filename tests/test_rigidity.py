@@ -266,7 +266,7 @@ def test_f_roots_classical_limit_single(spec_p2):
     assert roots == [pytest.approx(0.5, rel=1e-10)]
 
 
-@pytest.mark.parametrize("mu0", [1e-10, 1e-150])
+@pytest.mark.parametrize("mu0", [1e-10, 1e-150], ids=["1e-10", "1e-150"])
 def test_f_roots_single_root_for_small_mu0(spec_p2, mu0):
     # F is strictly decreasing on the whole window, so |mu0| is the only
     # root; the bracketed copy of it merges only if brentq's tolerance
@@ -277,7 +277,7 @@ def test_f_roots_single_root_for_small_mu0(spec_p2, mu0):
     assert f_roots(ModelParams(c=0.5), 1.0, spec_p2, mu0) == [mu0]
 
 
-@pytest.mark.parametrize("s", [1e140, 1e160])
+@pytest.mark.parametrize("s", [1e140, 1e160], ids=["1e+140", "1e+160"])
 def test_f_function_outside_double_range_is_numerics_error(spec_p2, s):
     # 1e140: 4 pi s^2 is finite but the moment overflows; 1e160: 4 pi s^2
     # itself overflows
@@ -286,7 +286,8 @@ def test_f_function_outside_double_range_is_numerics_error(spec_p2, s):
 
 
 @pytest.mark.parametrize("c, a, s", [(1e200, 1.0, 1e130), (1.0, 1e100, 1e-100),
-                                     (1e-80, 1.0, 1.0)])
+                                     (1e-80, 1.0, 1.0)],
+                         ids=["1e+200-1.0-1e+130", "1.0-1e+100-1e-100", "1e-80-1.0-1.0"])
 def test_f_function_moments_out_of_range_are_numerics_errors(spec_p2, c, a, s):
     # |mu|^(5/2) overflows, A^(m+5/2) overflows, beta is past the last table:
     # F's own error, before any numpy warning and with no OverflowError

@@ -44,7 +44,7 @@ def _verified(out):
     return hashlib.sha256(json.dumps(results).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("c", SOLVES)
+@pytest.mark.parametrize("c", SOLVES, ids=["1", "inf"])
 def test_criterion_one_solve_digests(tmp_path, c):
     assert cli.main(_argv(c, tmp_path)) == 0
     assert _digests(tmp_path) == GOLDEN[c]

@@ -233,7 +233,7 @@ def test_fixed_point_small_mass_state(spec_p2, grid_20):
     assert np.max(np.abs(fp.phi.values - st.phi.values)) < 1e-4 * abs(st.phi.values[0])
 
 
-@pytest.mark.parametrize("c", [1.0, math.inf])
+@pytest.mark.parametrize("c", [1.0, math.inf], ids=["1.0", "inf"])
 def test_fixed_point_agrees_with_shooting_custom_weight(spec_cubic, grid_20, c):
     # j = t^3 + t^2 is not a pure power: both solvers read a per-model table
     params = ModelParams(c=c)
@@ -243,13 +243,16 @@ def test_fixed_point_agrees_with_shooting_custom_weight(spec_cubic, grid_20, c):
     assert np.max(np.abs(fp.phi.values - st.phi.values)) < 1e-5 * abs(st.phi.values[0])
 
 
+_DIVERGENCE = (r"all seeds failed.*no convergence after 1 iterations from seed 5: "
+               r"sup-norm Picard residual \d\.\d{3}e[+-]\d+\)$")
+
+
 @pytest.mark.parametrize("name, value, error, message", [
-    ("_FIXED_POINT_MAX_ITER", 1, FixedPointDivergenceError,
-     r"all seeds failed.*no convergence after 1 iterations from seed 5: "
-     r"sup-norm Picard residual \d\.\d{3}e[+-]\d+\)$"),
+    ("_FIXED_POINT_MAX_ITER", 1, FixedPointDivergenceError, _DIVERGENCE),
     ("poisson_operator", lambda grid, rho: np.full_like(rho, np.nan), NumericsError,
      "non-finite"),
-])
+], ids=["_FIXED_POINT_MAX_ITER-1-FixedPointDivergenceError-" + _DIVERGENCE,
+        "poisson_operator-<lambda>-NumericsError-non-finite"])
 def test_fixed_point_failures_are_named(spec_p2, state_p2_cl, grid_20, monkeypatch,
                                         name, value, error, message):
     monkeypatch.setattr(steady, name, value)
@@ -380,7 +383,7 @@ def test_solve_targets_accepts_a_last_iterate_within_tol(spec_p2, grid_20, monke
     assert abs(st.m1 / 12.5 - 1.0) <= 1e-8 and abs(st.mj / 1.9 - 1.0) <= 1e-8
 
 
-@pytest.mark.parametrize("c", [1.0, math.inf])
+@pytest.mark.parametrize("c", [1.0, math.inf], ids=["1.0", "inf"])
 def test_solve_targets_custom_weight(spec_cubic, c):
     # j = t^3 + t^2 is not a pure power: the mu law only starts the solve
     params = ModelParams(c=c)
@@ -495,7 +498,7 @@ def test_full_shot_builds_at_most_one_table(spec_p2, spec_cubic, grid_20, monkey
             assert calls == expected
 
 
-@pytest.mark.parametrize("c, builds", [(1.0, 1), (math.inf, 0)])
+@pytest.mark.parametrize("c, builds", [(1.0, 1), (math.inf, 0)], ids=["1.0-1", "inf-0"])
 def test_solve_targets_builds_at_most_two_tables(spec_p2, grid_20, monkeypatch, tmp_path,
                                                  c, builds):
     calls = _counted_quadratures(monkeypatch)
@@ -514,7 +517,7 @@ def test_solve_targets_builds_at_most_two_tables(spec_p2, grid_20, monkeypatch, 
     assert [call for call in calls if call != "shoot"] == []
 
 
-@pytest.mark.parametrize("c", [1.0, math.inf])
+@pytest.mark.parametrize("c", [1.0, math.inf], ids=["1.0", "inf"])
 def test_solved_masses_are_the_fast_masses_to_the_bit(spec_p2, monkeypatch, c):
     # a full state sums the same table lookups as the fast masses that
     # solve_targets converged on; the criterion-1 solves
@@ -528,7 +531,7 @@ def test_solved_masses_are_the_fast_masses_to_the_bit(spec_p2, monkeypatch, c):
     assert [st.m1.hex(), st.mj.hex()] == [fast.m1.hex(), fast.mj.hex()]
 
 
-@pytest.mark.parametrize("c", [1.0, math.inf])
+@pytest.mark.parametrize("c", [1.0, math.inf], ids=["1.0", "inf"])
 def test_solved_state_is_the_full_shot_to_the_bit(spec_p2, grid_20, c):
     params = ModelParams(c=c)
     targets = (12.5, 1.9) if c == 1.0 else (16.0, 2.6)
@@ -542,7 +545,7 @@ def test_solved_state_is_the_full_shot_to_the_bit(spec_p2, grid_20, c):
     assert st.tabulate(257).values.tobytes() == full.tabulate(257).values.tobytes()
 
 
-@pytest.mark.parametrize("c", [1.0, math.inf])
+@pytest.mark.parametrize("c", [1.0, math.inf], ids=["1.0", "inf"])
 def test_stacked_rows_equal_rows_integrated_alone(spec_p2, c):
     params = ModelParams(c=c)
     zeta = np.linspace(0.0, math.sqrt(0.814 / 0.829), 513)
@@ -669,9 +672,10 @@ def _shot_table(spec, params, psi0, mu):
     return steady._MomentTable(spec, params, mu, -psi0 / abs(mu))
 
 
-@pytest.mark.parametrize("c", [1.0, math.inf])
-@pytest.mark.parametrize("n", [513, 4096])
-@pytest.mark.parametrize("psi0, mu", [(-0.814, -0.829), (-0.3, -2.0)])
+@pytest.mark.parametrize("c", [1.0, math.inf], ids=["1.0", "inf"])
+@pytest.mark.parametrize("n", [513, 4096], ids=["513", "4096"])
+@pytest.mark.parametrize("psi0, mu", [(-0.814, -0.829), (-0.3, -2.0)],
+                         ids=["-0.814--0.829", "-0.3--2.0"])
 def test_shoot_matches_array_stage_bit_for_bit(spec_p2, c, n, psi0, mu):
     params, grid = ModelParams(c=c), RadialGrid(r_max=20.0, n=n)
     table = _shot_table(spec_p2, params, psi0, mu)
@@ -776,7 +780,9 @@ SHOT_POINTS = [(-1.0, -1.0)] + [(float.fromhex(x), float.fromhex(y)) for x, y in
 
 
 @pytest.mark.parametrize("weight, c", [("spec_p2", 1.0), ("spec_p2", 0.5),
-                                       ("spec_p2", math.inf), ("spec_cubic", 1.0)])
+                                       ("spec_p2", math.inf), ("spec_cubic", 1.0)],
+                         ids=["spec_p2-1.0", "spec_p2-0.5", "spec_p2-inf",
+                              "spec_cubic-1.0"])
 def test_inline_stages_are_the_stepwise_shot_to_the_bit(request, weight, c):
     # spec_cubic is not a pure power: it builds a table per shot
     spec, params = request.getfixturevalue(weight), ModelParams(c=c)
@@ -824,7 +830,7 @@ def _breakpoints(table):
     return a[a <= table.a_max]
 
 
-@pytest.mark.parametrize("c", [1.0, math.inf])
+@pytest.mark.parametrize("c", [1.0, math.inf], ids=["1.0", "inf"])
 def test_moment_table_lookup_matches_masked_lookup(spec_p2, spec_cubic, c):
     params = ModelParams(c=c)
     for spec in (spec_p2, spec_cubic):
@@ -895,7 +901,8 @@ def test_power_sum_lookup_is_scipy_to_the_bit(c, planted, pure_power, kind, frac
     assert shared.c[:, 0].tobytes() != np.full(4, -0.0).tobytes()  # the plant stayed private
 
 
-@pytest.mark.parametrize("fixture", ["state_p2_cl", "state_p2_rel"])
+@pytest.mark.parametrize("fixture", ["state_p2_cl", "state_p2_rel"],
+                         ids=["state_p2_cl", "state_p2_rel"])
 def test_state_from_dir_rebuilds_f(tmp_path, request, fixture):
     st = request.getfixturevalue(fixture)
     state_to_dir(st, tmp_path)
@@ -968,7 +975,7 @@ def _table_per_shot(spec, params, mu, a_max, n_tab):
     return lambda a, kind: np.maximum(splines[kind](np.sqrt(np.clip(a, 0.0, a_max))), 0.0)
 
 
-@pytest.mark.parametrize("c", [1.0, math.inf])
+@pytest.mark.parametrize("c", [1.0, math.inf], ids=["1.0", "inf"])
 def test_similarity_view_is_no_less_accurate_than_a_table_per_shot(spec_p2, c):
     # the per-shot tables a shot once built: a fast shot's (513 nodes), a full
     # shot's (1025) and the fixed point's (769 nodes over 8 times the depth),
